@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .diagram import Diagram
 from .errors import MultiComponent, UnknownComponent
 from .polyring import GaussInt, LaurentPoly, TwoVarPoly, two_var_substitute
-from .presentations import BraidWord, Tangle, braid_to_tangle, double_block, tangle_substitute
+from .presentations import BraidWord, braid_to_tangle, double_block, tangle_substitute
 
 __all__ = [
     "CableLink",
@@ -37,9 +37,7 @@ __all__ = [
     "make_hat",
     "king_substitution",
     "king_verify",
-    "full_twist_value",
     "jprime_chain",
-    "demo_clasp_tangle",
 ]
 
 _T = LaurentPoly.t_pow
@@ -178,32 +176,9 @@ def king_verify(f_poly: TwoVarPoly, v_tilde: LaurentPoly, framing: int) -> bool:
     return lhs == rhs
 
 
-def full_twist_value(v_hat: LaurentPoly) -> LaurentPoly:
-    """Jones polynomial of the middle diagram of the derivation,
-    ``t^2 V(K^) + t^3/2 - t^1/2``."""
-    return _T(2) * v_hat + _T(Fraction(3, 2)) - _T(Fraction(1, 2))
-
-
 def jprime_chain(v_hat: LaurentPoly) -> LaurentPoly:
     """``V(J') = t^3 - t^2 + t + (t^7/2 - t^5/2) V(K^)``, the end of the
     two displayed skein applications."""
     return (_T(3) - _T(2) + _T(1)
             + (_T(Fraction(7, 2)) - _T(Fraction(5, 2))) * v_hat)
 
-
-def demo_clasp_tangle() -> Tangle:
-    """A strand-swapping clasp; splicing it into the cable annulus merges
-    the two boundary circles into one knot (a non-contractual stand-in
-    for the genus-raising tangle of the construction)."""
-    return braid_to_tangle(BraidWord(2, (1, 1, 1)))
-
-
-def genus_double_demo(base: Diagram) -> Diagram:
-    """Splice the demo clasp into the zero-framed cable annulus: the two
-    boundary circles merge into one knot bounding a genus-one surface."""
-    if base.n_components != 1 or base.n_crossings == 0:
-        raise MultiComponent("the demo doubles a knot diagram")
-    doubled, left, right = _doubled_with_lanes(base)
-    target = base.crossings[0][2]
-    return tangle_substitute(doubled, (right[target], left[target]),
-                             demo_clasp_tangle())

@@ -9,9 +9,13 @@ Subcommands:
 * ``table`` -- list the bundled knot table or recompute and diff it;
 * ``cable`` -- build a 2-cable with prescribed framing and run checks.
 
+The one global setting is ``--max-crossings`` (default from
+``$KNOTCALC_MAX_CROSSINGS``), the crossing cap of the recursive engines.
+Everything runs in one process, on the engines' shared memos.
+
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 resource limit.  Reports are deterministic: timing lives in a separate
-section that never enters comparison payloads.
+3 resource limit.  Reports are deterministic: timing and memo counts live
+in separate sections that never enter comparison payloads.
 """
 
 from __future__ import annotations
@@ -31,10 +35,9 @@ from .polyring import LaurentPoly
 from .presentations import (PlatPresentation, braid_parse, braid_to_tangle,
                             spine_boundary_knot, standardize, trace_closure)
 from .seifert import (alexander_from_seifert, determinant, is_monic,
-                      normalize_alexander, seifert_matrix,
-                      seifert_surface_genus, signature)
-from .skein import (DEFAULT_ENGINE_CAP, alexander_from_conway, conway,
-                    jones_memoized, kauffman_F, shared_memos)
+                      seifert_matrix, seifert_surface_genus, signature)
+from .skein import (DEFAULT_ENGINE_CAP, conway, jones_memoized, kauffman_F,
+                    shared_memos)
 from .verification import stevedore_chain_report
 
 EXIT_OK = 0
@@ -81,7 +84,8 @@ def _load_input(text_or_path: str) -> Diagram:
     return trace_closure(braid_to_tangle(braid_parse(text)))
 
 
-def _emit(report: dict, fmt: str, stream=sys.stdout):
+def _emit(report: dict, fmt: str):
+    stream = sys.stdout  # looked up per call, so redirection takes effect
     if fmt == "json":
         json.dump(report, stream, sort_keys=True, indent=1)
         stream.write("\n")
@@ -169,12 +173,6 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if report["payload"]["all_pass"] else EXIT_VERIFY
 
 
-def _verify_one(name_and_cap):
-    name, cap = name_and_cap
-    diffs = table_mod.verify_entry(table_mod.entry(name), cap)
-    return name, diffs
-
-
 def cmd_table(args) -> int:
     entries = table_mod.load_table()
     if args.action == "list":
@@ -188,16 +186,9 @@ def cmd_table(args) -> int:
         _emit({"payload": payload, "timing": {}}, args.format)
         return EXIT_OK
     t0 = time.perf_counter()
-    jobs = [(e.name, args.max_crossings) for e in entries]
-    if args.workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(args.workers) as pool:
-            results = dict(pool.map(_verify_one, jobs))
-    else:
-        results = dict(map(_verify_one, jobs))
     rows = []
     for e in entries:
-        diffs = results[e.name]
+        diffs = table_mod.verify_entry(e, args.max_crossings)
         rows.append({"name": e.name, "clean": not diffs,
                      "diffs": {k: {"stored": s, "computed": c}
                                for k, (s, c) in sorted(diffs.items())}})
@@ -256,15 +247,15 @@ def cmd_cable(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knotcalc",
-        description="Exact knot and link invariants from planar diagrams.")
+        description="Exact knot and link invariants from planar diagrams.",
+        epilog="exit codes: 0 success, 1 verification failure, "
+               "2 input error, 3 resource limit")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
         "--max-crossings", type=int,
         default=_env_int("KNOTCALC_MAX_CROSSINGS", DEFAULT_ENGINE_CAP),
-        help="crossing cap for the recursive engines")
-    parser.add_argument(
-        "--workers", type=int, default=_env_int("KNOTCALC_WORKERS", 1),
-        help="worker processes for independent table entries")
+        help="crossing cap for the recursive engines (default: "
+             f"$KNOTCALC_MAX_CROSSINGS, else {DEFAULT_ENGINE_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="invariants of one diagram")
@@ -277,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the published stevedore-cable chain")
     p.set_defaults(func=cmd_verify_paper)
 
-    p = sub.add_parser("table", help="bundled knot table")
+    p = sub.add_parser("table", help="list the bundled knot table, or "
+                                     "recompute every entry and diff it")
     p.add_argument("action", choices=("list", "verify"))
     p.set_defaults(func=cmd_table)
 
@@ -292,10 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    memo_cap = _env_int("KNOTCALC_MEMO_SIZE", 0)
-    if memo_cap:
-        for memo in shared_memos().values():
-            memo.max_entries = memo_cap
     try:
         return args.func(args)
     except (TooLarge, ResourceLimit) as e:

@@ -34,7 +34,7 @@ from .errors import (
     UnknownComponent,
 )
 
-__all__ = ["Diagram", "pd_parse"]
+__all__ = ["Diagram", "canonical_form", "pd_parse"]
 
 Crossing = tuple[int, int, int, int]
 
@@ -355,10 +355,7 @@ class Diagram:
     def incidences(self) -> dict[int, list[tuple[int, int]]]:
         got = self._cache.get("incid")
         if got is None:
-            got = {}
-            for i, rec in enumerate(self.crossings):
-                for s, a in enumerate(rec):
-                    got.setdefault(a, []).append((i, s))
+            got = _occurrences(self.crossings)
             self._cache["incid"] = got
         return got
 
@@ -416,26 +413,7 @@ class Diagram:
 
     def connected_pieces(self) -> int:
         """Connected components of the underlying 4-valent graph."""
-        n = self.n_crossings
-        if n == 0:
-            return 0
-        incid = self.incidences()
-        seen = set()
-        pieces = 0
-        for c0 in range(n):
-            if c0 in seen:
-                continue
-            pieces += 1
-            stack = [c0]
-            seen.add(c0)
-            while stack:
-                ci = stack.pop()
-                for a in self.crossings[ci]:
-                    for cj, _ in incid[a]:
-                        if cj not in seen:
-                            seen.add(cj)
-                            stack.append(cj)
-        return pieces
+        return len(_split_pieces(self.crossings))
 
     def is_planar(self) -> bool:
         """Euler test of the rotation system: every connected piece of
@@ -449,67 +427,16 @@ class Diagram:
 
     def canonical_key(self):
         """Opaque key equal for diagrams identical up to arc relabeling and
-        crossing reordering; distinct for mirrors.  BFS relabeling from every
-        crossing, lexicographic minimum."""
+        crossing reordering; distinct for mirrors (see ``canonical_form``)."""
         got = self._cache.get("key")
-        if got is not None:
-            return got
-        n = self.n_crossings
-        if n == 0:
-            got = ("U", self.free_loops)
+        if got is None:
+            if self.n_crossings == 0:
+                got = ("U", self.free_loops)
+            else:
+                got = (self.free_loops,
+                       canonical_form(self.crossings, self.signs))
             self._cache["key"] = got
-            return got
-        incid = self.incidences()
-        # connected pieces of the crossing graph, each keyed independently
-        piece_of = {}
-        pieces = []
-        for c0 in range(n):
-            if c0 in piece_of:
-                continue
-            piece = [c0]
-            piece_of[c0] = len(pieces)
-            qi = 0
-            while qi < len(piece):
-                ci = piece[qi]
-                qi += 1
-                for a in self.crossings[ci]:
-                    for cj, _ in incid[a]:
-                        if cj not in piece_of:
-                            piece_of[cj] = len(pieces)
-                            piece.append(cj)
-            pieces.append(piece)
-        keys = sorted(
-            min(self._bfs_encoding(start, incid) for start in piece)
-            for piece in pieces
-        )
-        got = (self.free_loops, tuple(keys))
-        self._cache["key"] = got
         return got
-
-    def _bfs_encoding(self, start: int, incid) -> tuple:
-        arc_ids: dict[int, int] = {}
-        cross_seen = {start}
-        queue = [start]
-        out = []
-        qi = 0
-        while qi < len(queue):
-            ci = queue[qi]
-            qi += 1
-            rec = self.crossings[ci]
-            entry = [0, 0, 0, 0, 1 if self.over_in[ci] == 3 else 0]
-            for s in range(4):
-                a = rec[s]
-                k = arc_ids.get(a)
-                if k is None:
-                    k = len(arc_ids)
-                    arc_ids[a] = k
-                    for cj, _ in incid[a]:
-                        if cj not in cross_seen:
-                            cross_seen.add(cj)
-                            queue.append(cj)
-                entry[s] = k
-            out.extend(entry)
-        return tuple(out)
 
     # ---------------------------------------------------------------- protocol
 
@@ -550,6 +477,108 @@ class Diagram:
         return cls.from_pd(crossings, free_loops)
 
 
+def _occurrences(records) -> dict[int, list[tuple[int, int]]]:
+    """Arc label -> its (record index, slot) ends, in record order."""
+    occ: dict[int, list[tuple[int, int]]] = {}
+    for i, rec in enumerate(records):
+        for s, a in enumerate(rec):
+            occ.setdefault(a, []).append((i, s))
+    return occ
+
+
+def _split_pieces(records) -> list[list[int]]:
+    """Record indices of each connected piece (records sharing an arc are
+    joined), ordered by their first index."""
+    n = len(records)
+    if n <= 1:
+        return [[0]] if n else []
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    first_home: dict[int, int] = {}
+    for i, rec in enumerate(records):
+        for a in rec:
+            j = first_home.setdefault(a, i)
+            if j != i:
+                rj, ri = find(j), find(i)
+                if rj != ri:
+                    parent[rj] = ri
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def canonical_form(records, tags=None) -> tuple:
+    """Key of PD records invariant under arc relabeling and record
+    reordering: the sorted tuple of each connected piece's least BFS
+    encoding over all start records.
+
+    ``tags`` gives one value per record that must match too (the crossing
+    signs of an oriented diagram).  Untagged records are unoriented
+    states, whose records may also be turned half a turn, which keeps the
+    under diagonal in slots 0 and 2.
+    """
+    occ = _occurrences(records)
+    turns = (0, 2) if tags is None else (0,)
+    keys = []
+    for members in _split_pieces(records):
+        best = None
+        for start in members:
+            for turn in turns:
+                enc = _encode(records, tags, occ, start, turn, best)
+                if enc is not None and (best is None or enc < best):
+                    best = enc
+        keys.append(best)
+    keys.sort()
+    return tuple(keys)
+
+
+def _encode(records, tags, occ, start, turn, best):
+    """BFS relabeling of the piece holding ``start``, each record followed
+    by its tag; None as soon as a prefix exceeds ``best``.  An untagged
+    record reached through an arc in slot 2 or 3 is read half-turned."""
+    half_turns = tags is None
+    arc_ids: dict[int, int] = {}
+    entry_turn = {start: turn}
+    queue = [start]
+    out = []
+    tied = best is not None  # out is still a prefix of best
+    pos = 0
+    for ci in queue:  # the queue grows while it is read
+        rec = records[ci]
+        if entry_turn[ci]:
+            rec = (rec[2], rec[3], rec[0], rec[1])
+        if not half_turns:
+            rec += (None,)  # the place of the tag
+        for a in rec:
+            if a is None:
+                k = tags[ci]
+            else:
+                k = arc_ids.get(a)
+                if k is None:
+                    k = len(arc_ids)
+                    arc_ids[a] = k
+                    for cj, sj in occ[a]:
+                        if cj not in entry_turn:
+                            entry_turn[cj] = (sj & 2) if half_turns else 0
+                            queue.append(cj)
+            out.append(k)
+            if tied:
+                b = best[pos]
+                if k > b:
+                    return None
+                if k < b:
+                    tied = False
+                pos += 1
+    return tuple(out)
+
+
 def _check_occurrences(recs):
     counts: dict[int, int] = {}
     for rec in recs:
@@ -565,11 +594,7 @@ def _check_occurrences(recs):
 
 def _solve_orientations(recs, under_in_known) -> dict:
     """Assign a direction to every strand pass by parity propagation."""
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for i, rec in enumerate(recs):
-        for s, a in enumerate(rec):
-            occurrences.setdefault(a, []).append((i, s))
-
+    occurrences = _occurrences(recs)
     adj: dict[tuple, list[tuple[tuple, int]]] = {}
     for a, occ in occurrences.items():
         (i1, s1), (i2, s2) = occ

@@ -139,16 +139,6 @@ def _dart_end(d: Diagram, dart: tuple[int, bool]) -> tuple[int, int]:
     return d.head_of(arc) if along else d.tail_of(arc)
 
 
-def find_r2_add_sites(d: Diagram) -> list[tuple[tuple[int, bool], tuple[int, bool]]]:
-    sites = []
-    for face in d.faces():
-        for dx in face:
-            for dy in face:
-                if dx[0] != dy[0]:
-                    sites.append((dx, dy))
-    return sites
-
-
 def reidemeister_r2_add(d: Diagram, dart_x: tuple[int, bool],
                         dart_y: tuple[int, bool], x_over: bool = True) -> MoveResult:
     """Poke the strand of ``dart_x`` across ``dart_y`` through their face."""

@@ -191,13 +191,6 @@ class Tangle:
             perm.append(end[1])
         return perm
 
-    def is_product(self) -> bool:
-        try:
-            self.strand_permutation()
-            return True
-        except StrandMismatch:
-            return False
-
 
 def _fuse(records: list[tuple], boundary: dict[str, list[int]],
           fuse_pairs: list[tuple[tuple, tuple]], keep: dict[str, list[int]]):

@@ -1,35 +1,41 @@
 """Polynomial engines: Kauffman bracket, Jones, Kauffman F, Conway.
 
-Two evaluation paths exist for the Jones polynomial:
+The bracket and the two-variable Kauffman polynomial share one skein
+kernel, ``_skein_rec``, on unoriented states.  Each step either removes a
+kink (one curl factor), removes a bigon, factors split pieces (one circle
+factor per extra piece) or branches; values are memoized under
+``diagram.canonical_form`` keys.  A ring fixes what differs between the
+two: its circle factor, its curl factors and its branch step.
 
-* ``bracket_state_sum`` -- the brute-force oracle summing all ``2^n``
-  smoothings (capped, exponential, used for cross-checks);
-* ``jones_memoized`` -- a smoothing recursion that removes kinks and bigons
-  between steps, factors split pieces, and memoizes values in a shared
-  table keyed by canonical diagram keys.
+* Bracket ring: circle ``-A^2 - A^-2``, curls ``-A^{+-3}``, and the
+  branch ``<D> = A <D_A> + A^-1 <D_B>`` at one crossing.  Conventions:
+  ``<unknot> = 1``, the A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and
+  ``c~d``, and ``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
+* Kauffman ring: the regular-isotopy ``L`` with ``L(unknot) = 1``,
+  ``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) + L(soo))``, so the
+  circle factor is ``(a + a^-1) z^-1 - 1``; the branch switches the first
+  crossing met from above on the way to a descending diagram, whose value
+  is read off directly.  ``F = a^{-w} L``.
 
-Conventions, fixed once: ``<unknot> = 1``, an extra circle multiplies by
-``-A^2 - A^-2``, the A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and ``c~d``,
-and ``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
+``bracket_state_sum`` sums all ``2^n`` smoothings; it is capped and
+exponential, and serves as the oracle for the kernel.  The Conway
+polynomial uses ``del(L+) - del(L-) = z del(L0)`` with the same descent
+strategy, on oriented diagrams simplified by Reidemeister moves.
 
-The two-variable Kauffman polynomial uses the regular-isotopy ``L`` with
-``L(unknot) = 1``, ``L(curl+) = a L``, ``L(s+) + L(s-) = z(L(s0) + L(soo))``
-and ``F = a^{-w} L``, computed by switching toward descending diagrams.
-The Conway polynomial uses ``del(L+) - del(L-) = z del(L0)`` with the same
-descent strategy on oriented diagrams.
-
-Internally, unoriented diagram states are bare tuples of PD records (under
-diagonal in slots 0 and 2); free circles never live inside states, they are
-factored into coefficients as they appear.  An empty child state stands for
-the last circle of its piece, so it contributes one delta less than the
+Unoriented states are bare tuples of PD records (under diagonal in slots
+0 and 2); free circles never live inside states, they are factored into
+coefficients as they appear.  An empty child state stands for the last
+circle of its piece, so it contributes one circle factor less than the
 circles closed while reaching it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .diagram import Diagram, _rotate
+from .diagram import (Diagram, _occurrences, _rotate, _split_pieces,
+                      canonical_form)
 from .errors import BadSite, ResourceLimit, TooLarge
 from .moves import simplify as _simplify_diagram
 from .polyring import LaurentPoly, TwoVarPoly
@@ -46,7 +52,6 @@ __all__ = [
     "skein_triple",
     "verify_jones_skein",
     "shared_memos",
-    "reset_memos",
     "DEFAULT_ORACLE_CAP",
     "DEFAULT_ENGINE_CAP",
 ]
@@ -57,27 +62,33 @@ DEFAULT_ENGINE_CAP = 32
 _DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
 _A = LaurentPoly.a_pow(1)
 _A_INV = LaurentPoly.a_pow(-1)
-_MINUS_A3 = LaurentPoly.a_pow(3, -1)
-_MINUS_A3_INV = LaurentPoly.a_pow(-3, -1)
 
 _ZVAR = TwoVarPoly.z_pow(1)
-_AVAR = TwoVarPoly.a_pow(1)
-_AVAR_INV = TwoVarPoly.a_pow(-1)
 _DELTA_F = TwoVarPoly({(1, -1): 1, (-1, -1): 1, (0, 0): -1})  # (a+a^-1)z^-1 - 1
 
 
 class SkeinMemo:
-    """Write-once table from canonical diagram keys to polynomial values.
+    """Write-once table from canonical diagram keys to the polynomial
+    values of one engine.
 
-    Values are pure functions of the key, so concurrent fills can only
-    race to write the same value; the overwrite check asserts exactly that.
+    The first engine that uses a memo owns it: the engines' keys overlap
+    while their values live in different rings, so handing the memo to
+    another engine raises ``ValueError``.  Writing a second, different
+    value under one key raises ``AssertionError``.
     """
 
-    def __init__(self, max_entries: int | None = None):
+    def __init__(self):
         self.table = {}
         self.hits = 0
         self.misses = 0
-        self.max_entries = max_entries
+        self.engine = None
+
+    def bind(self, engine: str):
+        if self.engine is None:
+            self.engine = engine
+        elif self.engine != engine:
+            raise ValueError(f"this memo holds {self.engine} values and "
+                             f"cannot serve the {engine} engine")
 
     def get(self, key):
         value = self.table.get(key)
@@ -88,8 +99,6 @@ class SkeinMemo:
         return value
 
     def put(self, key, value):
-        if self.max_entries and len(self.table) >= self.max_entries:
-            self.table.clear()  # eviction changes speed, never values
         old = self.table.setdefault(key, value)
         if old != value:
             raise AssertionError("memo determinism violated: one key, two values")
@@ -99,20 +108,13 @@ class SkeinMemo:
                 "misses": self.misses}
 
 
-_bracket_memo = SkeinMemo()
-_kauffman_memo = SkeinMemo()
-_conway_memo = SkeinMemo()
+_shared_memos = {"bracket": SkeinMemo(), "kauffman": SkeinMemo(),
+                 "conway": SkeinMemo()}
 
 
 def shared_memos() -> dict[str, SkeinMemo]:
-    return {"bracket": _bracket_memo, "kauffman": _kauffman_memo,
-            "conway": _conway_memo}
-
-
-def reset_memos():
-    for memo in shared_memos().values():
-        memo.table.clear()
-        memo.hits = memo.misses = 0
+    """The memos engines use when the caller passes none, by engine."""
+    return dict(_shared_memos)
 
 
 # =====================================================================
@@ -161,14 +163,6 @@ def _find_kink(state: tuple):
     return None
 
 
-def _occurrences(state: tuple) -> dict[int, list[tuple[int, int]]]:
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for i, rec in enumerate(state):
-        for s, a in enumerate(rec):
-            occ.setdefault(a, []).append((i, s))
-    return occ
-
-
 def _find_bigon(state: tuple):
     """Two crossings joined by an over-over arc and an under-under arc."""
     occ = _occurrences(state)
@@ -184,89 +178,71 @@ def _find_bigon(state: tuple):
     return None
 
 
-def _split_pieces(state: tuple) -> list[tuple]:
-    n = len(state)
-    if n <= 1:
-        return [state] if state else []
-    parent = list(range(n))
+# =====================================================================
+# the skein kernel
+# =====================================================================
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+class _Ring(NamedTuple):
+    """What the kernel needs of an engine: its memo name, the factor of
+    a closed circle, the factors of a kink with its loop at an even or an
+    odd slot, and the step taken when no simplification applies."""
 
-    first_home: dict[int, int] = {}
-    for i, rec in enumerate(state):
-        for a in rec:
-            j = first_home.setdefault(a, i)
-            if j != i:
-                rj, ri = find(j), find(i)
-                if rj != ri:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    if len(groups) == 1:
-        return [state]
-    return [tuple(state[i] for i in members) for members in groups.values()]
+    engine: str
+    circle: LaurentPoly | TwoVarPoly
+    curls: tuple
+    branch: Callable
 
 
-def _canonical_state(state: tuple):
-    """Key invariant under arc relabeling, crossing reordering, and the
-    two-slot rotation of each record (which preserves over/under roles).
-    Disconnected states are keyed piece by piece, sorted."""
-    n = len(state)
+def _finish(child: tuple, loops: int, memo: SkeinMemo, ring: _Ring):
+    if child:
+        return ring.circle ** loops * _skein_rec(child, memo, ring)
+    return ring.circle ** (loops - 1)
+
+
+def _skein_rec(state: tuple, memo: SkeinMemo, ring: _Ring):
+    key = canonical_form(state)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+
+    kink = _find_kink(state)
+    if kink is not None:
+        i, s = kink
+        child, loops = _remove_through(state, i)
+        value = ring.curls[s % 2] * _finish(child, loops, memo, ring)
+    else:
+        bigon = _find_bigon(state)
+        if bigon is not None:
+            i1, i2 = bigon
+            work = list(state)
+            loops = _glue_pairs(work, i1, ((0, 2), (1, 3)))
+            loops += _glue_pairs(work, i2, ((0, 2), (1, 3)))
+            child = tuple(r for j, r in enumerate(work) if j not in (i1, i2))
+            value = _finish(child, loops, memo, ring)
+        else:
+            pieces = _split_pieces(state)
+            if len(pieces) > 1:
+                value = ring.circle ** (len(pieces) - 1)
+                for members in pieces:
+                    piece = tuple(state[i] for i in members)
+                    value = value * _skein_rec(piece, memo, ring)
+            else:
+                value = ring.branch(state, memo, ring)
+    memo.put(key, value)
+    return value
+
+
+def _skein_entry(d: Diagram, max_crossings: int, memo: SkeinMemo | None,
+                 ring: _Ring):
+    """The regular-isotopy value of D in the ring (the bracket, or L)."""
+    n = d.n_crossings
+    if n > max_crossings:
+        raise ResourceLimit(f"{n} crossings exceeds the engine cap {max_crossings}")
+    memo = memo if memo is not None else _shared_memos[ring.engine]
+    memo.bind(ring.engine)
     if n == 0:
-        return ()
-    pieces = _split_pieces(state)
-    if len(pieces) > 1:
-        return tuple(sorted(_canonical_state(piece) for piece in pieces))
-    occ = _occurrences(state)
-    arc_to_crossings: dict[int, tuple[int, ...]] = {
-        a: tuple(i for i, _ in ends) for a, ends in occ.items()}
-    best = None
-    for start in range(n):
-        for rot in (0, 2):
-            enc = _state_encoding(state, arc_to_crossings, start, rot, best)
-            if enc is not None and (best is None or enc < best):
-                best = enc
-    return best
-
-
-def _state_encoding(state, arc_to_crossings, start, rot, best):
-    arc_ids: dict[int, int] = {}
-    entry_rot = {start: rot}
-    seen = {start}
-    queue = [start]
-    out = []
-    qi = 0
-    behind = best is not None  # still tied with best prefix
-    pos = 0
-    while qi < len(queue):
-        ci = queue[qi]
-        qi += 1
-        rec = _rotate(state[ci], entry_rot[ci])
-        for a in rec:
-            k = arc_ids.get(a)
-            if k is None:
-                k = len(arc_ids)
-                arc_ids[a] = k
-                for cj in arc_to_crossings[a]:
-                    if cj not in seen:
-                        seen.add(cj)
-                        pos_j = state[cj].index(a)
-                        entry_rot[cj] = 0 if pos_j < 2 else 2
-                        queue.append(cj)
-            out.append(k)
-            if behind:
-                b = best[pos]
-                if k > b:
-                    return None
-                if k < b:
-                    behind = False
-            pos += 1
-    return tuple(out)
+        return ring.circle ** max(d.n_components - 1, 0)
+    return _skein_rec(d.crossings, memo, ring) * ring.circle ** d.free_loops
 
 
 # =====================================================================
@@ -336,60 +312,20 @@ def _pick_crossing(state: tuple) -> int:
     return best
 
 
-def _finish(child: tuple, loops: int, memo: SkeinMemo) -> LaurentPoly:
-    if child:
-        return _DELTA ** loops * _bracket_rec(child, memo)
-    return _DELTA ** (loops - 1)
+def _bracket_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> LaurentPoly:
+    i = _pick_crossing(state)
+    return (_A * _finish(*_smooth(state, i, "A"), memo, ring)
+            + _A_INV * _finish(*_smooth(state, i, "B"), memo, ring))
 
 
-def _bracket_rec(state: tuple, memo: SkeinMemo) -> LaurentPoly:
-    key = _canonical_state(state)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-
-    kink = _find_kink(state)
-    if kink is not None:
-        i, s = kink
-        factor = _MINUS_A3 if s in (0, 2) else _MINUS_A3_INV
-        child, loops = _remove_through(state, i)
-        value = factor * _finish(child, loops, memo)
-    else:
-        bigon = _find_bigon(state)
-        if bigon is not None:
-            i1, i2 = bigon
-            work = list(state)
-            loops = _glue_pairs(work, i1, ((0, 2), (1, 3)))
-            loops += _glue_pairs(work, i2, ((0, 2), (1, 3)))
-            child = tuple(r for j, r in enumerate(work) if j not in (i1, i2))
-            value = _finish(child, loops, memo)
-        else:
-            pieces = _split_pieces(state)
-            if len(pieces) > 1:
-                value = _DELTA ** (len(pieces) - 1)
-                for piece in pieces:
-                    value = value * _bracket_rec(piece, memo)
-            else:
-                i = _pick_crossing(state)
-                child_a, loops_a = _smooth(state, i, "A")
-                child_b, loops_b = _smooth(state, i, "B")
-                value = (_A * _finish(child_a, loops_a, memo)
-                         + _A_INV * _finish(child_b, loops_b, memo))
-    memo.put(key, value)
-    return value
+_BRACKET = _Ring("bracket", _DELTA,
+                 (LaurentPoly.a_pow(3, -1), LaurentPoly.a_pow(-3, -1)),
+                 _bracket_branch)
 
 
 def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                      memo: SkeinMemo | None = None) -> LaurentPoly:
-    n = d.n_crossings
-    if n > max_crossings:
-        raise ResourceLimit(f"{n} crossings exceeds the engine cap {max_crossings}")
-    memo = memo if memo is not None else _bracket_memo
-    if n == 0:
-        if d.n_components == 0:
-            return LaurentPoly.one()
-        return _DELTA ** (d.n_components - 1)
-    return _bracket_rec(d.crossings, memo) * _DELTA ** d.free_loops
+    return _skein_entry(d, max_crossings, memo, _BRACKET)
 
 
 def _normalize_bracket(d: Diagram, bracket: LaurentPoly) -> LaurentPoly:
@@ -481,75 +417,32 @@ def _descending_base(state: tuple):
 # Kauffman two-variable polynomial
 # =====================================================================
 
-def _kauffman_finish(child: tuple, loops: int, memo: SkeinMemo) -> TwoVarPoly:
-    if child:
-        return _DELTA_F ** loops * _kauffman_rec(child, memo)
-    return _DELTA_F ** (loops - 1)
-
-
-def _kauffman_rec(state: tuple, memo: SkeinMemo) -> TwoVarPoly:
-    key = _canonical_state(state)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-
-    kink = _find_kink(state)
-    if kink is not None:
-        i, s = kink
-        factor = _AVAR if s in (0, 2) else _AVAR_INV
-        child, loops = _remove_through(state, i)
-        value = factor * _kauffman_finish(child, loops, memo)
-    else:
-        bigon = _find_bigon(state)
-        if bigon is not None:
-            i1, i2 = bigon
-            work = list(state)
-            loops = _glue_pairs(work, i1, ((0, 2), (1, 3)))
-            loops += _glue_pairs(work, i2, ((0, 2), (1, 3)))
-            child = tuple(r for j, r in enumerate(work) if j not in (i1, i2))
-            value = _kauffman_finish(child, loops, memo)
-        else:
-            pieces = _split_pieces(state)
-            if len(pieces) > 1:
-                value = _DELTA_F ** (len(pieces) - 1)
-                for piece in pieces:
-                    value = value * _kauffman_rec(piece, memo)
-            else:
-                bad, circles, self_writhe = _descending_base(state)
-                if bad is None:
-                    # stacked unknotted circles with curls
-                    value = (TwoVarPoly.a_pow(self_writhe)
-                             * _DELTA_F ** (circles - 1))
-                else:
-                    switched = _switch_state(state, bad)
-                    child_a, loops_a = _smooth(state, bad, "A")
-                    child_b, loops_b = _smooth(state, bad, "B")
-                    value = (-_kauffman_rec(switched, memo)
-                             + _ZVAR * _kauffman_finish(child_a, loops_a, memo)
-                             + _ZVAR * _kauffman_finish(child_b, loops_b, memo))
-    memo.put(key, value)
-    return value
-
-
 def _switch_state(state: tuple, i: int) -> tuple:
     work = list(state)
     work[i] = _rotate(work[i], 1)
     return tuple(work)
 
 
+def _kauffman_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> TwoVarPoly:
+    bad, circles, self_writhe = _descending_base(state)
+    if bad is None:
+        # stacked unknotted circles with curls
+        return TwoVarPoly.a_pow(self_writhe) * _DELTA_F ** (circles - 1)
+    return (-_skein_rec(_switch_state(state, bad), memo, ring)
+            + _ZVAR * _finish(*_smooth(state, bad, "A"), memo, ring)
+            + _ZVAR * _finish(*_smooth(state, bad, "B"), memo, ring))
+
+
+_KAUFFMAN = _Ring("kauffman", _DELTA_F,
+                  (TwoVarPoly.a_pow(1), TwoVarPoly.a_pow(-1)),
+                  _kauffman_branch)
+
+
 def kauffman_F(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                memo: SkeinMemo | None = None) -> TwoVarPoly:
     """Two-variable Kauffman polynomial ``F = a^{-w} L``; the orientation
     of D enters only through the writhe."""
-    n = d.n_crossings
-    if n > max_crossings:
-        raise ResourceLimit(f"{n} crossings exceeds the engine cap {max_crossings}")
-    memo = memo if memo is not None else _kauffman_memo
-    if n == 0:
-        if d.n_components == 0:
-            return TwoVarPoly.one()
-        return _DELTA_F ** (d.n_components - 1)
-    lam = _kauffman_rec(d.crossings, memo) * _DELTA_F ** d.free_loops
+    lam = _skein_entry(d, max_crossings, memo, _KAUFFMAN)
     return TwoVarPoly.a_pow(-d.writhe()) * lam
 
 
@@ -583,7 +476,7 @@ def _conway_rec(d: Diagram, memo: SkeinMemo) -> LaurentPoly:
     simplified, log = _simplify_diagram(d)
     if log:
         value = _conway_rec(simplified, memo)
-    elif len(_split_pieces(d.crossings)) > 1:
+    elif d.connected_pieces() > 1:
         value = LaurentPoly.zero()
     else:
         bad = _first_bad_oriented(d)
@@ -611,7 +504,8 @@ def conway(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
     if d.n_crossings > max_crossings:
         raise ResourceLimit(
             f"{d.n_crossings} crossings exceeds the engine cap {max_crossings}")
-    memo = memo if memo is not None else _conway_memo
+    memo = memo if memo is not None else _shared_memos["conway"]
+    memo.bind("conway")
     return _conway_rec(d, memo)
 
 

@@ -78,7 +78,6 @@ def _unit_multiple(p: LaurentPoly, q: LaurentPoly) -> bool:
 
 
 def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
-                           memo=None,
                            f_poly: TwoVarPoly | None = None,
                            v_tilde: LaurentPoly | None = None) -> dict:
     """Run the nine identities in order; each step records both sides.
@@ -124,7 +123,7 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
          "3_1 monic: True; 6_1 monic: False")
 
     computed_f = f_poly if f_poly is not None else clocked(
-        "kauffman_F", lambda: kauffman_F(d61, max_crossings, memo))
+        "kauffman_F", lambda: kauffman_F(d61, max_crossings))
     step("kauffman-F", computed_f == KAUFFMAN_61_CORRECTED,
          computed_f, KAUFFMAN_61_CORRECTED,
          note=("printed source has +4a^2 in the z^2 coefficient; the "
@@ -156,14 +155,14 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
 
     computed_v_tilde = v_tilde if v_tilde is not None else clocked(
         "jones_cable",
-        lambda: jones_memoized(ktilde.diagram, max(max_crossings, 30), memo))
+        lambda: jones_memoized(ktilde.diagram, max(max_crossings, 30)))
     step("jones-cable", computed_v_tilde == JONES_CABLE_61,
          computed_v_tilde, JONES_CABLE_61)
 
     khat = make_hat(ktilde)
     v_hat = clocked(
         "jones_hat",
-        lambda: jones_memoized(khat.diagram, max(max_crossings, 30), memo))
+        lambda: jones_memoized(khat.diagram, max(max_crossings, 30)))
     step("hat-equality",
          v_hat == _T(-3 * 0) * computed_v_tilde,
          v_hat, computed_v_tilde)

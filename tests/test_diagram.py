@@ -151,3 +151,12 @@ class TestCanonicalKey:
     def test_extra_unknot_distinct(self):
         d = pd_parse(TREFOIL)
         assert d.canonical_key() != d.add_free_loops(1).canonical_key()
+
+    def test_over_only_component_direction_distinct(self):
+        # a circle laid over the trefoil never passes under, so its
+        # direction shows only in the crossing signs, not in the records
+        d = pd_parse("X[8,4,2,5] X[3,6,4,1] X[5,2,6,3] X[1,9,7,10] X[7,9,8,10]")
+        r = d.reverse_component(d.component_of(9))
+        assert r.crossings == d.crossings and r.signs != d.signs
+        assert d.canonical_key() != r.canonical_key()
+        assert r.canonical_key() == r.relabeled().canonical_key()

@@ -157,13 +157,13 @@ class TestParallelDouble:
     def test_double_commutes_with_mirror(self):
         # compared as unoriented diagrams: the closure orients free
         # components by a tie-break that need not match on both sides
-        from knotcalc.skein import _canonical_state
+        from knotcalc.diagram import canonical_form
         rng = random.Random(3)
         for _ in range(6):
             t = braid_to_tangle(random_word(rng, 3, 4))
             a = trace_closure(tangle_parallel_double(tangle_mirror(t)))
             b = trace_closure(tangle_mirror(tangle_parallel_double(t)))
-            assert _canonical_state(a.crossings) == _canonical_state(b.crossings)
+            assert canonical_form(a.crossings) == canonical_form(b.crossings)
 
 
 class TestSubstitute:

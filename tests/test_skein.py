@@ -89,6 +89,22 @@ class TestJones:
         assert first == second
         assert memo.misses == misses  # the rerun is pure hits
 
+    def test_memo_serves_one_engine(self):
+        # bracket and F states share one key space but not one ring
+        d = pd_parse(SIX_ONE)
+        memo = SkeinMemo()
+        want = kauffman_F(d)
+        assert kauffman_F(d, memo=memo) == want
+        with pytest.raises(ValueError, match="kauffman.*bracket"):
+            jones_memoized(d, memo=memo)
+        with pytest.raises(ValueError, match="kauffman.*conway"):
+            conway(d, memo=memo)
+        assert kauffman_F(d, memo=memo) == want
+        memo = SkeinMemo()
+        jones_memoized(d, memo=memo)
+        with pytest.raises(ValueError, match="bracket.*kauffman"):
+            kauffman_F(d, memo=memo)
+
 
 class TestKauffman:
     def test_unknot(self):
