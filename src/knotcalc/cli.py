@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``invariants`` -- parse a diagram (PD text, braid word, diagram JSON,
-  plat JSON, or a bundled table name) and report invariants;
+  plat JSON, or a bundled table name) and report invariants (a link gets
+  only those defined for links: Jones, Conway and Kauffman F);
 * ``verify-paper`` -- run the published stevedore-cable verification
   chain and report each identity with both sides;
 * ``table`` -- list the bundled knot table or recompute and diff it;
@@ -47,6 +48,7 @@ EXIT_RESOURCE = 3
 
 INVARIANT_NAMES = ("jones", "alexander", "conway", "kauffman",
                    "determinant", "signature", "genus", "fibered")
+LINK_INVARIANTS = ("jones", "conway", "kauffman")
 
 
 def _env_int(name, default):
@@ -117,8 +119,11 @@ def _emit_text(payload, stream, indent=""):
 
 def cmd_invariants(args) -> int:
     diagram = _load_input(args.input)
-    which = (list(INVARIANT_NAMES) if args.which in (None, "all")
-             else [w.strip() for w in args.which.split(",")])
+    if args.which in (None, "all"):
+        which = [w for w in INVARIANT_NAMES
+                 if diagram.n_components == 1 or w in LINK_INVARIANTS]
+    else:
+        which = [w.strip() for w in args.which.split(",")]
     bad = [w for w in which if w not in INVARIANT_NAMES]
     if bad:
         raise KnotError(f"unknown invariants: {', '.join(bad)}; "
@@ -261,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="invariants of one diagram")
     p.add_argument("input", help="PD text, braid word, diagram/plat JSON, "
                                  "file path, or bundled table name")
-    p.add_argument("--which", help="comma-separated invariant names or 'all'")
+    p.add_argument("--which", help="comma-separated invariant names or "
+                                   "'all' (for a link: jones, conway, kauffman)")
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("verify-paper",

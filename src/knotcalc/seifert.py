@@ -8,16 +8,19 @@ of its homology generators: one generator per pair of consecutive bands
 on the same strand pair, with linking numbers determined by handedness
 and interleaving (Collins' algorithm).
 
-Derived quantities: the Alexander polynomial ``det(t^1/2 S - t^-1/2 S^T)``
-normalized symmetric with positive leading coefficient, the determinant
-``|det(S + S^T)|``, the signature of ``S + S^T`` by exact rational
-congruence diagonalization, the monicity test (the fiberedness
-obstruction), and Trotter's elementary enlargements.
+Derived quantities rest on one exact integer determinant, Bareiss
+fraction-free elimination (``_int_det``).  The Alexander polynomial
+``det(t^1/2 S - t^-1/2 S^T)``, normalized symmetric with positive leading
+coefficient, is interpolated from integer determinants of ``t S - S^T``
+at ``t = 0..n``; the determinant is ``|det(S + S^T)|``; the signature of
+``Q = S + S^T`` is read off the interpolated characteristic polynomial
+``det(t I - Q)`` by Descartes' rule of signs, exact because its roots are
+all real.  Also here: the monicity test (the fiberedness obstruction) and
+Trotter's elementary enlargements.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .diagram import Diagram
@@ -378,34 +381,52 @@ def seifert_matrix(d: Diagram) -> SeifertMatrix:
 # invariants of the matrix
 # =====================================================================
 
-def _laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant by minor expansion with column-mask memoization."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    memo: dict[int, LaurentPoly] = {}
-
-    def minor(r: int, mask: int) -> LaurentPoly:
-        if r == n:
-            return LaurentPoly.one()
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        total = LaurentPoly.zero()
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not (mask & bit):
-                continue
-            entry = rows[r][j]
-            if not entry.is_zero():
-                term = entry * minor(r + 1, mask & ~bit)
-                total = total + (term if sign > 0 else -term)
+def _int_det(m) -> int:
+    """Exact integer determinant by Bareiss fraction-free elimination:
+    every division is exact, and a zero pivot is replaced by swapping in
+    a lower row."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        memo[mask] = total
-        return total
+        p, top = a[k][k], a[k][k + 1:]
+        for r in range(k + 1, n):
+            f = a[r][k]
+            a[r][k + 1:] = [(p * x - f * y) // prev
+                            for x, y in zip(a[r][k + 1:], top)]
+        prev = p
+    return sign * prev
 
-    return minor(0, (1 << n) - 1)
+
+def _det_poly(a, b) -> list[int]:
+    """Integer coefficients of ``det(a + t b)``, lowest degree first,
+    interpolated (Newton divided differences) from ``_int_det`` at
+    ``t = 0..n``."""
+    n = len(a)
+    c = [_int_det([[x + t * y for x, y in zip(ra, rb)]
+                   for ra, rb in zip(a, b)]) for t in range(n + 1)]
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            c[i], rem = divmod(c[i] - c[i - 1], k)
+            if rem:
+                raise AssertionError("determinant is not an integer polynomial")
+    # Newton form c0 + c1 t + c2 t(t-1) + ..., expanded by Horner's scheme
+    poly = [c[n]]
+    for k in range(n - 1, -1, -1):
+        poly = [x - k * y for x, y in zip([0] + poly, poly + [0])]
+        poly[0] += c[k]
+    return poly
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def alexander_from_seifert(s) -> LaurentPoly:
@@ -413,12 +434,9 @@ def alexander_from_seifert(s) -> LaurentPoly:
     coefficient."""
     m = _coerce_matrix(s)
     n = len(m)
-    if n == 0:
-        return LaurentPoly.one()
-    tp = LaurentPoly.t_pow(Fraction(1, 2))
-    tm = LaurentPoly.t_pow(Fraction(-1, 2))
-    rows = [[tp * m[i][j] - tm * m[j][i] for j in range(n)] for i in range(n)]
-    return normalize_alexander(_laurent_det(rows))
+    neg_t = [[-m[j][i] for j in range(n)] for i in range(n)]
+    return normalize_alexander(LaurentPoly.from_terms(
+        enumerate(_det_poly(neg_t, m))))
 
 
 def normalize_alexander(p: LaurentPoly) -> LaurentPoly:
@@ -437,83 +455,29 @@ def normalize_alexander(p: LaurentPoly) -> LaurentPoly:
     return p
 
 
-def _int_det(m) -> int:
-    """Exact integer determinant by fraction-free elimination."""
+def _form(s) -> list[list[int]]:
+    """The symmetric form ``S + S^T``."""
+    m = _coerce_matrix(s)
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for r in range(k, n):
-            if a[r][k] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for r in range(k + 1, n):
-            factor = a[r][k] * inv
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[k])]
-    assert det.denominator == 1
-    return int(det)
+    return [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
 
 
 def determinant(s) -> int:
     """Knot determinant ``|det(S + S^T)| = |Delta(-1)|``."""
-    m = _coerce_matrix(s)
-    n = len(m)
-    q = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-    return abs(_int_det(q))
+    return abs(_int_det(_form(s)))
 
 
 def signature(s) -> int:
-    """Signature of ``S + S^T`` by exact rational congruence
-    diagonalization."""
-    m = _coerce_matrix(s)
-    n = len(m)
-    q = [[Fraction(m[i][j] + m[j][i]) for j in range(n)] for i in range(n)]
-    sig = 0
-    for k in range(n):
-        if q[k][k] == 0:
-            pivot = None
-            for r in range(k, n):
-                if q[r][r] != 0:
-                    pivot = r
-                    break
-            if pivot is not None and pivot != k:
-                for row in q:
-                    row[k], row[pivot] = row[pivot], row[k]
-                q[k], q[pivot] = q[pivot], q[k]
-            elif pivot is None:
-                off = None
-                for r in range(k + 1, n):
-                    if q[k][r] != 0:
-                        off = r
-                        break
-                if off is None:
-                    continue  # zero row and column: contributes nothing
-                # add row/col off into k to create a nonzero diagonal
-                for j in range(n):
-                    q[k][j] += q[off][j]
-                for i in range(n):
-                    q[i][k] += q[i][off]
-        piv = q[k][k]
-        if piv == 0:
-            continue
-        sig += 1 if piv > 0 else -1
-        for r in range(k + 1, n):
-            factor = q[r][k] / piv
-            if factor:
-                for j in range(n):
-                    q[r][j] -= factor * q[k][j]
-                for i in range(n):
-                    q[i][r] -= factor * q[i][k]
-    return sig
+    """Signature of ``Q = S + S^T``: positive minus negative roots of
+    ``det(t I - Q)``, counted by Descartes' rule of signs, which is exact
+    because the characteristic polynomial of a symmetric matrix has only
+    real roots."""
+    q = _form(s)
+    n = len(q)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs = _det_poly([[-x for x in row] for row in q], ident)
+    mirrored = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
+    return _sign_changes(coeffs) - _sign_changes(mirrored)
 
 
 def is_monic(delta: LaurentPoly) -> bool:

@@ -71,7 +71,8 @@ def verify_entry(e: KnotTableEntry,
     d = e.diagram()
     s = seifert_matrix(d)
     alex_seifert = alexander_from_seifert(s)
-    alex_conway = normalize_alexander(alexander_from_conway(conway(d)))
+    alex_conway = normalize_alexander(
+        alexander_from_conway(conway(d, max_crossings)))
     computed = {
         "jones": str(jones_memoized(d, max_crossings)),
         "alexander": str(alex_seifert),

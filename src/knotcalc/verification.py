@@ -155,14 +155,14 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
 
     computed_v_tilde = v_tilde if v_tilde is not None else clocked(
         "jones_cable",
-        lambda: jones_memoized(ktilde.diagram, max(max_crossings, 30)))
+        lambda: jones_memoized(ktilde.diagram, max_crossings))
     step("jones-cable", computed_v_tilde == JONES_CABLE_61,
          computed_v_tilde, JONES_CABLE_61)
 
     khat = make_hat(ktilde)
     v_hat = clocked(
         "jones_hat",
-        lambda: jones_memoized(khat.diagram, max(max_crossings, 30)))
+        lambda: jones_memoized(khat.diagram, max_crossings))
     step("hat-equality",
          v_hat == _T(-3 * 0) * computed_v_tilde,
          v_hat, computed_v_tilde)

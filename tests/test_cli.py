@@ -37,3 +37,24 @@ def test_crossing_cap_exits_3(capsys):
     argv = ["--max-crossings", "2", "invariants", "3_1", "--which", "jones"]
     assert cli.main(argv) == cli.EXIT_RESOURCE
     assert "ResourceLimit" in capsys.readouterr().err
+
+
+def test_verify_paper_respects_the_cap(capsys):
+    # the 0-framed 2-cable of 6_1 has 28 crossings
+    argv = ["--max-crossings", "20", "verify-paper"]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert "ResourceLimit" in capsys.readouterr().err
+
+
+def test_link_invariants_under_all(capsys):
+    argv = ["--format", "json", "invariants", "s1 s1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    values = json.loads(capsys.readouterr().out)["payload"]["invariants"]
+    assert set(values) == {"jones", "conway", "kauffman"}
+    assert values["conway"] == "z"
+
+
+def test_knot_only_invariant_on_a_link_exits_2(capsys):
+    argv = ["invariants", "s1 s1", "--which", "signature"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "MultiComponent" in capsys.readouterr().err

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from knotcalc.diagram import Diagram, pd_parse
 from knotcalc.errors import DimensionMismatch, MultiComponent
@@ -17,6 +20,7 @@ from knotcalc.seifert import (
     seifert_matrix,
     seifert_surface_genus,
     signature,
+    _int_det,
 )
 from knotcalc.skein import alexander_from_conway, conway, jones_memoized
 from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
@@ -81,7 +85,6 @@ class TestSeifertMatrix:
         assert signature(s) == 0
 
     def test_intersection_form_unimodular(self, table_diagrams):
-        from knotcalc.seifert import _int_det
         for name in ("3_1", "4_1", "6_1", "7_3", "8_5"):
             s = seifert_matrix(table_diagrams[name])
             n = s.size
@@ -180,3 +183,70 @@ class TestSEquivalenceInvariance:
             elementary_enlarge(seifert_matrix(TREFOIL), "row", [1])
         with pytest.raises(DimensionMismatch):
             elementary_enlarge(seifert_matrix(TREFOIL), "diag", [1, 2])
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def half_form(q):
+    """An integer S with ``S + S^T = q`` (q symmetric, even diagonal)."""
+    n = len(q)
+    return [[q[i][j] if i < j else q[i][i] // 2 if i == j else 0
+             for j in range(n)] for i in range(n)]
+
+
+class TestExactDeterminant:
+    def test_int_det_matches_leibniz(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randrange(0, 7)
+            m = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9)))
+                  for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                m[rng.randrange(n)] = list(m[rng.randrange(n)])
+            assert _int_det(m) == leibniz_det(m), m
+
+    def test_signature_sylvester(self):
+        # Q = P^T D P is congruent to D, so its inertia is D's
+        rng = random.Random(43)
+        for _ in range(60):
+            n = rng.randrange(1, 7)
+            diag = [rng.choice((-2, 0, 2)) for _ in range(n)]
+            d = [[diag[i] if i == j else 0 for j in range(n)]
+                 for i in range(n)]
+            q = congruent(d, random_unimodular(rng, n))
+            expected = diag.count(2) - diag.count(-2)
+            assert signature(half_form(q)) == expected, (diag, q)
+
+
+def braid_words():
+    def word(strands):
+        gens = st.integers(1, strands - 1)
+        letter = st.tuples(gens, st.booleans()).map(
+            lambda x: x[0] if x[1] else -x[0])
+        return st.lists(letter, min_size=2, max_size=9).map(
+            lambda ls: BraidWord(strands, tuple(ls)))
+    return st.sampled_from((3, 4)).flatmap(word)
+
+
+class TestSeifertAgainstConway:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(braid_words())
+    def test_alexander_and_determinant(self, word):
+        d = trace_closure(braid_to_tangle(word))
+        assume(d.n_components == 1)
+        s = seifert_matrix(d)
+        delta = alexander_from_seifert(s)
+        assert _unit_multiple(delta, alexander_from_conway(conway(d)))
+        assert determinant(s) == abs(delta.eval_at(-1).re)
