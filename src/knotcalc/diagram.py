@@ -517,20 +517,48 @@ def _split_pieces(records) -> list[list[int]]:
 def canonical_form(records, tags=None) -> tuple:
     """Key of PD records invariant under arc relabeling and record
     reordering: the sorted tuple of each connected piece's least BFS
-    encoding over all start records.
+    encoding over its starts of least local type.
 
     ``tags`` gives one value per record that must match too (the crossing
     signs of an oriented diagram).  Untagged records are unoriented
     states, whose records may also be turned half a turn, which keeps the
-    under diagonal in slots 0 and 2.
+    under diagonal in slots 0 and 2.  Every arc occurs in two slots, as in
+    any diagram or skein state.
+
+    A start is a record read from a turn.  Each slot has a local type,
+    read from where its arc ends: the slot offset ``(s2 - s1) & 3`` when
+    the arc returns to the same record, else ``4 + (far slot & 1)``.  A
+    start's type is its record's four slot types read from its turn,
+    followed by the record's tag (0 when untagged).  No type depends on
+    an arc label or on the record order, and none on a half-turn of an
+    untagged record, since a half-turn moves every slot by 2.  So an
+    isomorphism of states maps the least-type starts of a piece onto
+    those of its image, and with them their encodings: the least encoding
+    over these starts is as canonical as the least over all starts, and
+    two states share a key exactly when they are isomorphic.
     """
     occ = _occurrences(records)
-    turns = (0, 2) if tags is None else (0,)
+    types = [[0, 0, 0, 0] for _ in records]
+    for (i1, s1), (i2, s2) in occ.values():
+        if i1 == i2:
+            types[i1][s1] = (s2 - s1) & 3
+            types[i1][s2] = (s1 - s2) & 3
+        else:
+            types[i1][s1] = 4 + (s2 & 1)
+            types[i2][s2] = 4 + (s1 & 1)
     keys = []
     for members in _split_pieces(records):
+        starts = []
+        for i in members:
+            t0, t1, t2, t3 = types[i]
+            tag = 0 if tags is None else tags[i]
+            starts.append(((t0, t1, t2, t3, tag), i, 0))
+            if tags is None:
+                starts.append(((t2, t3, t0, t1, tag), i, 2))
+        least = min(starts)[0]
         best = None
-        for start in members:
-            for turn in turns:
+        for typ, start, turn in starts:
+            if typ == least:
                 enc = _encode(records, tags, occ, start, turn, best)
                 if enc is not None and (best is None or enc < best):
                     best = enc

@@ -88,4 +88,5 @@ class MultiComponent(KnotError):
 
 
 class DimensionMismatch(KnotError):
-    """Matrix enlargement with a vector of the wrong length."""
+    """A matrix or vector of the wrong size: a non-square or odd-size
+    Seifert matrix, or an enlargement vector of the wrong length."""

@@ -431,9 +431,14 @@ def _sign_changes(coeffs) -> int:
 
 def alexander_from_seifert(s) -> LaurentPoly:
     """``det(t^1/2 S - t^-1/2 S^T)``, symmetric with positive leading
-    coefficient."""
+    coefficient.  A knot's Seifert matrix has even size; for odd n,
+    ``det(t S - S^T)`` is antisymmetric, and ``DimensionMismatch`` is
+    raised."""
     m = _coerce_matrix(s)
     n = len(m)
+    if n % 2:
+        raise DimensionMismatch(
+            f"a knot's Seifert matrix has even size, got {n}x{n}")
     neg_t = [[-m[j][i] for j in range(n)] for i in range(n)]
     return normalize_alexander(LaurentPoly.from_terms(
         enumerate(_det_poly(neg_t, m))))

@@ -1,12 +1,22 @@
-import pytest
+import random
 
-from knotcalc.diagram import Diagram, pd_parse
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knotcalc import skein
+from knotcalc.cable import cable2
+from knotcalc.diagram import (Diagram, _encode, _occurrences, _split_pieces,
+                              canonical_form, pd_parse)
 from knotcalc.errors import (
     DanglingArc,
     DiagramSyntaxError,
     SameComponent,
     UnknownComponent,
 )
+from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
+from knotcalc.table import diagram as table_diagram
+from knotcalc.table import table_names
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -160,3 +170,75 @@ class TestCanonicalKey:
         assert r.crossings == d.crossings and r.signs != d.signs
         assert d.canonical_key() != r.canonical_key()
         assert r.canonical_key() == r.relabeled().canonical_key()
+
+
+def all_starts_form(records, tags=None):
+    """The least encoding of each piece over every start record and turn,
+    with no filter on the starts: the reference for ``canonical_form``."""
+    occ = _occurrences(records)
+    turns = (0, 2) if tags is None else (0,)
+    return tuple(sorted(
+        min(_encode(records, tags, occ, start, turn, None)
+            for start in members for turn in turns)
+        for members in _split_pieces(records)))
+
+
+def smoothed_state(d, rng):
+    """An unoriented state: D with a random subset of crossings smoothed."""
+    state = d.crossings
+    for _ in range(rng.randrange(len(state))):
+        state, _ = skein._smooth(state, rng.randrange(len(state)),
+                                 rng.choice("AB"))
+    return state
+
+
+def disguised(state, rng, half_turns=True):
+    """The state with its arcs relabeled, its records shuffled and, if
+    ``half_turns``, random records turned half a turn."""
+    arcs = sorted({a for rec in state for a in rec})
+    relabel = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs)), len(arcs))))
+    recs = []
+    for rec in state:
+        rec = tuple(relabel[a] for a in rec)
+        if half_turns and rng.random() < 0.5:
+            rec = rec[2:] + rec[:2]
+        recs.append(rec)
+    rng.shuffle(recs)
+    return tuple(recs)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(table_names()), st.randoms(use_true_random=False))
+    def test_unoriented_key_invariance(self, name, rng):
+        state = smoothed_state(table_diagram(name), rng)
+        assert canonical_form(disguised(state, rng)) == canonical_form(state)
+
+    def test_same_classes_as_all_starts(self, monkeypatch):
+        # every state the bracket and F recursions key, on a cable and a
+        # torus knot: new keys and reference keys are in bijection
+        states = []
+
+        def recording(records, tags=None):
+            states.append(records)
+            return canonical_form(records, tags)
+
+        monkeypatch.setattr(skein, "canonical_form", recording)
+        torus = trace_closure(braid_to_tangle(BraidWord(3, (1, 2) * 5)))
+        for d in (cable2(table_diagram("3_1"), 1).diagram, torus):
+            skein.bracket_memoized(d, memo=skein.SkeinMemo())
+            skein.kauffman_F(d, memo=skein.SkeinMemo())
+        to_ref, from_ref = {}, {}
+        for state in states:
+            key, ref = canonical_form(state), all_starts_form(state)
+            assert to_ref.setdefault(key, ref) == ref
+            assert from_ref.setdefault(ref, key) == key
+        assert len(to_ref) < len(set(states))  # some classes are shared
+
+    def test_oriented_keys_tablewide(self):
+        rng = random.Random(11)
+        for name in table_names():
+            d = table_diagram(name)
+            moved = Diagram.from_pd(disguised(d.crossings, rng, False))
+            assert moved.canonical_key() == d.canonical_key(), name
+            assert d.mirror().canonical_key() != d.canonical_key(), name

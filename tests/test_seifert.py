@@ -3,7 +3,6 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
 
 from knotcalc.diagram import Diagram, pd_parse
 from knotcalc.errors import DimensionMismatch, MultiComponent
@@ -24,6 +23,8 @@ from knotcalc.seifert import (
 )
 from knotcalc.skein import alexander_from_conway, conway, jones_memoized
 from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
+
+from strategies import braid_words
 
 TREFOIL = pd_parse("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 FIG8 = pd_parse("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
@@ -184,6 +185,12 @@ class TestSEquivalenceInvariance:
         with pytest.raises(DimensionMismatch):
             elementary_enlarge(seifert_matrix(TREFOIL), "diag", [1, 2])
 
+    def test_odd_size_rejected(self):
+        # det(tS - S^T) is antisymmetric for odd n, so no knot has such S
+        for s in ([[1]], [[1, 0, 0], [1, -1, 0], [0, 1, 1]]):
+            with pytest.raises(DimensionMismatch, match="even size"):
+                alexander_from_seifert(s)
+
 
 def leibniz_det(m):
     n = len(m)
@@ -227,16 +234,6 @@ class TestExactDeterminant:
             q = congruent(d, random_unimodular(rng, n))
             expected = diag.count(2) - diag.count(-2)
             assert signature(half_form(q)) == expected, (diag, q)
-
-
-def braid_words():
-    def word(strands):
-        gens = st.integers(1, strands - 1)
-        letter = st.tuples(gens, st.booleans()).map(
-            lambda x: x[0] if x[1] else -x[0])
-        return st.lists(letter, min_size=2, max_size=9).map(
-            lambda ls: BraidWord(strands, tuple(ls)))
-    return st.sampled_from((3, 4)).flatmap(word)
 
 
 class TestSeifertAgainstConway:

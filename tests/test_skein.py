@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
+from knotcalc.cable import cable2
 from knotcalc.diagram import Diagram, pd_parse
 from knotcalc.errors import BadSite, ResourceLimit, TooLarge
 from knotcalc.moves import reidemeister_r1_add
 from knotcalc.polyring import LaurentPoly, TwoVarPoly, two_var_substitute
+from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
 from knotcalc.skein import (
     SkeinMemo,
     alexander_from_conway,
@@ -20,10 +23,16 @@ from knotcalc.skein import (
     verify_jones_skein,
 )
 
+from strategies import braid_words
+
 t = LaurentPoly.t_pow
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 SIX_ONE = "X[1,4,2,5] X[7,10,8,11] X[3,9,4,8] X[9,3,10,2] X[5,12,6,1] X[11,6,12,7]"
 UNLINK_FACTOR = -t(Fraction(1, 2)) - t(Fraction(-1, 2))
+# the images of a and z that specialize F to the Jones polynomial
+JONES_A = -t(Fraction(-3, 4))
+JONES_Z = t(Fraction(1, 4)) + t(Fraction(-1, 4))
+TORUS_3_5 = BraidWord(3, (1, 2) * 5)
 
 
 class TestBracket:
@@ -132,12 +141,51 @@ class TestKauffman:
             assert kauffman_F(d.mirror()) == kauffman_F(d).mirror_a()
 
     def test_jones_specialization(self, table_diagrams):
-        a_img = -t(Fraction(-3, 4))
-        z_img = t(Fraction(1, 4)) + t(Fraction(-1, 4))
         for name in ("3_1", "4_1", "6_1"):
             d = table_diagrams[name]
-            spec = two_var_substitute(kauffman_F(d), a_img, z_img)
+            spec = two_var_substitute(kauffman_F(d), JONES_A, JONES_Z)
             assert spec == jones_memoized(d)
+
+
+class TestKernelProperties:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(braid_words())
+    def test_bracket_equals_state_sum(self, word):
+        d = trace_closure(braid_to_tangle(word))
+        assume(d.n_components == 1)
+        assert bracket_memoized(d, memo=SkeinMemo()) == bracket_state_sum(d)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(braid_words())
+    def test_kauffman_specializes_to_jones(self, word):
+        d = trace_closure(braid_to_tangle(word))
+        assume(d.n_components == 1)
+        f_poly = kauffman_F(d, memo=SkeinMemo())
+        assert (two_var_substitute(f_poly, JONES_A, JONES_Z)
+                == jones_memoized(d, memo=SkeinMemo()))
+
+
+class TestMemoClasses:
+    """Memo counts follow the partition of states into key classes, so
+    they move when canonical keys merge or split a class."""
+
+    def test_bracket_across_cable_framings(self, table_diagrams):
+        memo = SkeinMemo()
+        for f in range(-2, 3):
+            jones_memoized(cable2(table_diagrams["3_1"], f).diagram, 40, memo)
+        assert memo.stats() == {"entries": 226, "hits": 89, "misses": 226}
+
+    def test_kauffman_of_torus_closure(self):
+        memo = SkeinMemo()
+        kauffman_F(trace_closure(braid_to_tangle(TORUS_3_5)), memo=memo)
+        assert memo.stats() == {"entries": 177, "hits": 91, "misses": 178}
+
+    def test_conway_of_torus_closure(self):
+        memo = SkeinMemo()
+        conway(trace_closure(braid_to_tangle(TORUS_3_5)), memo=memo)
+        assert memo.stats() == {"entries": 60, "hits": 19, "misses": 60}
 
 
 class TestConway:

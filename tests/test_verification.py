@@ -2,6 +2,9 @@
 
 import pytest
 
+from knotcalc.cable import cable2, king_verify
+from knotcalc.skein import SkeinMemo, jones_memoized, kauffman_F
+from knotcalc.table import diagram
 from knotcalc.verification import KAUFFMAN_61_PRINTED, stevedore_chain_report
 
 
@@ -23,3 +26,16 @@ def test_printed_kauffman_polynomial_fails_exactly_its_steps():
     failed = [s["name"] for s in bad["payload"]["steps"] if not s["pass"]]
     assert failed == ["kauffman-F", "substitution", "king-identity"]
     assert not bad["payload"]["all_pass"]
+
+
+@pytest.mark.parametrize("name", ["3_1", "4_1"])
+def test_cabling_identity_at_framings(name):
+    # the identity ties F(K) to V of the f-framed 2-cable; one bracket
+    # memo serves all five cables of a knot
+    knot = diagram(name)
+    f_poly = kauffman_F(knot, memo=SkeinMemo())
+    memo = SkeinMemo()
+    for framing in range(-2, 3):
+        v_cable = jones_memoized(cable2(knot, framing).diagram, memo=memo)
+        assert king_verify(f_poly, v_cable, framing), framing
+        assert not king_verify(f_poly, v_cable, framing + 1), framing
