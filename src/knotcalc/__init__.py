@@ -1,10 +1,9 @@
 """knotcalc: exact knot/link invariants from planar diagram combinatorics."""
 
-from .polyring import GaussInt, GaussRational, LaurentPoly, TwoVarPoly, two_var_substitute
+from .polyring import GaussInt, LaurentPoly, TwoVarPoly, two_var_substitute
 
 __all__ = [
     "GaussInt",
-    "GaussRational",
     "LaurentPoly",
     "TwoVarPoly",
     "two_var_substitute",

@@ -12,7 +12,9 @@ Subcommands:
 
 The one global setting is ``--max-crossings`` (default from
 ``$KNOTCALC_MAX_CROSSINGS``), the crossing cap of the recursive engines.
-Everything runs in one process, on the engines' shared memos.
+Everything runs in one process.  Each command owns one memo per engine,
+shared by its own engine calls and dropped when it returns; the report's
+``memo`` section gives their counts.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 resource limit.  Reports are deterministic: timing and memo counts live
@@ -37,8 +39,8 @@ from .presentations import (PlatPresentation, braid_parse, braid_to_tangle,
                             spine_boundary_knot, standardize, trace_closure)
 from .seifert import (alexander_from_seifert, determinant, is_monic,
                       seifert_matrix, seifert_surface_genus, signature)
-from .skein import (DEFAULT_ENGINE_CAP, conway, jones_memoized, kauffman_F,
-                    shared_memos)
+from .skein import (DEFAULT_ENGINE_CAP, SkeinMemo, conway, engine_memos,
+                    jones_memoized, kauffman_F)
 from .verification import stevedore_chain_report
 
 EXIT_OK = 0
@@ -49,16 +51,11 @@ EXIT_RESOURCE = 3
 INVARIANT_NAMES = ("jones", "alexander", "conway", "kauffman",
                    "determinant", "signature", "genus", "fibered")
 LINK_INVARIANTS = ("jones", "conway", "kauffman")
+CABLE_CHECKS = ("writhe-formula", "hat", "king")
 
 
-def _env_int(name, default):
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise SystemExit(f"bad integer in ${name}: {value!r}")
+def _memo_stats(memos: dict[str, SkeinMemo]) -> dict:
+    return {engine: m.stats() for engine, m in memos.items()}
 
 
 def _load_input(text_or_path: str) -> Diagram:
@@ -130,6 +127,7 @@ def cmd_invariants(args) -> int:
                         f"choose from {', '.join(INVARIANT_NAMES)}")
     values = {}
     timing = {}
+    memos = engine_memos()
     need_seifert = {"alexander", "determinant", "signature", "fibered"} & set(which)
     smatrix = None
     if need_seifert:
@@ -139,14 +137,16 @@ def cmd_invariants(args) -> int:
     for name in which:
         t0 = time.perf_counter()
         if name == "jones":
-            values[name] = str(jones_memoized(diagram, args.max_crossings))
+            values[name] = str(jones_memoized(diagram, args.max_crossings,
+                                                memos["bracket"]))
         elif name == "alexander":
             values[name] = str(alexander_from_seifert(smatrix))
         elif name == "conway":
-            nabla = conway(diagram, args.max_crossings)
+            nabla = conway(diagram, args.max_crossings, memos["conway"])
             values[name] = nabla.to_str("z")
         elif name == "kauffman":
-            values[name] = str(kauffman_F(diagram, args.max_crossings))
+            values[name] = str(kauffman_F(diagram, args.max_crossings,
+                                          memos["kauffman"]))
         elif name == "determinant":
             values[name] = determinant(smatrix)
         elif name == "signature":
@@ -166,7 +166,7 @@ def cmd_invariants(args) -> int:
             "invariants": values,
         },
         "timing": timing,
-        "memo": {k: m.stats() for k, m in shared_memos().items()},
+        "memo": _memo_stats(memos),
     }
     _emit(report, args.format)
     return EXIT_OK
@@ -191,27 +191,35 @@ def cmd_table(args) -> int:
         _emit({"payload": payload, "timing": {}}, args.format)
         return EXIT_OK
     t0 = time.perf_counter()
+    memos = engine_memos()
     rows = []
     for e in entries:
-        diffs = table_mod.verify_entry(e, args.max_crossings)
+        diffs = table_mod.verify_entry(e, args.max_crossings,
+                                       memos["bracket"], memos["conway"])
         rows.append({"name": e.name, "clean": not diffs,
                      "diffs": {k: {"stored": s, "computed": c}
                                for k, (s, c) in sorted(diffs.items())}})
     payload = {"entries": rows, "all_clean": all(r["clean"] for r in rows)}
     report = {"payload": payload,
-              "timing": {"total": round(time.perf_counter() - t0, 6)}}
+              "timing": {"total": round(time.perf_counter() - t0, 6)},
+              "memo": _memo_stats(memos)}
     _emit(report, args.format)
     return EXIT_OK if payload["all_clean"] else EXIT_VERIFY
 
 
 def cmd_cable(args) -> int:
+    wanted = ([c.strip() for c in args.checks.split(",")]
+              if args.checks else list(CABLE_CHECKS))
+    bad = [c for c in wanted if c not in CABLE_CHECKS]
+    if bad:
+        raise KnotError(f"unknown checks: {', '.join(bad)}; "
+                        f"choose from {', '.join(CABLE_CHECKS)}")
     base = _load_input(args.input)
     t0 = time.perf_counter()
     cab = cable2(base, args.framing)
     checks = {}
     timing = {"cable": round(time.perf_counter() - t0, 6)}
-    wanted = ([c.strip() for c in args.checks.split(",")]
-              if args.checks else ["writhe-formula", "hat", "king"])
+    memos = engine_memos()
     if "writhe-formula" in wanted:
         lhs = cab.diagram.writhe()
         rhs = 4 * base.writhe() + 2 * (args.framing - base.writhe())
@@ -220,19 +228,21 @@ def cmd_cable(args) -> int:
     v_tilde = None
     if {"hat", "king"} & set(wanted):
         t0 = time.perf_counter()
-        v_tilde = jones_memoized(cab.diagram, args.max_crossings)
+        v_tilde = jones_memoized(cab.diagram, args.max_crossings,
+                                 memos["bracket"])
         timing["jones_cable"] = round(time.perf_counter() - t0, 6)
     if "hat" in wanted:
         hat = make_hat(cab)
         t0 = time.perf_counter()
-        v_hat = jones_memoized(hat.diagram, args.max_crossings)
+        v_hat = jones_memoized(hat.diagram, args.max_crossings,
+                               memos["bracket"])
         timing["jones_hat"] = round(time.perf_counter() - t0, 6)
         expected = LaurentPoly.t_pow(Fraction(-3 * args.framing)) * v_tilde
         checks["hat"] = {"pass": v_hat == expected,
                          "lhs": str(v_hat), "rhs": str(expected)}
     if "king" in wanted:
         t0 = time.perf_counter()
-        f_poly = kauffman_F(base, args.max_crossings)
+        f_poly = kauffman_F(base, args.max_crossings, memos["kauffman"])
         timing["kauffman_F"] = round(time.perf_counter() - t0, 6)
         checks["king"] = {"pass": king_verify(f_poly, v_tilde, args.framing),
                           "lhs": f"F: {f_poly}",
@@ -245,7 +255,8 @@ def cmd_cable(args) -> int:
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks.values()),
     }
-    _emit({"payload": payload, "timing": timing}, args.format)
+    _emit({"payload": payload, "timing": timing, "memo": _memo_stats(memos)},
+          args.format)
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFY
 
 
@@ -258,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
         "--max-crossings", type=int,
-        default=_env_int("KNOTCALC_MAX_CROSSINGS", DEFAULT_ENGINE_CAP),
+        default=os.environ.get("KNOTCALC_MAX_CROSSINGS", DEFAULT_ENGINE_CAP),
         help="crossing cap for the recursive engines (default: "
              f"$KNOTCALC_MAX_CROSSINGS, else {DEFAULT_ENGINE_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--framing", type=int, default=0)
     p.add_argument("--checks",
-                   help="comma-separated: writhe-formula, hat, king")
+                   help=f"comma-separated: {', '.join(CABLE_CHECKS)}")
     p.set_defaults(func=cmd_cable)
     return parser
 

@@ -134,11 +134,6 @@ def reidemeister_r2_remove(d: Diagram, site: tuple[int, int, int, int]) -> MoveR
     return MoveResult(out, "R2-", True)
 
 
-def _dart_end(d: Diagram, dart: tuple[int, bool]) -> tuple[int, int]:
-    arc, along = dart
-    return d.head_of(arc) if along else d.tail_of(arc)
-
-
 def reidemeister_r2_add(d: Diagram, dart_x: tuple[int, bool],
                         dart_y: tuple[int, bool], x_over: bool = True) -> MoveResult:
     """Poke the strand of ``dart_x`` across ``dart_y`` through their face."""

@@ -31,7 +31,6 @@ from .errors import FractionalExponent, NonInvertibleImage, ResidualImaginaryPar
 
 __all__ = [
     "GaussInt",
-    "GaussRational",
     "LaurentPoly",
     "TwoVarPoly",
     "two_var_substitute",
@@ -133,74 +132,6 @@ class GaussInt:
 GaussInt.ZERO = GaussInt(0, 0)
 GaussInt.ONE = GaussInt(1, 0)
 GaussInt.I = GaussInt(0, 1)
-
-
-class GaussRational:
-    """Element of Q(i), used only for exact point evaluation."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *args):
-        raise AttributeError("GaussRational is immutable")
-
-    @staticmethod
-    def coerce(value) -> "GaussRational":
-        if isinstance(value, GaussRational):
-            return value
-        if isinstance(value, GaussInt):
-            return GaussRational(value.re, value.im)
-        return GaussRational(value)
-
-    def __add__(self, other):
-        other = GaussRational.coerce(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = GaussRational.coerce(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "GaussRational":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return GaussRational(self.re / n, -self.im / n)
-
-    def __pow__(self, k: int) -> "GaussRational":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = GaussRational(1)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = GaussRational.coerce(other)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        return f"({self.re}+{self.im}i)"
 
 
 Coefficient = Union[GaussInt, int]
@@ -455,17 +386,18 @@ class LaurentPoly:
                 f"nonzero imaginary coefficients in {self}")
         return self
 
-    def eval_at(self, t0) -> GaussRational:
-        """Exact evaluation at ``t0`` (integer exponents required)."""
-        t0 = GaussRational.coerce(t0)
-        if t0 == GaussRational(0):
+    def eval_at(self, t0) -> Fraction:
+        """Exact evaluation at a rational ``t0`` (integer exponents and
+        real coefficients required)."""
+        t0 = Fraction(t0)
+        if t0 == 0:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
-        total = GaussRational(0)
-        for q, c in self._terms.items():
+        total = Fraction(0)
+        for q, c in self.real_part_strict()._terms.items():
             if q % 4:
                 raise FractionalExponent(
                     f"exponent {Fraction(q, 4)} is not an integer")
-            total = total + GaussRational.coerce(c) * t0 ** (q // 4)
+            total += c.re * t0 ** (q // 4)
         return total
 
     # -------------------------------------------------------------- protocol
@@ -552,11 +484,6 @@ class TwoVarPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def min_z_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return min(z for _, z in self._terms)
 
     # ------------------------------------------------------------- arithmetic
 

@@ -57,11 +57,6 @@ class SeifertMatrix(NamedTuple):
     def size(self) -> int:
         return len(self.matrix)
 
-    def transpose(self) -> tuple[tuple[int, ...], ...]:
-        n = self.size
-        return tuple(tuple(self.matrix[j][i] for j in range(n))
-                     for i in range(n))
-
 
 def _coerce_matrix(s) -> tuple[tuple[int, ...], ...]:
     if isinstance(s, SeifertMatrix):

@@ -42,6 +42,7 @@ from .polyring import LaurentPoly, TwoVarPoly
 
 __all__ = [
     "SkeinMemo",
+    "engine_memos",
     "bracket_state_sum",
     "bracket_memoized",
     "jones",
@@ -51,7 +52,6 @@ __all__ = [
     "alexander_from_conway",
     "skein_triple",
     "verify_jones_skein",
-    "shared_memos",
     "DEFAULT_ORACLE_CAP",
     "DEFAULT_ENGINE_CAP",
 ]
@@ -71,10 +71,13 @@ class SkeinMemo:
     """Write-once table from canonical diagram keys to the polynomial
     values of one engine.
 
-    The first engine that uses a memo owns it: the engines' keys overlap
-    while their values live in different rings, so handing the memo to
-    another engine raises ``ValueError``.  Writing a second, different
-    value under one key raises ``AssertionError``.
+    An engine called without a memo uses a fresh one for that call, so
+    states are reused across calls only through a memo the caller owns
+    and passes to each of them.  The first engine that uses a memo owns
+    it: the engines' keys overlap while their values live in different
+    rings, so handing the memo to another engine raises ``ValueError``.
+    Writing a second, different value under one key raises
+    ``AssertionError``.
     """
 
     def __init__(self):
@@ -108,13 +111,10 @@ class SkeinMemo:
                 "misses": self.misses}
 
 
-_shared_memos = {"bracket": SkeinMemo(), "kauffman": SkeinMemo(),
-                 "conway": SkeinMemo()}
-
-
-def shared_memos() -> dict[str, SkeinMemo]:
-    """The memos engines use when the caller passes none, by engine."""
-    return dict(_shared_memos)
+def engine_memos() -> dict[str, SkeinMemo]:
+    """One fresh memo per engine, for a caller whose engine calls share
+    states."""
+    return {engine: SkeinMemo() for engine in ("bracket", "kauffman", "conway")}
 
 
 # =====================================================================
@@ -234,11 +234,12 @@ def _skein_rec(state: tuple, memo: SkeinMemo, ring: _Ring):
 
 def _skein_entry(d: Diagram, max_crossings: int, memo: SkeinMemo | None,
                  ring: _Ring):
-    """The regular-isotopy value of D in the ring (the bracket, or L)."""
+    """The regular-isotopy value of D in the ring (the bracket, or L);
+    without a memo, the call uses a fresh one."""
     n = d.n_crossings
     if n > max_crossings:
         raise ResourceLimit(f"{n} crossings exceeds the engine cap {max_crossings}")
-    memo = memo if memo is not None else _shared_memos[ring.engine]
+    memo = memo if memo is not None else SkeinMemo()
     memo.bind(ring.engine)
     if n == 0:
         return ring.circle ** max(d.n_components - 1, 0)
@@ -484,27 +485,24 @@ def _conway_rec(d: Diagram, memo: SkeinMemo) -> LaurentPoly:
             value = (LaurentPoly.one() if d.n_components == 1
                      else LaurentPoly.zero())
         else:
-            switched = d.switch_crossing(bad)
-            rec = d.crossings[bad]
-            o = d.over_in[bad]
-            smoothed = d.rewire({bad}, [(rec[0], rec[(o + 2) % 4]),
-                                        (rec[o], rec[2])])
-            z_term = LaurentPoly.t_pow(1) * _conway_rec(smoothed, memo)
+            plus, minus, zero = skein_triple(d, bad)
+            z_term = LaurentPoly.t_pow(1) * _conway_rec(zero, memo)
             if d.sign(bad) == 1:
-                value = _conway_rec(switched, memo) + z_term
+                value = _conway_rec(minus, memo) + z_term
             else:
-                value = _conway_rec(switched, memo) - z_term
+                value = _conway_rec(plus, memo) - z_term
     memo.put(key, value)
     return value
 
 
 def conway(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
            memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Conway polynomial; the variable z occupies the t-exponent slots."""
+    """Conway polynomial; the variable z occupies the t-exponent slots.
+    Without a memo, the call uses a fresh one."""
     if d.n_crossings > max_crossings:
         raise ResourceLimit(
             f"{d.n_crossings} crossings exceeds the engine cap {max_crossings}")
-    memo = memo if memo is not None else _shared_memos["conway"]
+    memo = memo if memo is not None else SkeinMemo()
     memo.bind("conway")
     return _conway_rec(d, memo)
 
@@ -540,8 +538,10 @@ def skein_triple(d: Diagram, site: int) -> tuple[Diagram, Diagram, Diagram]:
 def verify_jones_skein(d: Diagram, site: int,
                        max_crossings: int = DEFAULT_ENGINE_CAP,
                        memo: SkeinMemo | None = None) -> bool:
-    """Check ``t^-1 V(L+) - t V(L-) + (t^-1/2 - t^1/2) V(L0) = 0`` exactly."""
+    """Check ``t^-1 V(L+) - t V(L-) + (t^-1/2 - t^1/2) V(L0) = 0`` exactly;
+    the three Jones calls share ``memo``, a fresh one when none is given."""
     plus, minus, zero = skein_triple(d, site)
+    memo = memo if memo is not None else SkeinMemo()
     lhs = (LaurentPoly.t_pow(-1) * jones_memoized(plus, max_crossings, memo)
            - LaurentPoly.t_pow(1) * jones_memoized(minus, max_crossings, memo)
            + (LaurentPoly.t_pow(Fraction(-1, 2))

@@ -26,7 +26,7 @@ from .polyring import LaurentPoly, TwoVarPoly
 from .seifert import (alexander_from_seifert, is_monic, normalize_alexander,
                       seifert_matrix)
 from .skein import (DEFAULT_ENGINE_CAP, alexander_from_conway, conway,
-                    jones_memoized, kauffman_F)
+                    engine_memos, jones_memoized, kauffman_F)
 from .table import diagram
 
 __all__ = [
@@ -83,10 +83,13 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
     """Run the nine identities in order; each step records both sides.
 
     ``f_poly`` and ``v_tilde`` exist for fault-injection tests; by default
-    everything is computed from the bundled 6_1 diagram.
+    everything is computed from the bundled 6_1 diagram.  The chain owns
+    one memo per engine, so the cable and hat Jones calls share bracket
+    states; their counts are reported in the ``memo`` section.
     """
     steps = []
     timings = {}
+    memos = engine_memos()
 
     def step(name, passed, lhs, rhs, note=None):
         row = {"name": name, "pass": bool(passed),
@@ -109,7 +112,8 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
         lambda: alexander_from_seifert(seifert_matrix(d61)))
     alex_conway = clocked(
         "alexander_conway",
-        lambda: normalize_alexander(alexander_from_conway(conway(d61))))
+        lambda: normalize_alexander(
+            alexander_from_conway(conway(d61, max_crossings, memos["conway"]))))
     step("alexander-both-paths",
          alex_seifert == ALEXANDER_61 and _unit_multiple(alex_conway,
                                                          ALEXANDER_61),
@@ -123,7 +127,8 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
          "3_1 monic: True; 6_1 monic: False")
 
     computed_f = f_poly if f_poly is not None else clocked(
-        "kauffman_F", lambda: kauffman_F(d61, max_crossings))
+        "kauffman_F",
+        lambda: kauffman_F(d61, max_crossings, memos["kauffman"]))
     step("kauffman-F", computed_f == KAUFFMAN_61_CORRECTED,
          computed_f, KAUFFMAN_61_CORRECTED,
          note=("printed source has +4a^2 in the z^2 coefficient; the "
@@ -155,14 +160,15 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
 
     computed_v_tilde = v_tilde if v_tilde is not None else clocked(
         "jones_cable",
-        lambda: jones_memoized(ktilde.diagram, max_crossings))
+        lambda: jones_memoized(ktilde.diagram, max_crossings,
+                               memos["bracket"]))
     step("jones-cable", computed_v_tilde == JONES_CABLE_61,
          computed_v_tilde, JONES_CABLE_61)
 
     khat = make_hat(ktilde)
     v_hat = clocked(
         "jones_hat",
-        lambda: jones_memoized(khat.diagram, max_crossings))
+        lambda: jones_memoized(khat.diagram, max_crossings, memos["bracket"]))
     step("hat-equality",
          v_hat == _T(-3 * 0) * computed_v_tilde,
          v_hat, computed_v_tilde)
@@ -181,4 +187,5 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
             "all_pass": all(s["pass"] for s in steps),
         },
         "timing": timings,
+        "memo": {engine: m.stats() for engine, m in memos.items()},
     }

@@ -58,3 +58,32 @@ def test_knot_only_invariant_on_a_link_exits_2(capsys):
     argv = ["invariants", "s1 s1", "--which", "signature"]
     assert cli.main(argv) == cli.EXIT_INPUT
     assert "MultiComponent" in capsys.readouterr().err
+
+
+def test_bad_crossing_cap_in_environment_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("KNOTCALC_MAX_CROSSINGS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["invariants", "3_1", "--which", "jones"])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "--max-crossings" in capsys.readouterr().err
+
+
+def test_crossing_cap_from_environment(monkeypatch, capsys):
+    monkeypatch.setenv("KNOTCALC_MAX_CROSSINGS", "2")
+    assert cli.main(["invariants", "3_1", "--which", "jones"]) == cli.EXIT_RESOURCE
+
+
+def test_unknown_cable_check_exits_2(capsys):
+    assert cli.main(["cable", "3_1", "--checks", "kng"]) == cli.EXIT_INPUT
+    assert "unknown checks: kng" in capsys.readouterr().err
+
+
+def test_memo_section_reports_one_command(capsys):
+    # each command owns its memos, so a rerun in the same process reports
+    # the same counts
+    sections = []
+    for _ in range(2):
+        assert cli.main(["--format", "json", "invariants", "6_1"]) == cli.EXIT_OK
+        sections.append(json.loads(capsys.readouterr().out)["memo"])
+    assert sections[0] == sections[1]
+    assert sections[0]["bracket"]["hits"] > 0

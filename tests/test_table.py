@@ -3,12 +3,23 @@
 import pytest
 
 from knotcalc.errors import ResourceLimit
-from knotcalc.skein import shared_memos
+from knotcalc.skein import SkeinMemo
 from knotcalc.table import entry, verify_entry
 
 
 def test_verify_entry_caps_every_engine():
-    before = shared_memos()["conway"].stats()
+    memo = SkeinMemo()
     with pytest.raises(ResourceLimit):
-        verify_entry(entry("6_1"), 2)
-    assert shared_memos()["conway"].stats() == before
+        verify_entry(entry("6_1"), 2, conway_memo=memo)
+    assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0}
+
+
+def test_verify_entry_runs_on_the_callers_memos():
+    bracket, conway = SkeinMemo(), SkeinMemo()
+    assert verify_entry(entry("6_1"), bracket_memo=bracket,
+                        conway_memo=conway) == {}
+    assert bracket.table and conway.table
+    misses = bracket.misses, conway.misses
+    assert verify_entry(entry("6_1"), bracket_memo=bracket,
+                        conway_memo=conway) == {}
+    assert (bracket.misses, conway.misses) == misses  # the rerun is pure hits

@@ -19,6 +19,16 @@ def test_chain_passes(report):
     assert report["payload"]["all_pass"]
 
 
+def test_chain_owns_one_memo_per_engine(report):
+    # the hat's Jones call reuses the cable's bracket states
+    assert report["memo"] == {
+        "bracket": {"entries": 770, "hits": 220, "misses": 770},
+        "kauffman": {"entries": 21, "hits": 10, "misses": 21},
+        "conway": {"entries": 11, "hits": 1, "misses": 11},
+    }
+    assert stevedore_chain_report()["memo"] == report["memo"]
+
+
 def test_printed_kauffman_polynomial_fails_exactly_its_steps():
     # the printed +4a^2 z^2 coefficient breaks F itself, its substitution
     # and the cabling identity, and nothing computed independently of F
