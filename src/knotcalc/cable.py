@@ -150,10 +150,13 @@ def cable2(base: Diagram, framing: int = 0) -> CableLink:
 
 
 def make_hat(cable: CableLink) -> CableLink:
-    """Reverse the parallel copy: ``K^ = K u (-K*)``."""
+    """Reverse the parallel copy: ``K^ = K u (-K*)``.  A cable without
+    crossings is its own hat, as reversing a free circle changes nothing."""
     d = cable.diagram
     if d.n_components != 2:
         raise UnknownComponent("make_hat needs the 2-component cable")
+    if not d.crossings:
+        return cable
     reversed_diagram = d.reverse_component(cable.parallel_component)
     return CableLink(reversed_diagram, cable.base_component,
                      cable.parallel_component, cable.framing)

@@ -536,6 +536,10 @@ def canonical_form(records, tags=None) -> tuple:
     those of its image, and with them their encodings: the least encoding
     over these starts is as canonical as the least over all starts, and
     two states share a key exactly when they are isomorphic.
+
+    An encoding is a BFS, so it covers only its start's piece: when the
+    first one covers every record, the key is that piece's encoding.
+    Otherwise the pieces are split apart and keyed one by one.
     """
     occ = _occurrences(records)
     types = [[0, 0, 0, 0] for _ in records]
@@ -546,8 +550,11 @@ def canonical_form(records, tags=None) -> tuple:
         else:
             types[i1][s1] = 4 + (s2 & 1)
             types[i2][s2] = 4 + (s1 & 1)
-    keys = []
-    for members in _split_pieces(records):
+    width = 4 if tags is None else 5  # encoding entries per record
+
+    def least_encoding(members):
+        """The least encoding over the least-type starts of ``members``,
+        or None when the first one misses a record of ``members``."""
         starts = []
         for i in members:
             t0, t1, t2, t3 = types[i]
@@ -560,11 +567,18 @@ def canonical_form(records, tags=None) -> tuple:
         for typ, start, turn in starts:
             if typ == least:
                 enc = _encode(records, tags, occ, start, turn, best)
+                if best is None and len(enc) < width * len(members):
+                    return None
                 if enc is not None and (best is None or enc < best):
                     best = enc
-        keys.append(best)
-    keys.sort()
-    return tuple(keys)
+        return best
+
+    if not records:
+        return ()
+    key = least_encoding(range(len(records)))
+    if key is not None:
+        return (key,)
+    return tuple(sorted(least_encoding(m) for m in _split_pieces(records)))
 
 
 def _encode(records, tags, occ, start, turn, best):

@@ -1,11 +1,14 @@
 """Polynomial engines: Kauffman bracket, Jones, Kauffman F, Conway.
 
 The bracket and the two-variable Kauffman polynomial share one skein
-kernel, ``_skein_rec``, on unoriented states.  Each step either removes a
-kink (one curl factor), removes a bigon, factors split pieces (one circle
-factor per extra piece) or branches; values are memoized under
-``diagram.canonical_form`` keys.  A ring fixes what differs between the
-two: its circle factor, its curl factors and its branch step.
+kernel, ``_skein_rec``, on unoriented states.  It removes kinks (one
+curl factor each) and bigons in a loop, collecting their factors, and
+keys only the reduced state under ``diagram.canonical_form``, so only
+split and branch states enter the memo.  A key of several pieces is a
+split state, whose pieces are evaluated apart (one circle factor per
+extra piece); a one-piece state branches.  A ring fixes what differs
+between the two engines: its circle factor, its curl factors and its
+branch step.
 
 * Bracket ring: circle ``-A^2 - A^-2``, curls ``-A^{+-3}``, and the
   branch ``<D> = A <D_A> + A^-1 <D_B>`` at one crossing.  Conventions:
@@ -69,7 +72,9 @@ _DELTA_F = TwoVarPoly({(1, -1): 1, (-1, -1): 1, (0, 0): -1})  # (a+a^-1)z^-1 - 1
 
 class SkeinMemo:
     """Write-once table from canonical diagram keys to the polynomial
-    values of one engine.
+    values of one engine, and counts of the kinks and bigons the engine
+    removed (the skein kernel keys only what is left, so they never enter
+    the table; Conway counts its R1 and R2 simplifications).
 
     An engine called without a memo uses a fresh one for that call, so
     states are reused across calls only through a memo the caller owns
@@ -84,6 +89,8 @@ class SkeinMemo:
         self.table = {}
         self.hits = 0
         self.misses = 0
+        self.kinks = 0
+        self.bigons = 0
         self.engine = None
 
     def bind(self, engine: str):
@@ -108,7 +115,8 @@ class SkeinMemo:
 
     def stats(self) -> dict:
         return {"entries": len(self.table), "hits": self.hits,
-                "misses": self.misses}
+                "misses": self.misses, "kinks": self.kinks,
+                "bigons": self.bigons}
 
 
 def engine_memos() -> dict[str, SkeinMemo]:
@@ -140,19 +148,20 @@ def _glue_pairs(work: list, removed: int, pairs) -> int:
     return loops
 
 
+_THROUGH = ((0, 2), (1, 3))  # both strands run through the crossing
+
+
+def _erase(state: tuple, removed, pairs) -> tuple[tuple, int]:
+    """The state without the records ``removed``, each glued across its
+    slot ``pairs``, and the number of circles closed."""
+    work = list(state)
+    loops = sum(_glue_pairs(work, i, pairs) for i in removed)
+    return tuple(r for j, r in enumerate(work) if j not in removed), loops
+
+
 def _smooth(state: tuple, i: int, mode: str) -> tuple[tuple, int]:
-    work = list(state)
     pairs = ((0, 1), (2, 3)) if mode == "A" else ((0, 3), (1, 2))
-    loops = _glue_pairs(work, i, pairs)
-    del work[i]
-    return tuple(work), loops
-
-
-def _remove_through(state: tuple, i: int) -> tuple[tuple, int]:
-    work = list(state)
-    loops = _glue_pairs(work, i, ((0, 2), (1, 3)))
-    del work[i]
-    return tuple(work), loops
+    return _erase(state, (i,), pairs)
 
 
 def _find_kink(state: tuple):
@@ -164,18 +173,18 @@ def _find_kink(state: tuple):
 
 
 def _find_bigon(state: tuple):
-    """Two crossings joined by an over-over arc and an under-under arc."""
-    occ = _occurrences(state)
-    for x, ends in occ.items():
-        (i1, s1), (i2, s2) = ends
-        if i1 == i2 or s1 % 2 == 0 or s2 % 2 == 0:
-            continue
-        under1 = {state[i1][0], state[i1][2]}
-        under2 = {state[i2][0], state[i2][2]}
-        for y in under1 & under2:
-            if y != x:
-                return i1, i2
-    return None
+    """Two crossings joined by an over-over arc and an under-under arc,
+    at the over arc that occurs first."""
+    first = {}  # over arc -> its first (record, slot)
+    found = None
+    for i, rec in enumerate(state):
+        for s in (1, 3):
+            end = first.setdefault(rec[s], (i, s))
+            j = end[0]
+            if (j != i and (found is None or end < found[0])
+                    and {rec[0], rec[2]} & {state[j][0], state[j][2]}):
+                found = end, j, i
+    return found and found[1:]
 
 
 # =====================================================================
@@ -193,43 +202,42 @@ class _Ring(NamedTuple):
     branch: Callable
 
 
-def _finish(child: tuple, loops: int, memo: SkeinMemo, ring: _Ring):
-    if child:
-        return ring.circle ** loops * _skein_rec(child, memo, ring)
-    return ring.circle ** (loops - 1)
-
-
-def _skein_rec(state: tuple, memo: SkeinMemo, ring: _Ring):
-    key = canonical_form(state)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-
-    kink = _find_kink(state)
-    if kink is not None:
-        i, s = kink
-        child, loops = _remove_through(state, i)
-        value = ring.curls[s % 2] * _finish(child, loops, memo, ring)
-    else:
-        bigon = _find_bigon(state)
-        if bigon is not None:
-            i1, i2 = bigon
-            work = list(state)
-            loops = _glue_pairs(work, i1, ((0, 2), (1, 3)))
-            loops += _glue_pairs(work, i2, ((0, 2), (1, 3)))
-            child = tuple(r for j, r in enumerate(work) if j not in (i1, i2))
-            value = _finish(child, loops, memo, ring)
+def _skein_rec(state: tuple, loops: int, memo: SkeinMemo, ring: _Ring):
+    """The value of a state times ``loops`` closed circles.  Kinks and
+    bigons are removed first; only the reduced state is keyed."""
+    curls = [0, 0]
+    while state:
+        kink = _find_kink(state)
+        if kink is not None:
+            state, closed = _erase(state, kink[:1], _THROUGH)
+            curls[kink[1] % 2] += 1
+            memo.kinks += 1
         else:
-            pieces = _split_pieces(state)
-            if len(pieces) > 1:
-                value = ring.circle ** (len(pieces) - 1)
-                for members in pieces:
-                    piece = tuple(state[i] for i in members)
-                    value = value * _skein_rec(piece, memo, ring)
-            else:
-                value = ring.branch(state, memo, ring)
-    memo.put(key, value)
-    return value
+            bigon = _find_bigon(state)
+            if bigon is None:
+                break
+            state, closed = _erase(state, bigon, _THROUGH)
+            memo.bigons += 1
+        loops += closed
+    # an empty state stands for the last circle (see the module docstring)
+    scale = ring.circle ** (loops if state else loops - 1)
+    for curl, k in zip(ring.curls, curls):
+        if k:
+            scale = curl ** k * scale
+    if not state:
+        return scale
+    key = canonical_form(state)
+    value = memo.get(key)
+    if value is None:
+        if len(key) > 1:  # split: one circle factor per extra piece
+            value = ring.circle ** (len(key) - 1)
+            for members in _split_pieces(state):
+                piece = tuple(state[i] for i in members)
+                value = value * _skein_rec(piece, 0, memo, ring)
+        else:
+            value = ring.branch(state, memo, ring)
+        memo.put(key, value)
+    return scale * value if loops or any(curls) else value
 
 
 def _skein_entry(d: Diagram, max_crossings: int, memo: SkeinMemo | None,
@@ -243,7 +251,7 @@ def _skein_entry(d: Diagram, max_crossings: int, memo: SkeinMemo | None,
     memo.bind(ring.engine)
     if n == 0:
         return ring.circle ** max(d.n_components - 1, 0)
-    return _skein_rec(d.crossings, memo, ring) * ring.circle ** d.free_loops
+    return _skein_rec(d.crossings, d.free_loops, memo, ring)
 
 
 # =====================================================================
@@ -315,8 +323,8 @@ def _pick_crossing(state: tuple) -> int:
 
 def _bracket_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> LaurentPoly:
     i = _pick_crossing(state)
-    return (_A * _finish(*_smooth(state, i, "A"), memo, ring)
-            + _A_INV * _finish(*_smooth(state, i, "B"), memo, ring))
+    return (_A * _skein_rec(*_smooth(state, i, "A"), memo, ring)
+            + _A_INV * _skein_rec(*_smooth(state, i, "B"), memo, ring))
 
 
 _BRACKET = _Ring("bracket", _DELTA,
@@ -350,68 +358,38 @@ def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
 # deterministic traversal of unoriented states
 # =====================================================================
 
-def _orient_state(state: tuple):
-    """Walk every strand circle once, choosing directions deterministically.
-
-    Returns (components, entries): components lists the (crossing, entry
-    slot) visits of each circle in traversal order; entries maps
-    ``(crossing, "u"/"o")`` to the chosen entry slot of that pass.
-    """
+def _descending_base(state: tuple):
+    """Walk every strand circle once, each from the first end of its
+    least arc, and return (the first crossing met from below or None,
+    the circle count, the sum of the signs of self-crossings)."""
     occ = _occurrences(state)
-    used_arcs: set[int] = set()
-    components = []
-    entries: dict[tuple[int, str], int] = {}
+    walked: set[int] = set()
+    passes: dict[tuple[int, bool], tuple[int, int]] = {}  # -> (circle, slot)
+    bad = None
+    circles = 0
     for a0 in sorted(occ):
-        if a0 in used_arcs:
+        if a0 in walked:
             continue
-        comp = []
-        arc = a0
-        end = min(occ[a0])  # a0 flows into this end
+        arc, end = a0, min(occ[a0])  # a0 flows into this end
         while True:
-            used_arcs.add(arc)
+            walked.add(arc)
             i, s = end
-            comp.append((i, s))
-            entries[(i, "u" if s in (0, 2) else "o")] = s
+            under = s % 2 == 0
+            if bad is None and under and (i, False) not in passes:
+                bad = i  # first met from below
+            passes[(i, under)] = circles, s
             out_slot = (s + 2) % 4
             arc = state[i][out_slot]
             (end,) = [e for e in occ[arc] if e != (i, out_slot)]
             if arc == a0:
                 break
-        components.append(comp)
-    return components, entries
-
-
-def _state_sign(entries, i: int) -> int:
-    u = entries[(i, "u")]
-    o = entries[(i, "o")]
-    return 1 if (o - u) % 4 == 3 else -1
-
-
-def _descending_base(state: tuple):
-    """(first bad crossing or None, component count, self-writhe sum)."""
-    components, entries = _orient_state(state)
-    comp_of_pass: dict[tuple[int, str], int] = {}
-    for k, comp in enumerate(components):
-        for (i, s) in comp:
-            comp_of_pass[(i, "u" if s in (0, 2) else "o")] = k
-    bad = None
-    seen: set[int] = set()
-    for comp in components:
-        for (i, s) in comp:
-            if i in seen:
-                continue
-            seen.add(i)
-            if s in (0, 2):
-                bad = i
-                break
-        if bad is not None:
-            break
-    self_writhe = sum(
-        _state_sign(entries, i)
-        for i in range(len(state))
-        if comp_of_pass[(i, "u")] == comp_of_pass[(i, "o")]
-    )
-    return bad, len(components), self_writhe
+        circles += 1
+    self_writhe = 0
+    for i in range(len(state)):
+        (cu, u), (co, o) = passes[(i, True)], passes[(i, False)]
+        if cu == co:
+            self_writhe += 1 if (o - u) % 4 == 3 else -1
+    return bad, circles, self_writhe
 
 
 # =====================================================================
@@ -429,9 +407,9 @@ def _kauffman_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> TwoVarPoly:
     if bad is None:
         # stacked unknotted circles with curls
         return TwoVarPoly.a_pow(self_writhe) * _DELTA_F ** (circles - 1)
-    return (-_skein_rec(_switch_state(state, bad), memo, ring)
-            + _ZVAR * _finish(*_smooth(state, bad, "A"), memo, ring)
-            + _ZVAR * _finish(*_smooth(state, bad, "B"), memo, ring))
+    return (-_skein_rec(_switch_state(state, bad), 0, memo, ring)
+            + _ZVAR * _skein_rec(*_smooth(state, bad, "A"), memo, ring)
+            + _ZVAR * _skein_rec(*_smooth(state, bad, "B"), memo, ring))
 
 
 _KAUFFMAN = _Ring("kauffman", _DELTA_F,
@@ -475,6 +453,8 @@ def _conway_rec(d: Diagram, memo: SkeinMemo) -> LaurentPoly:
     if cached is not None:
         return cached
     simplified, log = _simplify_diagram(d)
+    memo.kinks += log.count("R1-")
+    memo.bigons += log.count("R2-")
     if log:
         value = _conway_rec(simplified, memo)
     elif d.connected_pieces() > 1:

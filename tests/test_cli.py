@@ -87,3 +87,16 @@ def test_memo_section_reports_one_command(capsys):
         sections.append(json.loads(capsys.readouterr().out)["memo"])
     assert sections[0] == sections[1]
     assert sections[0]["bracket"]["hits"] > 0
+
+
+def test_cable_of_the_unknot(capsys):
+    # F(O) = 1 and V(O u O) = -t^1/2 - t^-1/2, so the cabling identity
+    # reads 1 + t + t^-1 = (t^1/2 + t^-1/2)^2 - 1
+    assert cli.main(["--format", "json", "cable", "O"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["payload"]["all_pass"]
+
+
+def test_empty_json_diagram_exits_2(capsys):
+    text = '{"crossings": [], "free_loops": 0}'
+    assert cli.main(["invariants", text]) == cli.EXIT_INPUT
+    assert "empty diagram" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotcalc.diagram import Diagram, pd_parse
 from knotcalc.errors import PatternNotFound
@@ -14,6 +16,10 @@ from knotcalc.moves import (
     reidemeister_r3,
     simplify,
 )
+from knotcalc.seifert import alexander_from_seifert, seifert_matrix
+from knotcalc.skein import conway, jones_memoized, kauffman_F
+from knotcalc.table import diagram as table_diagram
+from knotcalc.table import table_names
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 KINKED = "X[1,2,2,1]"  # one-crossing unknot
@@ -148,3 +154,41 @@ class TestDispatcher:
         assert res2.diagram.writhe() == 1
         with pytest.raises(PatternNotFound):
             apply_reidemeister(d, "R9", 0)
+
+
+SMALL_KNOTS = [n for n in table_names() if int(n.split("_")[0]) <= 7]
+
+
+def random_move(d, rng):
+    """One move at a random site: R3 half the time the diagram has a site
+    for it, else R1+ or R2+."""
+    r3_sites = find_r3_sites(d)
+    if r3_sites and rng.random() < 0.5:
+        return reidemeister_r3(d, rng.choice(r3_sites)).diagram
+    if rng.random() < 0.5:
+        arc = rng.choice(sorted(d.arcs))
+        return reidemeister_r1_add(d, arc, rng.choice((1, -1))).diagram
+    face = rng.choice([f for f in d.faces() if len({a for a, _ in f}) > 1])
+    dart_x = rng.choice(face)
+    dart_y = rng.choice([y for y in face if y[0] != dart_x[0]])
+    return reidemeister_r2_add(d, dart_x, dart_y, rng.random() < 0.5).diagram
+
+
+def invariants(d):
+    """Ambient-isotopy invariants computed on different paths: Jones and
+    Kauffman F by the reducing skein kernel, Conway by the oriented
+    recursion, Alexander from a Seifert matrix."""
+    return (jones_memoized(d), kauffman_F(d), conway(d),
+            alexander_from_seifert(seifert_matrix(d)))
+
+
+class TestInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SMALL_KNOTS), st.integers(1, 3),
+           st.randoms(use_true_random=False))
+    def test_reidemeister_moves_keep_invariants(self, name, moves, rng):
+        d = table_diagram(name)
+        moved = d
+        for _ in range(moves):
+            moved = random_move(moved, rng)
+        assert invariants(moved) == invariants(d)

@@ -169,23 +169,37 @@ class TestKernelProperties:
 
 class TestMemoClasses:
     """Memo counts follow the partition of states into key classes, so
-    they move when canonical keys merge or split a class."""
+    they move when canonical keys merge or split a class.  Only states
+    left after removing kinks and bigons are keyed; the removals are
+    counted apart."""
 
     def test_bracket_across_cable_framings(self, table_diagrams):
         memo = SkeinMemo()
         for f in range(-2, 3):
             jones_memoized(cable2(table_diagrams["3_1"], f).diagram, 40, memo)
-        assert memo.stats() == {"entries": 226, "hits": 89, "misses": 226}
+        assert memo.stats() == {"entries": 87, "hits": 27, "misses": 87,
+                                "kinks": 426, "bigons": 168}
 
     def test_kauffman_of_torus_closure(self):
         memo = SkeinMemo()
         kauffman_F(trace_closure(braid_to_tangle(TORUS_3_5)), memo=memo)
-        assert memo.stats() == {"entries": 177, "hits": 91, "misses": 178}
+        assert memo.stats() == {"entries": 50, "hits": 43, "misses": 51,
+                                "kinks": 146, "bigons": 137}
+
+    def test_curled_unknot_reduces_to_nothing(self):
+        d = reidemeister_r1_add(Diagram.unknot(), None, 1).diagram
+        for sign in (-1, -1, 1, -1):
+            d = reidemeister_r1_add(d, min(d.arcs), sign).diagram
+        memo = SkeinMemo()
+        assert jones_memoized(d, memo=memo) == 1
+        assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
+                                "kinks": 5, "bigons": 0}
 
     def test_conway_of_torus_closure(self):
         memo = SkeinMemo()
         conway(trace_closure(braid_to_tangle(TORUS_3_5)), memo=memo)
-        assert memo.stats() == {"entries": 60, "hits": 19, "misses": 60}
+        assert memo.stats() == {"entries": 60, "hits": 19, "misses": 60,
+                                "kinks": 18, "bigons": 36}
 
 
 class TestConway:

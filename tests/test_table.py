@@ -11,7 +11,8 @@ def test_verify_entry_caps_every_engine():
     memo = SkeinMemo()
     with pytest.raises(ResourceLimit):
         verify_entry(entry("6_1"), 2, conway_memo=memo)
-    assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0}
+    assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
+                            "kinks": 0, "bigons": 0}
 
 
 def test_verify_entry_runs_on_the_callers_memos():

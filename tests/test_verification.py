@@ -22,9 +22,12 @@ def test_chain_passes(report):
 def test_chain_owns_one_memo_per_engine(report):
     # the hat's Jones call reuses the cable's bracket states
     assert report["memo"] == {
-        "bracket": {"entries": 770, "hits": 220, "misses": 770},
-        "kauffman": {"entries": 21, "hits": 10, "misses": 21},
-        "conway": {"entries": 11, "hits": 1, "misses": 11},
+        "bracket": {"entries": 221, "hits": 166, "misses": 221,
+                    "kinks": 464, "bigons": 474},
+        "kauffman": {"entries": 6, "hits": 5, "misses": 6,
+                     "kinks": 18, "bigons": 6},
+        "conway": {"entries": 11, "hits": 1, "misses": 11,
+                   "kinks": 8, "bigons": 3},
     }
     assert stevedore_chain_report()["memo"] == report["memo"]
 
