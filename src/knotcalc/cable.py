@@ -28,7 +28,8 @@ from typing import NamedTuple
 from .diagram import Diagram
 from .errors import MultiComponent, UnknownComponent
 from .polyring import GaussInt, LaurentPoly, TwoVarPoly, two_var_substitute
-from .presentations import BraidWord, braid_to_tangle, double_block, tangle_substitute
+from .presentations import (BraidWord, braid_to_tangle, double_block,
+                            tangle_substitute, trace_closure)
 
 __all__ = [
     "CableLink",
@@ -115,7 +116,6 @@ def cable2(base: Diagram, framing: int = 0) -> CableLink:
         if twists == 0:
             return CableLink(Diagram.unknot(2), 0, 1, framing)
         letters = (1 if twists > 0 else -1,) * (2 * abs(twists))
-        from .presentations import trace_closure
         diagram = trace_closure(braid_to_tangle(BraidWord(2, letters)))
         if diagram.linking_number(0, 1) != framing:
             diagram = diagram.reverse_component(1)

@@ -77,10 +77,7 @@ def _load_input(text_or_path: str) -> Diagram:
         if "genus" in data:
             plat = PlatPresentation.from_json(text)
             return spine_boundary_knot(standardize(plat))
-        d = Diagram.from_json(text)
-        if not d.crossings and not d.free_loops:
-            raise KnotError("empty diagram: no crossings and no free loops")
-        return d
+        return Diagram.from_json(text)
     if text.split()[0].startswith(("X", "O")):
         return pd_parse(text)
     return trace_closure(braid_to_tangle(braid_parse(text)))

@@ -112,6 +112,9 @@ class Diagram:
         for s in self.over_in:
             if s not in (1, 3):
                 raise DiagramSyntaxError(f"bad over_in slot {s}")
+        if not self.crossings and not self.free_loops:
+            raise DiagramSyntaxError(
+                "empty diagram: no crossings and no free loops")
         _check_occurrences(self.crossings)
         # successor structure must decompose into cycles: guaranteed when
         # every arc is entered once and left once
@@ -300,55 +303,18 @@ class Diagram:
 
         Each glue pair ``(u, w)`` states that the strand entering arc u's
         head continues into arc w; every slot of a removed crossing must be
-        covered by exactly one glue end.  Chains of glued arcs become single
-        arcs named after the chain start; closed chains become free loops.
+        covered by exactly one glue end.  ``_glue`` joins the pairs under
+        its first-wins rule, so a chain of glued arcs becomes one arc named
+        after the chain start; closed chains become free loops.
         """
-        nxt = {}
-        prev = {}
-        for u, w in glues:
-            if u in nxt or w in prev:
+        glues = list(glues)
+        for ends in zip(*glues):  # no arc is glued twice at one end
+            if len(set(ends)) < len(ends):
                 raise ValueError("conflicting glue pairs")
-            nxt[u] = w
-            prev[w] = u
-        loops = 0
-        rename: dict[int, int] = {}
-        seen: set[int] = set()
-        for u in list(nxt):
-            if u in seen:
-                continue
-            # walk back to the chain start (or detect a cycle)
-            start = u
-            steps = 0
-            while start in prev:
-                start = prev[start]
-                steps += 1
-                if start == u and steps > 0:
-                    break
-            if start == u and u in prev:
-                # closed cycle of glued arcs
-                a = u
-                while True:
-                    seen.add(a)
-                    a = nxt[a]
-                    if a == u:
-                        break
-                loops += 1
-                continue
-            a = start
-            while True:
-                seen.add(a)
-                rename[a] = start
-                if a not in nxt:
-                    break
-                a = nxt[a]
-        recs = []
-        over = []
-        for i, rec in enumerate(self.crossings):
-            if i in removed:
-                continue
-            recs.append(tuple(rename.get(a, a) for a in rec))
-            over.append(self.over_in[i])
-        return Diagram(recs, over, self.free_loops + loops, _validated=False)
+        kept = [i for i in range(self.n_crossings) if i not in removed]
+        recs, _, loops = _glue([self.crossings[i] for i in kept], glues)
+        return Diagram(recs, [self.over_in[i] for i in kept],
+                       self.free_loops + loops, _validated=False)
 
     # ------------------------------------------------------------------ faces
 
@@ -475,6 +441,39 @@ class Diagram:
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise DiagramSyntaxError(f"bad diagram JSON: {e}") from e
         return cls.from_pd(crossings, free_loops)
+
+
+def _glue(records, pairs) -> tuple[tuple, dict[int, int], int]:
+    """Identify the two arcs of each pair, and relabel the records.
+
+    A union-find over arc labels joins the pairs in order.  A merged class
+    keeps the label of the first arc of the pair that joined it (first
+    wins), and a pair whose two arcs are already one closes a circle.
+    Only the records that hold a renamed label are rebuilt.  Returns the
+    records, the map from each renamed label to its class label, and the
+    number of circles closed.
+    """
+    parent: dict[int, int] = {}
+    closed = 0
+    for x, y in pairs:
+        while x in parent:
+            x = parent[x]
+        while y in parent:
+            y = parent[y]
+        if x == y:
+            closed += 1
+        else:
+            parent[y] = x
+    rename = {}
+    for a, root in parent.items():
+        while root in parent:
+            root = parent[root]
+        rename[a] = root
+    renamed = rename.keys()
+    return (tuple(rec if renamed.isdisjoint(rec)
+                  else tuple(rename.get(a, a) for a in rec)
+                  for rec in records),
+            rename, closed)
 
 
 def _occurrences(records) -> dict[int, list[tuple[int, int]]]:

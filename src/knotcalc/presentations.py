@@ -5,7 +5,11 @@ convention (under-strand diagonal in slots 0 and 2, no orientation), plus
 ordered lists of the arcs hanging at the top and bottom boundary and a
 count of closed circles.  Tangles compose by stacking, mirror by
 reflection, double by the parallel-copy rule, and close up into oriented
-diagrams; strand orientations are solved only at closure.
+diagrams; strand orientations are solved only at closure.  Composition,
+closure, substitution and the banded boundary all join boundary arcs
+through ``diagram._glue``: under its first-wins rule a joined arc keeps
+the label of the first arc of the pair that joined it, and a pair whose
+arcs are already one closes a free circle.
 
 Plat presentations follow the wedge-of-circles model: a braid on
 ``2*(2g+m)`` strands, capped above by ``2g+m`` arcs and closed below by a
@@ -22,11 +26,12 @@ import json
 import re
 from typing import Iterable, NamedTuple
 
-from .diagram import Diagram
+from .diagram import Diagram, _glue
 from .errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
     ExtraComponents,
+    InconsistentOrientation,
     InterfaceMismatch,
     NotStandardized,
     StrandMismatch,
@@ -192,66 +197,6 @@ class Tangle:
         return perm
 
 
-def _fuse(records: list[tuple], boundary: dict[str, list[int]],
-          fuse_pairs: list[tuple[tuple, tuple]], keep: dict[str, list[int]]):
-    """Generic end-gluing: fuse boundary ends pairwise and relabel arcs.
-
-    Chains of fused arcs collapse to their minimal label; fully closed
-    chains are counted as circles.  Returns (records, kept boundary
-    labels, circles)."""
-    ends: dict[int, list[tuple]] = {}
-    for i, rec in enumerate(records):
-        for s, a in enumerate(rec):
-            ends.setdefault(a, []).append(("x", i, s))
-    for tag, arcs in boundary.items():
-        for k, a in enumerate(arcs):
-            ends.setdefault(a, []).append((tag, k))
-
-    parent: dict[tuple, tuple] = {}
-
-    def find(e):
-        root = e
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(e, e) != root:
-            parent[e], e = root, parent[e]
-        return root
-
-    def union(e1, e2) -> bool:
-        """Join two ends; True when this closes a circle."""
-        r1, r2 = find(e1), find(e2)
-        if r1 == r2:
-            return True
-        parent[r1] = r2
-        return False
-
-    closed = 0
-    arc_of_end: dict[tuple, int] = {}
-    for a, pair in ends.items():
-        e1, e2 = pair
-        arc_of_end[e1] = a
-        arc_of_end[e2] = a
-        if union(e1, e2):
-            closed += 1
-    for e1, e2 in fuse_pairs:
-        if union(e1, e2):
-            closed += 1
-
-    label: dict[tuple, int] = {}
-    for e, a in arc_of_end.items():
-        root = find(e)
-        if root not in label or a < label[root]:
-            label[root] = a
-
-    new_records = [
-        tuple(label[find(("x", i, s))] for s in range(4))
-        for i in range(len(records))
-    ]
-    kept = {tag: [label[find((tag, k))] for k in positions]
-            for tag, positions in keep.items()}
-    return new_records, kept, closed
-
-
 def _relabeled(t: Tangle, offset: int) -> Tangle:
     return Tangle(
         [tuple(a + offset for a in rec) for rec in t.records],
@@ -289,14 +234,10 @@ def tangle_compose(t1: Tangle, t2: Tangle) -> Tangle:
         raise StrandMismatch(
             f"cannot stack {t1.n_bottom} strand ends on {t2.n_top}")
     t2r = _relabeled(t2, max(t1.arcs(), default=0))
-    records = list(t1.records) + list(t2r.records)
-    boundary = {"T": list(t1.top), "M1": list(t1.bottom),
-                "M2": list(t2r.top), "B": list(t2r.bottom)}
-    fuse = [(("M1", k), ("M2", k)) for k in range(t1.n_bottom)]
-    new_records, kept, closed = _fuse(
-        records, boundary, fuse,
-        {"T": list(range(t1.n_top)), "B": list(range(t2r.n_bottom))})
-    return Tangle(new_records, kept["T"], kept["B"],
+    records, rename, closed = _glue(t1.records + t2r.records,
+                                    zip(t1.bottom, t2r.top))
+    return Tangle(records, [rename.get(a, a) for a in t1.top],
+                  [rename.get(a, a) for a in t2r.bottom],
                   t1.free_loops + t2.free_loops + closed)
 
 
@@ -382,9 +323,7 @@ def trace_closure(t: Tangle) -> Diagram:
     """Braid-style closure joining top k to bottom k."""
     if t.n_top != t.n_bottom:
         raise StrandMismatch("trace closure needs equal boundary counts")
-    boundary = {"t": list(t.top), "b": list(t.bottom)}
-    fuse = [(("t", k), ("b", k)) for k in range(t.n_top)]
-    records, _, closed = _fuse(list(t.records), boundary, fuse, {})
+    records, _, closed = _glue(t.records, zip(t.top, t.bottom))
     return Diagram.from_pd(records, t.free_loops + closed,
                            under_in_known=False)
 
@@ -399,10 +338,9 @@ def plat_closure(t: Tangle, nested: bool = False) -> Diagram:
         pairs = [(k, n - 1 - k) for k in range(n // 2)]
     else:
         pairs = [(2 * k, 2 * k + 1) for k in range(n // 2)]
-    boundary = {"t": list(t.top), "b": list(t.bottom)}
-    fuse = [(("t", p), ("t", q)) for p, q in pairs]
-    fuse += [(("b", p), ("b", q)) for p, q in pairs]
-    records, _, closed = _fuse(list(t.records), boundary, fuse, {})
+    glues = [(t.top[p], t.top[q]) for p, q in pairs]
+    glues += [(t.bottom[p], t.bottom[q]) for p, q in pairs]
+    records, _, closed = _glue(t.records, glues)
     return Diagram.from_pd(records, t.free_loops + closed,
                            under_in_known=False)
 
@@ -444,22 +382,18 @@ def tangle_substitute(d: Diagram, box: Iterable[int], t: Tangle) -> Diagram:
         records.append(tuple(rec))
         pinned.append(False)
 
-    boundary = {"t": list(tr.top), "b": list(tr.bottom),
-                "up": list(box), "down": [stub[a] for a in box]}
-    fuse = [(("up", k), ("t", k)) for k in range(len(box))]
-    fuse += [(("b", k), ("down", k)) for k in range(len(box))]
-    new_records, _, closed = _fuse(records, boundary, fuse, {})
+    glues = list(zip(box, tr.top))
+    glues += [(b, stub[a]) for a, b in zip(box, tr.bottom)]
+    new_records, _, closed = _glue(records, glues)
     try:
         out = Diagram.from_pd(new_records,
                               d.free_loops + t.free_loops + closed,
                               under_in_known=pinned)
     except DiagramSyntaxError as e:
         raise InterfaceMismatch(f"cannot splice tangle into box: {e}") from e
-    except Exception as e:
-        if type(e).__name__ == "InconsistentOrientation":
-            raise InterfaceMismatch(
-                f"tangle orientation conflicts with the box: {e}") from e
-        raise
+    except InconsistentOrientation as e:
+        raise InterfaceMismatch(
+            f"tangle orientation conflicts with the box: {e}") from e
     if not out.is_planar():
         raise InterfaceMismatch(
             "splice is not planar: the box cut points must sit side by "
@@ -699,19 +633,19 @@ def spine_boundary_knot(p: PlatPresentation) -> Diagram:
         twists = braid_to_tangle(BraidWord(2 * n, tuple(twist_letters)))
         doubled = tangle_compose(twists, doubled)
 
-    boundary = {"t": list(doubled.top), "b": list(doubled.bottom)}
-    fuse = []
+    top, bottom = doubled.top, doubled.bottom
+    glues = []
     for a, b in p.cap_pairs():
-        fuse.append((("t", 2 * a), ("t", 2 * b + 1)))
-        fuse.append((("t", 2 * a + 1), ("t", 2 * b)))
+        glues.append((top[2 * a], top[2 * b + 1]))
+        glues.append((top[2 * a + 1], top[2 * b]))
     for a, b in p.cup_pairs():
-        fuse.append((("b", 2 * a), ("b", 2 * b + 1)))
-        fuse.append((("b", 2 * a + 1), ("b", 2 * b)))
+        glues.append((bottom[2 * a], bottom[2 * b + 1]))
+        glues.append((bottom[2 * a + 1], bottom[2 * b]))
     legs = 8 * p.genus
     for point in range(1, legs - 1, 2):
-        fuse.append((("b", point), ("b", point + 1)))
-    fuse.append((("b", legs - 1), ("b", 0)))
-    records, _, closed = _fuse(list(doubled.records), boundary, fuse, {})
+        glues.append((bottom[point], bottom[point + 1]))
+    glues.append((bottom[legs - 1], bottom[0]))
+    records, _, closed = _glue(doubled.records, glues)
     out = Diagram.from_pd(records, doubled.free_loops + closed,
                           under_in_known=False)
     if out.n_components != 1:

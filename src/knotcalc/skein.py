@@ -27,9 +27,12 @@ strategy, on oriented diagrams simplified by Reidemeister moves.
 
 Unoriented states are bare tuples of PD records (under diagonal in slots
 0 and 2); free circles never live inside states, they are factored into
-coefficients as they appear.  An empty child state stands for the last
-circle of its piece, so it contributes one circle factor less than the
-circles closed while reaching it.
+coefficients as they appear.  Kink and bigon removal and smoothing erase
+records and join the arcs across their slots with ``diagram._glue``,
+whose first-wins rule names a joined arc after the first arc of its
+pair.  An empty child state stands for the last circle of its piece, so
+it contributes one circle factor less than the circles closed while
+reaching it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .diagram import (Diagram, _occurrences, _rotate, _split_pieces,
+from .diagram import (Diagram, _glue, _occurrences, _rotate, _split_pieces,
                       canonical_form)
 from .errors import BadSite, ResourceLimit, TooLarge
 from .moves import simplify as _simplify_diagram
@@ -129,34 +132,16 @@ def engine_memos() -> dict[str, SkeinMemo]:
 # unoriented states
 # =====================================================================
 
-def _glue_pairs(work: list, removed: int, pairs) -> int:
-    """Identify arcs across slot pairs of record ``removed``; relabels the
-    other records in place and returns the number of circles closed."""
-    labels = list(work[removed])
-    loops = 0
-    for s1, s2 in pairs:
-        x, y = labels[s1], labels[s2]
-        if x == y:
-            loops += 1
-            continue
-        for k in range(4):
-            if labels[k] == y:
-                labels[k] = x
-        for j, other in enumerate(work):
-            if j != removed and y in other:
-                work[j] = tuple(x if a == y else a for a in other)
-    return loops
-
-
 _THROUGH = ((0, 2), (1, 3))  # both strands run through the crossing
 
 
 def _erase(state: tuple, removed, pairs) -> tuple[tuple, int]:
     """The state without the records ``removed``, each glued across its
     slot ``pairs``, and the number of circles closed."""
-    work = list(state)
-    loops = sum(_glue_pairs(work, i, pairs) for i in removed)
-    return tuple(r for j, r in enumerate(work) if j not in removed), loops
+    glues = [(state[i][s1], state[i][s2]) for i in removed for s1, s2 in pairs]
+    kept, _, loops = _glue(
+        [rec for j, rec in enumerate(state) if j not in removed], glues)
+    return kept, loops
 
 
 def _smooth(state: tuple, i: int, mode: str) -> tuple[tuple, int]:
@@ -250,7 +235,7 @@ def _skein_entry(d: Diagram, max_crossings: int, memo: SkeinMemo | None,
     memo = memo if memo is not None else SkeinMemo()
     memo.bind(ring.engine)
     if n == 0:
-        return ring.circle ** max(d.n_components - 1, 0)
+        return ring.circle ** (d.n_components - 1)
     return _skein_rec(d.crossings, d.free_loops, memo, ring)
 
 
@@ -264,8 +249,6 @@ def bracket_state_sum(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> La
     if n > max_crossings:
         raise TooLarge(f"{n} crossings exceeds the state-sum cap {max_crossings}")
     if n == 0:
-        if d.n_components == 0:
-            return LaurentPoly.one()
         return _DELTA ** (d.n_components - 1)
     arcs = sorted(d.arcs)
     index = {a: k for k, a in enumerate(arcs)}

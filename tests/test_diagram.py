@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from knotcalc import skein
 from knotcalc.cable import cable2
-from knotcalc.diagram import (Diagram, _encode, _occurrences, _split_pieces,
-                              canonical_form, pd_parse)
+from knotcalc.diagram import (Diagram, _encode, _glue, _occurrences,
+                              _split_pieces, canonical_form, pd_parse)
 from knotcalc.errors import (
     DanglingArc,
     DiagramSyntaxError,
@@ -43,6 +43,15 @@ class TestParsing:
     def test_bad_token(self):
         with pytest.raises(DiagramSyntaxError):
             pd_parse("X[1,2,3]")
+
+    @pytest.mark.parametrize("build", [
+        lambda: pd_parse(""),
+        lambda: Diagram.from_json('{"crossings": [], "free_loops": 0}'),
+        lambda: Diagram.unknot(0),
+    ], ids=["pd_text", "json", "unknot"])
+    def test_empty_diagram_rejected(self, build):
+        with pytest.raises(DiagramSyntaxError, match="empty diagram"):
+            build()
 
     def test_roundtrip(self):
         d = pd_parse(SIX_ONE)
@@ -124,6 +133,38 @@ class TestUnion:
         assert u.n_crossings == 7
         assert u.n_components == 2
         assert u.writhe() == d1.writhe() + d2.writhe()
+
+
+class TestGlue:
+    RECORDS = ((1, 7, 3, 8), (4, 9, 2, 10), (5, 6, 7, 8))
+
+    @pytest.mark.parametrize("pairs", [[(1, 2), (2, 3)], [(2, 3), (1, 2)]])
+    def test_chain_takes_its_start_label(self, pairs):
+        records, rename, closed = _glue(self.RECORDS, pairs)
+        assert rename == {2: 1, 3: 1}
+        assert closed == 0
+        assert records[:2] == ((1, 7, 1, 8), (4, 9, 1, 10))
+
+    def test_untouched_records_come_back_unchanged(self):
+        records, _, _ = _glue(self.RECORDS, [(1, 2)])
+        assert records[2] is self.RECORDS[2]
+
+    def test_first_arc_wins_over_the_least(self):
+        _, rename, _ = _glue(self.RECORDS, [(9, 4)])
+        assert rename == {4: 9}
+
+    def test_pair_of_one_arc_closes_a_circle(self):
+        records, rename, closed = _glue(self.RECORDS, [(5, 5)])
+        assert (records, rename, closed) == (self.RECORDS, {}, 1)
+
+    def test_cycle_of_pairs_closes_one_circle(self):
+        _, rename, closed = _glue(self.RECORDS, [(1, 2), (2, 3), (3, 1)])
+        assert rename == {2: 1, 3: 1}
+        assert closed == 1
+
+    def test_rewire_rejects_conflicting_glues(self):
+        with pytest.raises(ValueError, match="conflicting"):
+            pd_parse(TREFOIL).rewire({0}, [(1, 2), (1, 5)])
 
 
 class TestFaces:

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from knotcalc.diagram import Diagram, pd_parse
 from knotcalc.errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
     ExtraComponents,
+    InconsistentOrientation,
     InterfaceMismatch,
     NotStandardized,
     StrandMismatch,
@@ -15,6 +17,7 @@ from knotcalc.moves import simplify
 from knotcalc.presentations import (
     BraidWord,
     PlatPresentation,
+    Tangle,
     braid_parse,
     braid_to_tangle,
     plat_closure,
@@ -31,6 +34,8 @@ from knotcalc.presentations import (
 )
 from knotcalc.seifert import seifert_surface_genus
 from knotcalc.skein import jones_memoized
+
+from strategies import braid_words
 
 
 def random_word(rng, strands, length):
@@ -68,6 +73,27 @@ class TestBraidWords:
         d = trace_closure(braid_to_tangle(braid_parse("s1 s1")))
         assert d.writhe() == 2
         assert d.linking_number(0, 1) == 1
+
+
+def permutation_cycles(perm):
+    seen = set()
+    cycles = 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = perm[k]
+    return cycles
+
+
+class TestTraceClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words())
+    def test_components_are_permutation_cycles(self, word):
+        d = trace_closure(braid_to_tangle(word))
+        assert d.n_components == permutation_cycles(word.permutation())
 
 
 class TestCompose:
@@ -185,6 +211,14 @@ class TestSubstitute:
         d = trace_closure(braid_to_tangle(braid_parse("s1 s1 s1")))
         with pytest.raises(InterfaceMismatch):
             tangle_substitute(d, (1, 2, 3), braid_to_tangle(BraidWord(2, ())))
+
+    def test_orientation_conflict(self):
+        # a cap over a cup: both box strands enter from above and would
+        # meet head on
+        d = trace_closure(braid_to_tangle(braid_parse("s1 s1 s1 s1")))
+        with pytest.raises(InterfaceMismatch) as info:
+            tangle_substitute(d, (1, 2), Tangle([], (1, 1), (2, 2)))
+        assert isinstance(info.value.__cause__, InconsistentOrientation)
 
 
 class TestPlat:
