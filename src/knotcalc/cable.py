@@ -117,8 +117,6 @@ def cable2(base: Diagram, framing: int = 0) -> CableLink:
             return CableLink(Diagram.unknot(2), 0, 1, framing)
         letters = (1 if twists > 0 else -1,) * (2 * abs(twists))
         diagram = trace_closure(braid_to_tangle(BraidWord(2, letters)))
-        if diagram.linking_number(0, 1) != framing:
-            diagram = diagram.reverse_component(1)
         out = CableLink(diagram, 0, 1, framing)
     elif twists == 0:
         doubled, base_comp, par_comp = blackboard_double(base)

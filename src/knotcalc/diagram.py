@@ -518,11 +518,12 @@ def canonical_form(records, tags=None) -> tuple:
     reordering: the sorted tuple of each connected piece's least BFS
     encoding over its starts of least local type.
 
-    ``tags`` gives one value per record that must match too (the crossing
-    signs of an oriented diagram).  Untagged records are unoriented
-    states, whose records may also be turned half a turn, which keeps the
-    under diagonal in slots 0 and 2.  Every arc occurs in two slots, as in
-    any diagram or skein state.
+    ``tags`` gives one value per record that must match too: the crossing
+    signs of an oriented diagram, or a constant for oriented skein states,
+    whose records (slot 0 the incoming under-strand) fix their own signs.
+    Untagged records are unoriented states, whose records may also be
+    turned half a turn, which keeps the under diagonal in slots 0 and 2.
+    Every arc occurs in two slots, as in any diagram or skein state.
 
     A start is a record read from a turn.  Each slot has a local type,
     read from where its arc ends: the slot offset ``(s2 - s1) & 3`` when

@@ -112,15 +112,10 @@ def find_r2_sites(d: Diagram) -> list[tuple[int, int, int, int]]:
         if len(occ) != 2:
             continue
         (p, s1), (q, s2) = occ
-        if p == q:
+        if p == q or not s1 % 2 or not s2 % 2:  # x runs over at both
             continue
-        over_p = {d.over_in[p], (d.over_in[p] + 2) % 4}
-        over_q = {d.over_in[q], (d.over_in[q] + 2) % 4}
-        if s1 not in over_p or s2 not in over_q:
-            continue
-        under_p = {d.crossings[p][s] for s in range(4) if s not in over_p}
-        under_q = {d.crossings[q][s] for s in range(4) if s not in over_q}
-        for y in under_p & under_q:
+        rec_p, rec_q = d.crossings[p], d.crossings[q]
+        for y in {rec_p[0], rec_p[2]} & {rec_q[0], rec_q[2]}:
             if y != x and len(incid[y]) == 2:
                 sites.append((p, q, x, y))
     return sites
@@ -204,9 +199,7 @@ def find_r3_sites(d: Diagram) -> list[R3Site]:
             continue
         for x in arcs:
             (p, s1), (q, s2) = incid[x]
-            over_p = s1 in (d.over_in[p], (d.over_in[p] + 2) % 4)
-            over_q = s2 in (d.over_in[q], (d.over_in[q] + 2) % 4)
-            if over_p != over_q:
+            if (s1 - s2) % 2:  # over at one end, under at the other
                 continue
             (r,) = crossings - {p, q}
             (z,) = [a for a in arcs if ends[a] == {p, r}]

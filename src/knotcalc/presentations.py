@@ -26,7 +26,7 @@ import json
 import re
 from typing import Iterable, NamedTuple
 
-from .diagram import Diagram, _glue
+from .diagram import Diagram, _glue, _occurrences
 from .errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
@@ -320,12 +320,24 @@ def tangle_parallel_double(t: Tangle) -> Tangle:
 # =====================================================================
 
 def trace_closure(t: Tangle) -> Diagram:
-    """Braid-style closure joining top k to bottom k."""
+    """Braid-style closure joining top k to bottom k.  Strands run down,
+    so a crossing of a braid's closure has the sign of its letter: a
+    component is reversed when its arc at a top position does not flow
+    into the tangle."""
     if t.n_top != t.n_bottom:
         raise StrandMismatch("trace closure needs equal boundary counts")
     records, _, closed = _glue(t.records, zip(t.top, t.bottom))
-    return Diagram.from_pd(records, t.free_loops + closed,
-                           under_in_known=False)
+    d = Diagram.from_pd(records, t.free_loops + closed, under_in_known=False)
+    occ = _occurrences(t.records)
+    wrong = set()
+    for i, s in (end for a in t.top for end in occ.get(a, ())):
+        if d.crossings[i] != records[i]:  # from_pd turned it half a turn
+            s = (s + 2) % 4
+        if s not in (0, d.over_in[i]):
+            wrong.add(d.component_of(d.crossings[i][s]))
+    for c in wrong:
+        d = d.reverse_component(c)
+    return d
 
 
 def plat_closure(t: Tangle, nested: bool = False) -> Diagram:

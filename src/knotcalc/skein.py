@@ -1,14 +1,13 @@
 """Polynomial engines: Kauffman bracket, Jones, Kauffman F, Conway.
 
-The bracket and the two-variable Kauffman polynomial share one skein
-kernel, ``_skein_rec``, on unoriented states.  It removes kinks (one
-curl factor each) and bigons in a loop, collecting their factors, and
-keys only the reduced state under ``diagram.canonical_form``, so only
-split and branch states enter the memo.  A key of several pieces is a
-split state, whose pieces are evaluated apart (one circle factor per
+The three engines share one skein kernel, ``_skein_rec``.  It removes
+kinks (one curl factor each) and bigons in a loop, collecting their
+factors, and keys only the reduced state under ``diagram.canonical_form``,
+so only split and branch states enter the memo.  A key of several pieces
+is a split state, whose pieces are evaluated apart (one circle factor per
 extra piece); a one-piece state branches.  A ring fixes what differs
-between the two engines: its circle factor, its curl factors and its
-branch step.
+between the engines: its circle factor, curl factors, branch step and key
+tag.
 
 * Bracket ring: circle ``-A^2 - A^-2``, curls ``-A^{+-3}``, and the
   branch ``<D> = A <D_A> + A^-1 <D_B>`` at one crossing.  Conventions:
@@ -19,20 +18,25 @@ branch step.
   circle factor is ``(a + a^-1) z^-1 - 1``; the branch switches the first
   crossing met from above on the way to a descending diagram, whose value
   is read off directly.  ``F = a^{-w} L``.
+* Conway ring: circle 0 and curls 1; the branch takes the Kauffman ring's
+  crossing and uses ``del(L+) - del(L-) = z del(L0)``.
 
 ``bracket_state_sum`` sums all ``2^n`` smoothings; it is capped and
-exponential, and serves as the oracle for the kernel.  The Conway
-polynomial uses ``del(L+) - del(L-) = z del(L0)`` with the same descent
-strategy, on oriented diagrams simplified by Reidemeister moves.
+exponential, and serves as the oracle for the kernel.
 
-Unoriented states are bare tuples of PD records (under diagonal in slots
-0 and 2); free circles never live inside states, they are factored into
+States are bare tuples of PD records (under diagonal in slots 0 and 2);
+free circles never live inside states, they are factored into
 coefficients as they appear.  Kink and bigon removal and smoothing erase
 records and join the arcs across their slots with ``diagram._glue``,
 whose first-wins rule names a joined arc after the first arc of its
 pair.  An empty child state stands for the last circle of its piece, so
 it contributes one circle factor less than the circles closed while
-reaching it.
+reaching it.  Conway's states are the diagram's own records, slot 0 the
+incoming under-strand, and stay so: erasure runs both strands through,
+the oriented smoothing is the A-smoothing at a positive crossing and the
+B-smoothing at a negative one, and a switch turns the over-in slot to
+slot 0.  So the records fix every sign, and a constant tag per record
+keys them without half-turns.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from typing import Callable, NamedTuple
 from .diagram import (Diagram, _glue, _occurrences, _rotate, _split_pieces,
                       canonical_form)
 from .errors import BadSite, ResourceLimit, TooLarge
+# unused; test_install_wraps_every_binding_and_reports_absent_names checks it
 from .moves import simplify as _simplify_diagram
 from .polyring import LaurentPoly, TwoVarPoly
 
@@ -70,6 +75,7 @@ _A = LaurentPoly.a_pow(1)
 _A_INV = LaurentPoly.a_pow(-1)
 
 _ZVAR = TwoVarPoly.z_pow(1)
+_Z = LaurentPoly.t_pow(1)   # Conway's z
 _DELTA_F = TwoVarPoly({(1, -1): 1, (-1, -1): 1, (0, 0): -1})  # (a+a^-1)z^-1 - 1
 
 
@@ -77,7 +83,7 @@ class SkeinMemo:
     """Write-once table from canonical diagram keys to the polynomial
     values of one engine, and counts of the kinks and bigons the engine
     removed (the skein kernel keys only what is left, so they never enter
-    the table; Conway counts its R1 and R2 simplifications).
+    the table).
 
     An engine called without a memo uses a fresh one for that call, so
     states are reused across calls only through a memo the caller owns
@@ -179,12 +185,14 @@ def _find_bigon(state: tuple):
 class _Ring(NamedTuple):
     """What the kernel needs of an engine: its memo name, the factor of
     a closed circle, the factors of a kink with its loop at an even or an
-    odd slot, and the step taken when no simplification applies."""
+    odd slot, the step taken when no simplification applies, and the key
+    tag of every record (None lets keys turn records half a turn)."""
 
     engine: str
     circle: LaurentPoly | TwoVarPoly
     curls: tuple
     branch: Callable
+    tag: int | None = None
 
 
 def _skein_rec(state: tuple, loops: int, memo: SkeinMemo, ring: _Ring):
@@ -209,16 +217,18 @@ def _skein_rec(state: tuple, loops: int, memo: SkeinMemo, ring: _Ring):
     for curl, k in zip(ring.curls, curls):
         if k:
             scale = curl ** k * scale
-    if not state:
+    if not state or not scale:
         return scale
-    key = canonical_form(state)
+    key = canonical_form(
+        state, None if ring.tag is None else (ring.tag,) * len(state))
     value = memo.get(key)
     if value is None:
         if len(key) > 1:  # split: one circle factor per extra piece
             value = ring.circle ** (len(key) - 1)
-            for members in _split_pieces(state):
-                piece = tuple(state[i] for i in members)
-                value = value * _skein_rec(piece, 0, memo, ring)
+            if value:
+                for members in _split_pieces(state):
+                    piece = tuple(state[i] for i in members)
+                    value = value * _skein_rec(piece, 0, memo, ring)
         else:
             value = ring.branch(state, memo, ring)
         memo.put(key, value)
@@ -379,9 +389,9 @@ def _descending_base(state: tuple):
 # Kauffman two-variable polynomial
 # =====================================================================
 
-def _switch_state(state: tuple, i: int) -> tuple:
+def _switch_state(state: tuple, i: int, turn: int) -> tuple:
     work = list(state)
-    work[i] = _rotate(work[i], 1)
+    work[i] = _rotate(work[i], turn)
     return tuple(work)
 
 
@@ -390,7 +400,7 @@ def _kauffman_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> TwoVarPoly:
     if bad is None:
         # stacked unknotted circles with curls
         return TwoVarPoly.a_pow(self_writhe) * _DELTA_F ** (circles - 1)
-    return (-_skein_rec(_switch_state(state, bad), 0, memo, ring)
+    return (-_skein_rec(_switch_state(state, bad, 1), 0, memo, ring)
             + _ZVAR * _skein_rec(*_smooth(state, bad, "A"), memo, ring)
             + _ZVAR * _skein_rec(*_smooth(state, bad, "B"), memo, ring))
 
@@ -412,62 +422,45 @@ def kauffman_F(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
 # Conway / Alexander
 # =====================================================================
 
-def _first_bad_oriented(d: Diagram):
-    seen = set()
-    for comp in d.components:
-        for arc in comp:
-            ci, s = d.head_of(arc)
-            if ci in seen:
-                continue
-            seen.add(ci)
-            if s == 0:
-                return ci
-    return None
+def _over_in(state: tuple, i: int) -> int | None:
+    """The over-in slot of record i of an oriented state, read off the
+    first under pass of its over strand; None when that strand never
+    passes under, so that its component lifts off the rest."""
+    occ = _occurrences(state)
+    j, s = i, 3  # the walk leaves record i through slot 1
+    while True:
+        e1, e2 = occ[state[j][s ^ 2]]
+        j, s = e2 if e1 == (j, s ^ 2) else e1
+        if s % 2 == 0:  # the walk runs along the strand iff it enters here
+            return 3 if s == 0 else 1
+        if j == i:  # back at slot 3
+            return None
 
 
-def _conway_rec(d: Diagram, memo: SkeinMemo) -> LaurentPoly:
-    if d.n_crossings == 0:
-        return (LaurentPoly.one() if d.n_components == 1
-                else LaurentPoly.zero())
-    if d.free_loops:
-        return LaurentPoly.zero()  # split link
-    key = d.canonical_key()
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    simplified, log = _simplify_diagram(d)
-    memo.kinks += log.count("R1-")
-    memo.bigons += log.count("R2-")
-    if log:
-        value = _conway_rec(simplified, memo)
-    elif d.connected_pieces() > 1:
-        value = LaurentPoly.zero()
-    else:
-        bad = _first_bad_oriented(d)
-        if bad is None:
-            value = (LaurentPoly.one() if d.n_components == 1
-                     else LaurentPoly.zero())
-        else:
-            plus, minus, zero = skein_triple(d, bad)
-            z_term = LaurentPoly.t_pow(1) * _conway_rec(zero, memo)
-            if d.sign(bad) == 1:
-                value = _conway_rec(minus, memo) + z_term
-            else:
-                value = _conway_rec(plus, memo) - z_term
-    memo.put(key, value)
-    return value
+def _conway_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> LaurentPoly:
+    """``del(L+-) = del(L-+) +- z del(L0)`` at the Kauffman ring's crossing;
+    the switch brings the over-in slot to slot 0."""
+    bad, circles, _ = _descending_base(state)
+    if bad is None:  # stacked unknotted circles
+        return ring.circle ** (circles - 1)
+    o = _over_in(state, bad)
+    if o is None:  # its component lifts off the rest
+        return LaurentPoly.zero()
+    smoothed = _skein_rec(*_smooth(state, bad, "A" if o == 3 else "B"),
+                          memo, ring)
+    rest = _skein_rec(_switch_state(state, bad, o), 0, memo, ring)
+    return rest + _Z * smoothed if o == 3 else rest - _Z * smoothed
+
+
+_CONWAY = _Ring("conway", LaurentPoly.zero(), (LaurentPoly.one(),) * 2,
+                _conway_branch, tag=0)
 
 
 def conway(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
            memo: SkeinMemo | None = None) -> LaurentPoly:
     """Conway polynomial; the variable z occupies the t-exponent slots.
     Without a memo, the call uses a fresh one."""
-    if d.n_crossings > max_crossings:
-        raise ResourceLimit(
-            f"{d.n_crossings} crossings exceeds the engine cap {max_crossings}")
-    memo = memo if memo is not None else SkeinMemo()
-    memo.bind("conway")
-    return _conway_rec(d, memo)
+    return _skein_entry(d, max_crossings, memo, _CONWAY)
 
 
 def alexander_from_conway(nabla: LaurentPoly) -> LaurentPoly:

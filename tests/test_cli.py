@@ -54,6 +54,15 @@ def test_link_invariants_under_all(capsys):
     assert values["conway"] == "z"
 
 
+def test_negative_hopf_link_keeps_the_braid_orientation(capsys):
+    argv = ["--format", "json", "invariants", "s1^-1 s1^-1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["writhe"] == -2
+    assert payload["invariants"]["conway"] == "-z"
+    assert payload["invariants"]["jones"] == "-t^-5/2 - t^-1/2"
+
+
 def test_knot_only_invariant_on_a_link_exits_2(capsys):
     argv = ["invariants", "s1 s1", "--which", "signature"]
     assert cli.main(argv) == cli.EXIT_INPUT

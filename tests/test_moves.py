@@ -16,10 +16,13 @@ from knotcalc.moves import (
     reidemeister_r3,
     simplify,
 )
+from knotcalc.presentations import braid_to_tangle, trace_closure
 from knotcalc.seifert import alexander_from_seifert, seifert_matrix
 from knotcalc.skein import conway, jones_memoized, kauffman_F
 from knotcalc.table import diagram as table_diagram
 from knotcalc.table import table_names
+
+from strategies import braid_words
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 KINKED = "X[1,2,2,1]"  # one-crossing unknot
@@ -174,12 +177,17 @@ def random_move(d, rng):
     return reidemeister_r2_add(d, dart_x, dart_y, rng.random() < 0.5).diagram
 
 
+def link_invariants(d):
+    """Ambient-isotopy invariants of links: Jones, Kauffman F and Conway
+    from the bracket, Kauffman and oriented Conway rings of the skein
+    kernel."""
+    return jones_memoized(d), kauffman_F(d), conway(d)
+
+
 def invariants(d):
-    """Ambient-isotopy invariants computed on different paths: Jones and
-    Kauffman F by the reducing skein kernel, Conway by the oriented
-    recursion, Alexander from a Seifert matrix."""
-    return (jones_memoized(d), kauffman_F(d), conway(d),
-            alexander_from_seifert(seifert_matrix(d)))
+    """The link invariants of a knot, and its Alexander polynomial from a
+    Seifert matrix, a path apart from the skein kernel."""
+    return link_invariants(d) + (alexander_from_seifert(seifert_matrix(d)),)
 
 
 class TestInvariance:
@@ -192,3 +200,14 @@ class TestInvariance:
         for _ in range(moves):
             moved = random_move(moved, rng)
         assert invariants(moved) == invariants(d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(braid_words(), st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_moves_on_braid_closures_keep_invariants(self, word, moves, rng):
+        # braid closures, links and free circles included, offer more R3
+        # sites than the reduced table diagrams
+        d = trace_closure(braid_to_tangle(word))
+        moved = d
+        for _ in range(moves):
+            moved = random_move(moved, rng)
+        assert link_invariants(moved) == link_invariants(d)

@@ -95,6 +95,13 @@ class TestTraceClosure:
         d = trace_closure(braid_to_tangle(word))
         assert d.n_components == permutation_cycles(word.permutation())
 
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words())
+    def test_crossings_have_their_letters_signs(self, word):
+        # every strand runs downward, links included
+        d = trace_closure(braid_to_tangle(word))
+        assert d.signs == tuple(1 if x > 0 else -1 for x in word.letters)
+
 
 class TestCompose:
     def test_identity_composition(self):

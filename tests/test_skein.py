@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from knotcalc.cable import cable2
 from knotcalc.diagram import Diagram, pd_parse
 from knotcalc.errors import BadSite, ResourceLimit, TooLarge
 from knotcalc.moves import reidemeister_r1_add
 from knotcalc.polyring import LaurentPoly, TwoVarPoly, two_var_substitute
-from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
+from knotcalc.presentations import (BraidWord, braid_parse, braid_to_tangle,
+                                    trace_closure)
 from knotcalc.skein import (
     SkeinMemo,
     alexander_from_conway,
@@ -198,8 +200,8 @@ class TestMemoClasses:
     def test_conway_of_torus_closure(self):
         memo = SkeinMemo()
         conway(trace_closure(braid_to_tangle(TORUS_3_5)), memo=memo)
-        assert memo.stats() == {"entries": 60, "hits": 19, "misses": 60,
-                                "kinks": 18, "bigons": 36}
+        assert memo.stats() == {"entries": 40, "hits": 21, "misses": 40,
+                                "kinks": 21, "bigons": 39}
 
 
 class TestConway:
@@ -222,6 +224,30 @@ class TestConway:
         assert conway(Diagram.unknot(2)).is_zero()
         d = pd_parse(TREFOIL).add_free_loops(1)
         assert conway(d).is_zero()
+
+    @pytest.mark.parametrize("word, terms", [
+        ("s1 s1", [(1, 1)]),                                  # Hopf links
+        ("s1^-1 s1^-1", [(1, -1)]),
+        ("s1 s1 s1 s1", [(1, 2), (3, 1)]),                    # T(2,4)
+        ("s1^-1 " * 6, [(1, -3), (3, -4), (5, -1)]),          # T(2,-6)
+        ("s1 s2^-1 " * 3, [(4, 1)]),                          # Borromean
+        ("s1 s2 s3 " * 4, [(3, 16), (5, 20), (7, 8), (9, 1)]),  # T(4,4)
+    ])
+    def test_braid_closed_links(self, word, terms):
+        d = trace_closure(braid_to_tangle(braid_parse(word)))
+        assert conway(d) == LaurentPoly.from_terms(terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(), st.integers(0, 8))
+    def test_skein_relation_and_mirror_on_closures(self, word, site):
+        # skein_triple builds L+, L- and L0 with Diagram.rewire, apart
+        # from the kernel; the mirror image has del(-z)
+        d = trace_closure(braid_to_tangle(word))
+        plus, minus, zero = skein_triple(d, site % d.n_crossings)
+        assert conway(plus) - conway(minus) == t(1) * conway(zero)
+        nabla = conway(d).terms
+        assert conway(d.mirror()) == LaurentPoly(
+            {q: c if q % 8 == 0 else -c for q, c in nabla.items()})
 
 
 class TestSkeinTriple:
