@@ -176,21 +176,7 @@ class Diagram:
         ordered by that label.  Crossing-free circles are not included."""
         got = self._cache.get("components")
         if got is None:
-            succ = self.successor()
-            seen: set[int] = set()
-            comps = []
-            for start in sorted(succ):
-                if start in seen:
-                    continue
-                cyc = [start]
-                seen.add(start)
-                a = succ[start]
-                while a != start:
-                    cyc.append(a)
-                    seen.add(a)
-                    a = succ[a]
-                comps.append(tuple(cyc))
-            got = tuple(comps)
+            got = _orbits(self.successor())
             self._cache["components"] = got
         return got
 
@@ -233,11 +219,6 @@ class Diagram:
         if total % 2:
             raise InconsistentOrientation("odd inter-component crossing sum")
         return total // 2
-
-    def self_writhe(self, c: int) -> int:
-        """Sum of signs of the crossings where component c crosses itself."""
-        return sum(self.sign(i) for i in range(self.n_crossings)
-                   if self.crossing_components(i) == (c, c))
 
     # ------------------------------------------------------------- operations
 
@@ -440,7 +421,36 @@ class Diagram:
             free_loops = data.get("free_loops", 0)
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise DiagramSyntaxError(f"bad diagram JSON: {e}") from e
+        if not (isinstance(crossings, list) and _ints([free_loops])
+                and all(isinstance(r, list) and _ints(r) for r in crossings)):
+            raise DiagramSyntaxError(
+                "bad diagram JSON: crossings must be a list of integer "
+                "records and free_loops an integer")
         return cls.from_pd(crossings, free_loops)
+
+
+def _ints(values) -> bool:
+    """True when every value is a JSON integer; bools and floats are not."""
+    return all(type(v) is int for v in values)
+
+
+def _orbits(succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of a permutation of arc labels, each starting at its least
+    label, ordered by that label."""
+    seen: set[int] = set()
+    orbits = []
+    for start in sorted(succ):
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        a = succ[start]
+        while a != start:
+            orbit.append(a)
+            seen.add(a)
+            a = succ[a]
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
 
 
 def _glue(records, pairs) -> tuple[tuple, dict[int, int], int]:

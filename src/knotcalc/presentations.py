@@ -26,7 +26,7 @@ import json
 import re
 from typing import Iterable, NamedTuple
 
-from .diagram import Diagram, _glue, _occurrences
+from .diagram import Diagram, _glue, _ints, _occurrences
 from .errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
@@ -468,13 +468,18 @@ class PlatPresentation(NamedTuple):
     def from_json(cls, text: str) -> "PlatPresentation":
         try:
             data = json.loads(text)
+            genus, extra = data["genus"], data.get("extra", 0)
+            curls = data.get("curls", [0] * (2 * genus))
             braid = braid_parse(data["braid"], data.get("strands"))
-            p = cls(int(data["genus"]), int(data.get("extra", 0)), braid,
-                    data.get("mode", "plat"),
-                    tuple(data.get("curls", [0] * (2 * int(data["genus"])))))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
+                ValueError) as e:
             raise DiagramSyntaxError(f"bad plat JSON: {e}") from e
-        return validate_plat(p)
+        if not (_ints([genus, extra]) and isinstance(curls, list)
+                and _ints(curls)):
+            raise DiagramSyntaxError(
+                "bad plat JSON: genus, extra and curls must be integers")
+        return validate_plat(cls(genus, extra, braid,
+                                 data.get("mode", "plat"), tuple(curls)))
 
 
 def validate_plat(p: PlatPresentation) -> PlatPresentation:

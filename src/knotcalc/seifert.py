@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .diagram import Diagram
+from .diagram import Diagram, _orbits
 from .errors import DimensionMismatch, MultiComponent
 from .moves import reidemeister_r2_add
 from .polyring import LaurentPoly
@@ -91,21 +91,7 @@ def _seifert_successor(d: Diagram) -> dict[int, int]:
 def seifert_circles(d: Diagram) -> tuple[tuple[int, ...], ...]:
     """Orbits of arcs under the Seifert smoothing (crossing-free circles
     are not listed; they count as extra circles downstream)."""
-    succ = _seifert_successor(d)
-    seen = set()
-    circles = []
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        a = succ[start]
-        while a != start:
-            orbit.append(a)
-            seen.add(a)
-            a = succ[a]
-        circles.append(tuple(orbit))
-    return tuple(circles)
+    return _orbits(_seifert_successor(d))
 
 
 def seifert_surface_genus(d: Diagram) -> int:
@@ -253,9 +239,7 @@ def _braid_arrows(d: Diagram):
         raise AssertionError("Seifert tree is not a single chain")
 
     # visits[k]: crossings along circle order[k], in circle order
-    circle_of = _circle_of_arc(circles)
     visits = []
-    succ = _seifert_successor(d)
     for k in order:
         orbit = circles[k]
         seq = []

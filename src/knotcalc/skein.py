@@ -354,10 +354,15 @@ def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
 def _descending_base(state: tuple):
     """Walk every strand circle once, each from the first end of its
     least arc, and return (the first crossing met from below or None,
-    the circle count, the sum of the signs of self-crossings)."""
+    the circle count, the sum of the signs of self-crossings, the over-in
+    slot of that crossing).  The over-in slot assumes an oriented state
+    (slot 0 the incoming under-strand) and is read off the direction of
+    the over strand's first under pass; it is None when there is no such
+    pass, so that the over strand's circle lifts off the rest."""
     occ = _occurrences(state)
     walked: set[int] = set()
     passes: dict[tuple[int, bool], tuple[int, int]] = {}  # -> (circle, slot)
+    forward: dict[int, bool] = {}  # circle -> walked along its orientation
     bad = None
     circles = 0
     for a0 in sorted(occ):
@@ -371,6 +376,8 @@ def _descending_base(state: tuple):
             if bad is None and under and (i, False) not in passes:
                 bad = i  # first met from below
             passes[(i, under)] = circles, s
+            if under and circles not in forward:
+                forward[circles] = s == 0
             out_slot = (s + 2) % 4
             arc = state[i][out_slot]
             (end,) = [e for e in occ[arc] if e != (i, out_slot)]
@@ -382,7 +389,12 @@ def _descending_base(state: tuple):
         (cu, u), (co, o) = passes[(i, True)], passes[(i, False)]
         if cu == co:
             self_writhe += 1 if (o - u) % 4 == 3 else -1
-    return bad, circles, self_writhe
+    over_in = None
+    if bad is not None:
+        c, s = passes[(bad, False)]
+        if c in forward:
+            over_in = s if forward[c] else s ^ 2
+    return bad, circles, self_writhe, over_in
 
 
 # =====================================================================
@@ -396,7 +408,7 @@ def _switch_state(state: tuple, i: int, turn: int) -> tuple:
 
 
 def _kauffman_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> TwoVarPoly:
-    bad, circles, self_writhe = _descending_base(state)
+    bad, circles, self_writhe, _ = _descending_base(state)
     if bad is None:
         # stacked unknotted circles with curls
         return TwoVarPoly.a_pow(self_writhe) * _DELTA_F ** (circles - 1)
@@ -422,28 +434,12 @@ def kauffman_F(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
 # Conway / Alexander
 # =====================================================================
 
-def _over_in(state: tuple, i: int) -> int | None:
-    """The over-in slot of record i of an oriented state, read off the
-    first under pass of its over strand; None when that strand never
-    passes under, so that its component lifts off the rest."""
-    occ = _occurrences(state)
-    j, s = i, 3  # the walk leaves record i through slot 1
-    while True:
-        e1, e2 = occ[state[j][s ^ 2]]
-        j, s = e2 if e1 == (j, s ^ 2) else e1
-        if s % 2 == 0:  # the walk runs along the strand iff it enters here
-            return 3 if s == 0 else 1
-        if j == i:  # back at slot 3
-            return None
-
-
 def _conway_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> LaurentPoly:
     """``del(L+-) = del(L-+) +- z del(L0)`` at the Kauffman ring's crossing;
     the switch brings the over-in slot to slot 0."""
-    bad, circles, _ = _descending_base(state)
+    bad, circles, _, o = _descending_base(state)
     if bad is None:  # stacked unknotted circles
         return ring.circle ** (circles - 1)
-    o = _over_in(state, bad)
     if o is None:  # its component lifts off the rest
         return LaurentPoly.zero()
     smoothed = _skein_rec(*_smooth(state, bad, "A" if o == 3 else "B"),

@@ -109,3 +109,20 @@ def test_empty_json_diagram_exits_2(capsys):
     text = '{"crossings": [], "free_loops": 0}'
     assert cli.main(["invariants", text]) == cli.EXIT_INPUT
     assert "empty diagram" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"crossings": 5}',
+    '{"crossings": [[1, 2, 3, "a"]]}',
+    '{"crossings": [[1, 1, 2, 2.7]]}',
+    '{"crossings": [[1, 1, 2, true]]}',
+    '{"crossings": [[1, 1, 2, 2]], "free_loops": "x"}',
+    '{"crossings": [[1, 1, 2, 2]], "free_loops": 1.5}',
+    '{"genus": 1, "braid": "", "strands": 4, "curls": [1.5, 0]}',
+    '{"genus": 1.0, "braid": "", "strands": 4}',
+    '{"genus": 1, "extra": true, "braid": "", "strands": 4}',
+])
+def test_malformed_json_exits_2(text, capsys):
+    # a value of the wrong type is an input error, never truncated by int()
+    assert cli.main(["invariants", text]) == cli.EXIT_INPUT
+    assert "DiagramSyntaxError" in capsys.readouterr().err

@@ -1,11 +1,18 @@
 """The paper's stevedore-cable chain, end to end."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knotcalc.cable import cable2, king_verify
+from knotcalc.cable import cable2, king_verify, make_hat
+from knotcalc.errors import MultiComponent
+from knotcalc.polyring import LaurentPoly
+from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
 from knotcalc.skein import SkeinMemo, jones_memoized, kauffman_F
 from knotcalc.table import diagram
 from knotcalc.verification import KAUFFMAN_61_PRINTED, stevedore_chain_report
+
+from strategies import knot_braid_words
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +59,30 @@ def test_cabling_identity_at_framings(name):
         v_cable = jones_memoized(cable2(knot, framing).diagram, memo=memo)
         assert king_verify(f_poly, v_cable, framing), framing
         assert not king_verify(f_poly, v_cable, framing + 1), framing
+
+
+@settings(max_examples=25, deadline=None)
+@given(knot_braid_words(4), st.integers(-1, 1))
+def test_cable_of_braid_closure_knots(word, shift):
+    # knots outside the table: the cable's size, framing and writhe, the
+    # reversed-copy relation and the cabling identity
+    knot = trace_closure(braid_to_tangle(word))
+    assert knot.n_components == 1
+    n, w = knot.n_crossings, knot.writhe()
+    framing = w + shift
+    cab = cable2(knot, framing)
+    assert cab.diagram.n_components == 2
+    assert cab.linking() == framing
+    assert cab.diagram.n_crossings == 4 * n + 2 * abs(shift)
+    assert cab.diagram.writhe() == 4 * w + 2 * shift
+    memo = SkeinMemo()
+    v_cable = jones_memoized(cab.diagram, memo=memo)
+    v_hat = jones_memoized(make_hat(cab).diagram, memo=memo)
+    assert v_hat == LaurentPoly.t_pow(-3 * framing) * v_cable
+    assert king_verify(kauffman_F(knot), v_cable, framing)
+
+
+def test_cable_of_a_link_raises():
+    hopf = trace_closure(braid_to_tangle(braid_parse("s1 s1")))
+    with pytest.raises(MultiComponent):
+        cable2(hopf)
