@@ -14,7 +14,9 @@ The one global setting is ``--max-crossings`` (default from
 ``$KNOTCALC_MAX_CROSSINGS``), the crossing cap of the recursive engines.
 Everything runs in one process.  Each command owns one memo per engine,
 shared by its own engine calls and dropped when it returns; the report's
-``memo`` section gives their counts.
+``memo`` section gives their counts.  When ``invariants`` builds a Seifert
+matrix, its ``seifert`` section gives the Seifert circles and the matrix
+size.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 resource limit.  Reports are deterministic: timing and memo counts live
@@ -38,7 +40,8 @@ from .polyring import LaurentPoly
 from .presentations import (PlatPresentation, braid_parse, braid_to_tangle,
                             spine_boundary_knot, standardize, trace_closure)
 from .seifert import (alexander_from_seifert, determinant, is_monic,
-                      seifert_matrix, seifert_surface_genus, signature)
+                      seifert_circles, seifert_matrix, seifert_surface_genus,
+                      signature)
 from .skein import (DEFAULT_ENGINE_CAP, SkeinMemo, conway, engine_memos,
                     jones_memoized, kauffman_F)
 from .verification import stevedore_chain_report
@@ -129,7 +132,7 @@ def cmd_invariants(args) -> int:
     timing = {}
     memos = engine_memos()
     need_seifert = {"alexander", "determinant", "signature", "fibered"} & set(which)
-    smatrix = None
+    smatrix = delta = None
     if need_seifert:
         t0 = time.perf_counter()
         smatrix = seifert_matrix(diagram)
@@ -139,8 +142,13 @@ def cmd_invariants(args) -> int:
         if name == "jones":
             values[name] = str(jones_memoized(diagram, args.max_crossings,
                                                 memos["bracket"]))
-        elif name == "alexander":
-            values[name] = str(alexander_from_seifert(smatrix))
+        elif name in ("alexander", "fibered"):
+            if delta is None:  # one Alexander polynomial serves both
+                delta = alexander_from_seifert(smatrix)
+            if name == "alexander":
+                values[name] = str(delta)
+            else:
+                values[name] = "pass" if is_monic(delta) else "fail"
         elif name == "conway":
             nabla = conway(diagram, args.max_crossings, memos["conway"])
             values[name] = nabla.to_str("z")
@@ -153,9 +161,6 @@ def cmd_invariants(args) -> int:
             values[name] = signature(smatrix)
         elif name == "genus":
             values[name] = seifert_surface_genus(diagram)
-        elif name == "fibered":
-            monic = is_monic(alexander_from_seifert(smatrix))
-            values[name] = "pass" if monic else "fail"
         timing[name] = round(time.perf_counter() - t0, 6)
     report = {
         "payload": {
@@ -168,6 +173,10 @@ def cmd_invariants(args) -> int:
         "timing": timing,
         "memo": _memo_stats(memos),
     }
+    if smatrix is not None:
+        report["seifert"] = {
+            "circles": len(seifert_circles(diagram)) + diagram.free_loops,
+            "matrix_size": smatrix.size}
     _emit(report, args.format)
     return EXIT_OK
 

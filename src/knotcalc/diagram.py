@@ -11,6 +11,9 @@ Text grammar: whitespace-separated terms ``X[a,b,c,d]`` with positive
 integer arc labels, plus optional ``O`` terms, one per crossing-free circle.
 A JSON mirror ``{"crossings": [[a,b,c,d], ...], "free_loops": n}`` carries
 the same structure for tooling.
+Both parsers reject a PD code whose rotation system is not planar;
+``Diagram.from_pd``, for callers that build diagrams themselves, does not
+check.
 
 Orientation is not an input: the under-strand direction is fixed by the
 record convention and the over-strand directions are recovered by parity
@@ -426,7 +429,15 @@ class Diagram:
             raise DiagramSyntaxError(
                 "bad diagram JSON: crossings must be a list of integer "
                 "records and free_loops an integer")
-        return cls.from_pd(crossings, free_loops)
+        return _planar(cls.from_pd(crossings, free_loops))
+
+
+def _planar(d: Diagram) -> Diagram:
+    """The diagram, once its rotation system is known to be planar: the
+    face walks and the Seifert surface built on them need a plane."""
+    if not d.is_planar():
+        raise DiagramSyntaxError("PD code is not planar")
+    return d
 
 
 def _ints(values) -> bool:
@@ -726,4 +737,4 @@ def pd_parse(text: str) -> Diagram:
         if not m:
             raise DiagramSyntaxError(f"bad PD term {token!r}")
         crossings.append(tuple(int(g) for g in m.groups()))
-    return Diagram.from_pd(crossings, free_loops)
+    return _planar(Diagram.from_pd(crossings, free_loops))

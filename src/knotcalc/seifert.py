@@ -1,12 +1,45 @@
 """Seifert's algorithm, Seifert matrices, and the derived invariants.
 
-The matrix pipeline follows the braid route: oriented Reidemeister II
-moves make the Seifert circles concentric and coherent (Vogel's
-algorithm), the diagram is then read off as a braid word, and the Seifert
-matrix of the braid-closure surface comes from the classical description
-of its homology generators: one generator per pair of consecutive bands
-on the same strand pair, with linking numbers determined by handedness
-and interleaving (Collins' algorithm).
+Seifert's algorithm smooths each crossing along the orientation.  The
+Seifert circles bound disks, a disk nested in another one lying above
+it, and a half-twisted band at each crossing joins the disks of the two
+circles there.  For a knot diagram with c crossings and s circles this
+surface has first homology of rank c - s + 1, and ``seifert_matrix``
+builds the Seifert form on it directly (after Lickorish, *An
+Introduction to Knot Theory*, ch. 6).
+
+Basis.  The c + 2 faces of the diagram fall into the s + 1 regions the
+circles cut out.  A face's loop runs around the face, with the face on
+its right, just on the disk side of each arc.  At a corner that the
+smoothing opens into the opposite one it crosses the crossing's band;
+at the other corners it follows its circle.  The loops of all faces but
+the first of each region are a basis.  On a braid closure the faces of
+the region between two strands are the lobes between consecutive bands,
+so the basis is Collins' one.
+
+Entries.  The loops run in a thin neighbourhood of the circles and
+bands, so a loop f, pushed off along the normal for which the surface's
+boundary is the knot, crosses a loop g in projection only near
+crossings, and ``lk(f^+, g)`` is a sum of local terms.  Turn a crossing
+so that both smoothed arcs run upward: the left one L, the right one R,
+the band across between them.  Let t, b, l and r be the faces at its top
+corner (between the outgoing strands), its bottom corner (between the
+incoming ones), left of L and right of R.  The twist corner is b at a
+positive crossing and t at a negative one, the other corner the
+remaining one of t and b.  Each disk lies on the
+side of its circle away from the region of face 0, taken as the outside;
+the disks of L and R never both cover the band.  Writing a face for its
+indicator vector, the crossing adds ``u_f v_g`` to ``S[f][g]`` with
+
+* neither disk over the band: ``u = b - t``, ``v = twist``;
+* R's disk over the band:     ``u = b - t``, ``v = twist - r``;
+* L's disk over the band:     ``u = other - l``, ``v = t - b``.
+
+These were counted once on an explicit model of the neighbourhood: the
+loops' crossings at the half twist, where the band folds back over the
+disk that covers it, and where two loops swap lanes on a disk.  On each
+arc the loop of the face off the disk side runs nearer the circle.  The
+total work is linear in c after ``Diagram.faces()``.
 
 Derived quantities rest on one exact integer determinant, Bareiss
 fraction-free elimination (``_int_det``).  The Alexander polynomial
@@ -25,7 +58,6 @@ from typing import NamedTuple, Sequence
 
 from .diagram import Diagram, _orbits
 from .errors import DimensionMismatch, MultiComponent
-from .moves import reidemeister_r2_add
 from .polyring import LaurentPoly
 
 __all__ = [
@@ -33,7 +65,6 @@ __all__ = [
     "seifert_circles",
     "seifert_surface_genus",
     "seifert_matrix",
-    "braid_word_from_diagram",
     "alexander_from_seifert",
     "normalize_alexander",
     "determinant",
@@ -46,12 +77,14 @@ __all__ = [
 class SeifertMatrix(NamedTuple):
     """Integer Seifert matrix with its homology basis descriptors.
 
-    Each basis entry ``(strand, p, q)`` is the loop through the bands at
-    braid levels p and q on the given strand pair.
+    Each basis entry is a face of the diagram, as ``Diagram.faces()``
+    gives it (a cycle of darts), standing for the loop around that face
+    on the Seifert surface; entries added by ``elementary_enlarge`` are
+    the empty tuple.
     """
 
     matrix: tuple[tuple[int, ...], ...]
-    basis: tuple[tuple[int, int, int], ...]
+    basis: tuple[tuple[tuple[int, bool], ...], ...]
 
     @property
     def size(self) -> int:
@@ -114,26 +147,27 @@ def seifert_surface_genus(d: Diagram) -> int:
 
 
 # =====================================================================
-# Vogel's algorithm: to braid position
+# the Seifert matrix
 # =====================================================================
 
-def _circle_of_arc(circles) -> dict[int, int]:
-    out = {}
-    for k, orbit in enumerate(circles):
-        for a in orbit:
-            out[a] = k
-    return out
-
-
-def _smoothed_regions(d: Diagram):
-    """Union-find classes of faces after smoothing every crossing; the
-    classes are the complementary regions of the Seifert circles."""
+def seifert_matrix(d: Diagram) -> SeifertMatrix:
+    """Seifert matrix ``S[i][j] = lk(basis_i^+, basis_j)`` on the surface
+    that Seifert's algorithm gives for the diagram as it is, of size
+    c - s + 1; the module docstring gives the face basis and the local
+    terms."""
+    if d.n_components != 1:
+        raise MultiComponent("Seifert matrices are computed for knots here")
+    if not d.crossings:
+        return SeifertMatrix((), ())
     faces = d.faces()
-    corner: dict[tuple[int, int], int] = {}
+    # a walk along a dart arrives at slot s of crossing i and turns into
+    # the corner between slots s and s + 1
+    corner = {}
     for fi, face in enumerate(faces):
         for arc, along in face:
-            ci, s = d.head_of(arc) if along else d.tail_of(arc)
-            corner[(ci, s)] = fi       # walk arrives at slot s, corner (s, s+1)
+            corner[d.head_of(arc) if along else d.tail_of(arc)] = fi
+    # regions cut out by the circles: the smoothing opens corners 1 and 3
+    # of a positive crossing into each other, 0 and 2 of a negative one
     parent = list(range(len(faces)))
 
     def find(x):
@@ -143,217 +177,57 @@ def _smoothed_regions(d: Diagram):
         return x
 
     for i in range(d.n_crossings):
-        if d.sign(i) == 1:
-            f1, f2 = corner[(i, 3)], corner[(i, 1)]
-        else:
-            f1, f2 = corner[(i, 0)], corner[(i, 2)]
-        parent[find(f1)] = find(f2)
+        s = 1 if d.sign(i) == 1 else 0
+        parent[find(corner[(i, s)])] = find(corner[(i, s + 2)])
+    # the Seifert tree: regions joined across the circles, rooted at the
+    # region of face 0, taken as the outside; each disk lies away from it
+    sides = {a: (find(corner[d.head_of(a)]), find(corner[d.tail_of(a)]))
+             for a in d.arcs}
+    adjacent: dict[int, set[int]] = {}
+    for right, left in sides.values():
+        adjacent.setdefault(right, set()).add(left)
+        adjacent.setdefault(left, set()).add(right)
+    depth = {find(0): 0}
+    queue = [find(0)]
+    for x in queue:
+        for y in adjacent[x]:
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                queue.append(y)
 
-    face_of_dart = {}
-    for fi, face in enumerate(faces):
-        for dart in face:
-            face_of_dart[dart] = fi
-    return find, face_of_dart
+    def disk_on_left(a):
+        right, left = sides[a]
+        return depth[left] > depth[right]
 
-
-def _seifert_tree(d: Diagram, circles):
-    """Oriented edge (right region, left region) per Seifert circle."""
-    find, face_of_dart = _smoothed_regions(d)
-    edges = []
-    for orbit in circles:
-        arc = orbit[0]
-        right = find(face_of_dart[(arc, True)])
-        left = find(face_of_dart[(arc, False)])
-        edges.append((right, left))
-    return edges
-
-
-def _is_chain(edges) -> bool:
-    tails = [e[0] for e in edges]
-    heads = [e[1] for e in edges]
-    return len(set(tails)) == len(tails) and len(set(heads)) == len(heads)
-
-
-def _vogel_move(d: Diagram) -> Diagram | None:
-    """One oriented R2 move toward braid position, or None when done."""
-    circles = seifert_circles(d)
-    if not circles:
-        return None
-    edges = _seifert_tree(d, circles)
-    if _is_chain(edges):
-        return None
-    circle_of = _circle_of_arc(circles)
-    # two circles whose tree edges share a tail or a head can be merged
-    # by sliding one across the other inside a shared face
-    bad_pairs = set()
-    for k1 in range(len(edges)):
-        for k2 in range(k1 + 1, len(edges)):
-            if edges[k1][0] == edges[k2][0] or edges[k1][1] == edges[k2][1]:
-                bad_pairs.add((k1, k2))
-    if not bad_pairs:
-        raise AssertionError("tree is not a chain but has no defect pair")
-    for face in d.faces():
-        by_circle: dict[int, tuple] = {}
-        for dart in face:
-            by_circle.setdefault(circle_of[dart[0]], dart)
-        for k1, k2 in bad_pairs:
-            if k1 in by_circle and k2 in by_circle:
-                return reidemeister_r2_add(
-                    d, by_circle[k1], by_circle[k2], True).diagram
-    raise AssertionError("no face admits a Vogel move")
-
-
-def _to_braid_position(d: Diagram, cap: int = 300) -> Diagram:
-    for _ in range(cap):
-        moved = _vogel_move(d)
-        if moved is None:
-            return d
-        d = moved
-    raise AssertionError("Vogel moves did not terminate")
-
-
-def _braid_arrows(d: Diagram):
-    """(position, strand, sign) per crossing of a braid-position diagram,
-    positions increasing along the braid axis."""
-    d = _to_braid_position(d)
-    circles = seifert_circles(d)
-    if not circles:
-        return [], 1 + d.free_loops
-    edges = _seifert_tree(d, circles)
-    tails = [e[0] for e in edges]
-    heads = [e[1] for e in edges]
-    start = None
-    for k, t in enumerate(tails):
-        if t not in heads:
-            start = k
-            break
-    if start is None:
-        raise AssertionError("no chain start (tree has a cycle?)")
-    order = [start]
-    while True:
-        nxt_tail = edges[order[-1]][1]
-        if nxt_tail not in tails:
-            break
-        order.append(tails.index(nxt_tail))
-    if len(order) != len(circles):
-        raise AssertionError("Seifert tree is not a single chain")
-
-    # visits[k]: crossings along circle order[k], in circle order
-    visits = []
-    for k in order:
-        orbit = circles[k]
-        seq = []
-        for arc in orbit:
-            ci, _ = d.head_of(arc)
-            seq.append(ci)
-        visits.append(seq)
-
-    # align phases: rotate each next strand to start at a crossing shared
-    # with its predecessor
-    for i in range(len(visits) - 1):
-        shared = None
-        for ci in visits[i]:
-            if ci in visits[i + 1]:
-                shared = ci
-                break
-        if shared is None:
-            raise AssertionError("adjacent strands share no crossing")
-        m = visits[i + 1].index(shared)
-        visits[i + 1] = visits[i + 1][m:] + visits[i + 1][:m]
-
-    arrows = []
-    for i in range(len(visits) - 1):
-        nxt_pos = {ci: m for m, ci in enumerate(visits[i + 1])}
-        for n, ci in enumerate(visits[i]):
-            if ci in nxt_pos:
-                arrows.append([n, nxt_pos[ci], i, d.sign(ci)])
-    # every crossing joins chain-adjacent circles exactly once
-    if len(arrows) != d.n_crossings:
-        raise AssertionError("crossing joins non-adjacent Seifert circles")
-
-    # straighten: stretch strand coordinates until each arrow is level
-    for _ in range(10000):
-        settled = True
-        for arrow in arrows:
-            tail, head = arrow[0], arrow[1]
-            if tail < head:
-                diff = head - tail
-                for x in arrows:
-                    if x[2] == arrow[2] and x[0] >= tail:
-                        x[0] += diff
-                    if x[2] == arrow[2] - 1 and x[1] >= tail:
-                        x[1] += diff
-                settled = False
-            elif head < tail:
-                diff = tail - head
-                for x in arrows:
-                    if x[2] == arrow[2] and x[1] >= head:
-                        x[1] += diff
-                    if x[2] == arrow[2] + 1 and x[0] >= head:
-                        x[0] += diff
-                settled = False
-        if settled:
-            break
-    else:
-        raise AssertionError("arrow straightening did not settle")
-    arrows.sort(key=lambda x: (x[0], x[2]))
-    return ([(a[0], a[2], a[3]) for a in arrows],
-            len(circles) + d.free_loops)
-
-
-def braid_word_from_diagram(d: Diagram) -> tuple[int, list[int]]:
-    """(strand count, letters) of a braid whose trace closure is the
-    link; positive letters are positive crossings."""
-    arrows, strands = _braid_arrows(d)
-    return strands, [(s + 1) * sign for _, s, sign in arrows]
-
-
-# =====================================================================
-# the Seifert matrix
-# =====================================================================
-
-def seifert_matrix(d: Diagram) -> SeifertMatrix:
-    """Seifert matrix ``S[i][j] = lk(basis_i^+, basis_j)`` of the braid
-    surface of the diagram."""
-    if d.n_components != 1:
-        raise MultiComponent("Seifert matrices are computed for knots here")
-    arrows, _ = _braid_arrows(d)
-    by_strand: dict[int, list[tuple[int, int]]] = {}
-    for pos, strand, sign in arrows:
-        by_strand.setdefault(strand, []).append((pos, sign))
-    gens = []       # (strand, p, q, sign_p, sign_q)
-    for strand in sorted(by_strand):
-        group = by_strand[strand]
-        for k in range(len(group) - 1):
-            (p, sp), (q, sq) = group[k], group[k + 1]
-            gens.append((strand, p, q, sp, sq))
-    n = len(gens)
+    # the first face of each region is dropped; the others' loops are a basis
+    index: dict[int, int] = {}
+    seen = set()
+    for fi in range(len(faces)):
+        region = find(fi)
+        if region in seen:
+            index[fi] = len(index)
+        seen.add(region)
+    n = len(index)
     m = [[0] * n for _ in range(n)]
-    for k, (strand, p, q, sp, sq) in enumerate(gens):
-        if sp == sq:
-            m[k][k] = sp
-    # consecutive generators sharing a band
-    for k, (strand, p, q, sp, sq) in enumerate(gens):
-        for l, (strand2, r, s, sr, ss) in enumerate(gens):
-            if strand2 != strand or r != q:
-                continue
-            if sq == 1:
-                m[l][k] = -1
-            else:
-                m[k][l] = 1
-    # staggered generators on adjacent strands
-    for k, (strand, p, q, sp, sq) in enumerate(gens):
-        for l, (strand2, r, s, sr, ss) in enumerate(gens):
-            if strand2 != strand + 1:
-                continue
-            if r < p < s < q:
-                m[l][k] = -1
-            elif p < r < q < s:
-                m[l][k] = 1
-    # sign fixed so the negative trefoil's signature is -2, matching the
-    # standard tables (the other choice is the opposite surface normal)
+    for i, rec in enumerate(d.crossings):
+        # turned so that both strands leave upward, r, t, l and b are the
+        # faces at the corners from slot neg on, and the arcs in slots
+        # 2 + neg and 1 + neg leave along L and R
+        neg = int(d.sign(i) == -1)
+        r, t, l, b = (corner[(i, (k + neg) % 4)] for k in range(4))
+        twist, other = (t, b) if neg else (b, t)
+        if not disk_on_left(rec[2 + neg]):      # L's disk covers the band
+            u, v = ((other, 1), (l, -1)), ((t, 1), (b, -1))
+        elif disk_on_left(rec[1 + neg]):        # R's disk covers the band
+            u, v = ((b, 1), (t, -1)), ((twist, 1), (r, -1))
+        else:
+            u, v = ((b, 1), (t, -1)), ((twist, 1),)
+        for f, x in u:
+            for g, y in v:
+                if f in index and g in index:
+                    m[index[f]][index[g]] += x * y
     return SeifertMatrix(tuple(tuple(row) for row in m),
-                         tuple(g[:3] for g in gens))
+                         tuple(faces[fi] for fi in index))
 
 
 # =====================================================================
@@ -499,9 +373,5 @@ def elementary_enlarge(s, mode: str, x: Sequence[int]) -> SeifertMatrix:
         for j in range(n):
             big[n][j] = x[j]
         big[n + 1][n] = 1
-    basis = None
-    if isinstance(s, SeifertMatrix):
-        basis = s.basis + ((-1, -1, -1), (-1, -1, -1))
-    else:
-        basis = tuple((-1, -1, -1) for _ in range(n + 2))
-    return SeifertMatrix(tuple(tuple(row) for row in big), basis)
+    basis = s.basis if isinstance(s, SeifertMatrix) else ((),) * n
+    return SeifertMatrix(tuple(tuple(row) for row in big), basis + ((), ()))

@@ -126,3 +126,23 @@ def test_malformed_json_exits_2(text, capsys):
     # a value of the wrong type is an input error, never truncated by int()
     assert cli.main(["invariants", text]) == cli.EXIT_INPUT
     assert "DiagramSyntaxError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "X[1,2,3,4] X[2,3,1,4]",
+    "X[1,2,3,4] X[2,4,1,3]",
+    '{"crossings": [[1, 2, 3, 4], [2, 3, 1, 4]]}',
+])
+@pytest.mark.parametrize("which", ["all", "jones"])
+def test_non_planar_pd_exits_2(text, which, capsys):
+    # no diagram in the plane has these records: every engine needs one
+    assert cli.main(["invariants", text, "--which", which]) == cli.EXIT_INPUT
+    assert "PD code is not planar" in capsys.readouterr().err
+
+
+def test_seifert_section(capsys):
+    # 8_1 has 7 Seifert circles, so its surface has a 2 x 2 matrix
+    assert cli.main(["--format", "json", "invariants", "8_1"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["seifert"] == {"circles": 7, "matrix_size": 2}
+    assert "seifert" not in report["payload"]

@@ -17,12 +17,13 @@ from knotcalc.moves import (
     simplify,
 )
 from knotcalc.presentations import braid_to_tangle, trace_closure
-from knotcalc.seifert import alexander_from_seifert, seifert_matrix
+from knotcalc.seifert import (alexander_from_seifert, determinant,
+                              seifert_circles, seifert_matrix, signature)
 from knotcalc.skein import conway, jones_memoized, kauffman_F
 from knotcalc.table import diagram as table_diagram
 from knotcalc.table import table_names
 
-from strategies import braid_words
+from strategies import braid_words, knot_braid_words
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 KINKED = "X[1,2,2,1]"  # one-crossing unknot
@@ -211,3 +212,18 @@ class TestInvariance:
         for _ in range(moves):
             moved = random_move(moved, rng)
         assert link_invariants(moved) == link_invariants(d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(knot_braid_words(9), st.integers(1, 3),
+           st.randoms(use_true_random=False))
+    def test_moves_keep_the_seifert_invariants(self, word, moves, rng):
+        # a moved closure is no longer a braid closure: its Seifert circles
+        # need not be concentric, nor coherently oriented
+        d = trace_closure(braid_to_tangle(word))
+        moved = d
+        for _ in range(moves):
+            moved = random_move(moved, rng)
+        s, s0 = seifert_matrix(moved), seifert_matrix(d)
+        assert s.size == moved.n_crossings - len(seifert_circles(moved)) + 1
+        for invariant in (alexander_from_seifert, signature, determinant):
+            assert invariant(s) == invariant(s0)
