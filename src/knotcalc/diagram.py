@@ -15,12 +15,15 @@ Both parsers reject a PD code whose rotation system is not planar;
 ``Diagram.from_pd``, for callers that build diagrams themselves, does not
 check.
 
-Orientation is not an input: the under-strand direction is fixed by the
-record convention and the over-strand directions are recovered by parity
-propagation (each arc must be entered exactly once and left exactly once).
-Components that never pass under anything have a free orientation; the
-lowest-numbered pass of each such component is oriented by a fixed rule so
-that parsing is deterministic.
+Orientation is read by one rule, ``Diagram.from_pd``'s walk.  A strand
+entering a record at slot s leaves it at slot s + 2 (mod 4), along the arc
+held there, and enters the record at that arc's other end.  Each strand
+circle is walked this way from the first of the ``entering`` ends that lies
+on it; by default these are every record's slot 0, the PD convention.  A
+circle with no listed end, such as one that passes only over, starts at its
+least record: at slot 3 when the circle holds that record's over pass, at
+slot 0 otherwise.  A listed end that the walk leaves by raises
+``InconsistentOrientation``.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ from .errors import (
 __all__ = ["Diagram", "canonical_form", "pd_parse"]
 
 Crossing = tuple[int, int, int, int]
-
-# head-making variable value for each slot of a pass (see orientation solver)
-_H0 = {0: 0, 2: 1, 3: 0, 1: 1}
-
 
 def _rotate(t: Crossing, r: int) -> Crossing:
     return (t[r % 4], t[(r + 1) % 4], t[(r + 2) % 4], t[(r + 3) % 4])
@@ -76,32 +75,55 @@ class Diagram:
 
     @classmethod
     def from_pd(cls, crossings: Iterable[Sequence[int]], free_loops: int = 0,
-                under_in_known: bool | Sequence[bool] = True) -> "Diagram":
-        """Build a diagram from raw PD records, resolving orientations.
+                entering: Iterable[tuple[int, int]] | None = None
+                ) -> "Diagram":
+        """Build a diagram from raw PD records, orienting every strand.
 
-        With ``under_in_known`` each record's slot 0 is trusted to be the
-        incoming under-strand; otherwise only the under *diagonal* (slots
-        0 and 2) is trusted and both strand directions are solved for.
-        A sequence of booleans pins the convention record by record.
+        ``entering`` lists (record, slot) ends where a strand enters,
+        every record's slot 0 by default.  Each strand circle is walked
+        from the first listed end on it; a circle with no listed end
+        starts at its least record, over pass first (entering at slot 3).
+        A listed end the walk leaves by raises InconsistentOrientation.
+        Records whose under-strand enters at slot 2 are turned half a
+        turn, so slot 0 is the incoming under-strand of every record.
         """
         recs = [tuple(int(x) for x in c) for c in crossings]
         for c in recs:
             if len(c) != 4:
                 raise DiagramSyntaxError(f"crossing record {c} must have 4 arcs")
         _check_occurrences(recs)
-        solution = _solve_orientations(recs, under_in_known)
+        far = {}  # each end -> the other end of its arc
+        for e1, e2 in _occurrences(recs).values():
+            far[e1], far[e2] = e2, e1
+        enters: dict[tuple[int, int], bool] = {}
+
+        def walk(end):
+            while end not in enters:
+                i, s = end
+                out = (i, (s + 2) % 4)
+                enters[end], enters[out] = True, False
+                end = far[out]
+
+        if entering is None:
+            entering = ((i, 0) for i in range(len(recs)))
+        for end in entering:
+            walk(end)
+            if not enters[end]:
+                raise InconsistentOrientation(
+                    f"record {end[0]} slot {end[1]} is listed as entering, "
+                    "but the strand walked from an earlier end leaves there")
+        for i in range(len(recs)):
+            walk((i, 3))
+            walk((i, 0))
         normalized = []
         over_in = []
         for i, rec in enumerate(recs):
-            u, o = solution[(i, "u")], solution[(i, "o")]
-            rec = _rotate(rec, 2) if u == 1 else rec
-            # rotating by 2 moves the over entry slot by 2 as well
-            o_slot = 3 if o == 0 else 1
-            if u == 1:
-                o_slot = 3 if o_slot == 1 else 1
+            o = 3 if enters[(i, 3)] else 1
+            if enters[(i, 2)]:
+                rec, o = _rotate(rec, 2), (o + 2) % 4
             normalized.append(rec)
-            over_in.append(o_slot)
-        return cls(normalized, over_in, free_loops, _validated=False)
+            over_in.append(o)
+        return cls(normalized, over_in, free_loops)
 
     @classmethod
     def unknot(cls, circles: int = 1) -> "Diagram":
@@ -653,73 +675,6 @@ def _check_occurrences(recs):
     if bad:
         a, k = sorted(bad.items())[0]
         raise DanglingArc(f"arc {a} occurs {k} times (every arc must occur twice)")
-
-
-def _solve_orientations(recs, under_in_known) -> dict:
-    """Assign a direction to every strand pass by parity propagation."""
-    occurrences = _occurrences(recs)
-    adj: dict[tuple, list[tuple[tuple, int]]] = {}
-    for a, occ in occurrences.items():
-        (i1, s1), (i2, s2) = occ
-        p1 = (i1, "u" if s1 in (0, 2) else "o")
-        p2 = (i2, "u" if s2 in (0, 2) else "o")
-        if p1 == p2:
-            continue  # both ends on one pass: automatically consistent
-        parity = 1 ^ _H0[s1] ^ _H0[s2]
-        adj.setdefault(p1, []).append((p2, parity))
-        adj.setdefault(p2, []).append((p1, parity))
-
-    all_passes = [(i, t) for i in range(len(recs)) for t in ("u", "o")]
-    value: dict[tuple, int] = {}
-    if isinstance(under_in_known, bool):
-        flags = [under_in_known] * len(recs)
-    else:
-        flags = list(under_in_known)
-        if len(flags) != len(recs):
-            raise DiagramSyntaxError("one under_in_known flag per crossing")
-    pinned = {(i, "u"): 0 for i in range(len(recs)) if flags[i]}
-
-    for root in all_passes:
-        if root in value:
-            continue
-        # collect the whole constraint component first, then seed it
-        comp = [root]
-        seen = {root}
-        qi = 0
-        while qi < len(comp):
-            p = comp[qi]
-            qi += 1
-            for q, _ in adj.get(p, ()):
-                if q not in seen:
-                    seen.add(q)
-                    comp.append(q)
-        seeds = [p for p in comp if p in pinned]
-        assign = {}
-        if seeds:
-            stack = list(seeds)
-            for p in seeds:
-                assign[p] = pinned[p]
-        else:
-            start = min(comp)
-            assign[start] = 0
-            stack = [start]
-        while stack:
-            p = stack.pop()
-            for q, parity in adj.get(p, ()):
-                want = assign[p] ^ parity
-                if q in assign:
-                    if assign[q] != want:
-                        raise InconsistentOrientation(
-                            "no consistent strand orientation exists")
-                else:
-                    assign[q] = want
-                    stack.append(q)
-        for p in comp:
-            if p in pinned and assign[p] != pinned[p]:
-                raise InconsistentOrientation(
-                    "declared under-strand directions are contradictory")
-            value[p] = assign[p]
-    return value
 
 
 _PD_TERM = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]$")

@@ -55,10 +55,6 @@ class StrandMismatch(KnotError):
     """Tangle composition or closure with incompatible strand counts."""
 
 
-class InterfaceMismatch(KnotError):
-    """Tangle substitution into a box with a non-matching interface."""
-
-
 class ExtraComponents(KnotError):
     """A plat closure produced circles besides the wedge spine."""
 
@@ -88,5 +84,6 @@ class MultiComponent(KnotError):
 
 
 class DimensionMismatch(KnotError):
-    """A matrix or vector of the wrong size: a non-square or odd-size
-    Seifert matrix, or an enlargement vector of the wrong length."""
+    """A matrix or vector of the wrong size or entries: not a square
+    integer matrix, an odd-size Seifert matrix, or an enlargement vector
+    of the wrong length or with non-integer entries."""

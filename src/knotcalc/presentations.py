@@ -5,11 +5,13 @@ convention (under-strand diagonal in slots 0 and 2, no orientation), plus
 ordered lists of the arcs hanging at the top and bottom boundary and a
 count of closed circles.  Tangles compose by stacking, mirror by
 reflection, double by the parallel-copy rule, and close up into oriented
-diagrams; strand orientations are solved only at closure.  Composition,
-closure, substitution and the banded boundary all join boundary arcs
-through ``diagram._glue``: under its first-wins rule a joined arc keeps
-the label of the first arc of the pair that joined it, and a pair whose
-arcs are already one closes a free circle.
+diagrams.  A tangle carries no orientation: the closure orients it with
+``Diagram.from_pd``'s walk, from the ends where the top arcs enter (trace
+closure, every strand running down) or, for the banded boundary, from
+no end at all.  Composition, closure and the banded boundary all join
+boundary arcs through ``diagram._glue``: under its first-wins rule a
+joined arc keeps the label of the first arc of the pair that joined it,
+and a pair whose arcs are already one closes a free circle.
 
 Plat presentations follow the wedge-of-circles model: a braid on
 ``2*(2g+m)`` strands, capped above by ``2g+m`` arcs and closed below by a
@@ -31,8 +33,6 @@ from .errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
     ExtraComponents,
-    InconsistentOrientation,
-    InterfaceMismatch,
     NotStandardized,
     StrandMismatch,
 )
@@ -46,9 +46,7 @@ __all__ = [
     "tangle_mirror",
     "tangle_double_delta",
     "tangle_parallel_double",
-    "tangle_substitute",
     "trace_closure",
-    "plat_closure",
     "PlatPresentation",
     "plat_wedge",
     "validate_plat",
@@ -316,101 +314,21 @@ def tangle_parallel_double(t: Tangle) -> Tangle:
 
 
 # =====================================================================
-# closures and substitution
+# closure
 # =====================================================================
 
 def trace_closure(t: Tangle) -> Diagram:
-    """Braid-style closure joining top k to bottom k.  Strands run down,
-    so a crossing of a braid's closure has the sign of its letter: a
-    component is reversed when its arc at a top position does not flow
-    into the tangle."""
+    """Braid-style closure joining top k to bottom k.  Every strand runs
+    down, entering the tangle at its top arc, so a crossing of a braid's
+    closure has the sign of its letter.  A strand that turns back to the
+    top cannot run down and raises InconsistentOrientation."""
     if t.n_top != t.n_bottom:
         raise StrandMismatch("trace closure needs equal boundary counts")
     records, _, closed = _glue(t.records, zip(t.top, t.bottom))
-    d = Diagram.from_pd(records, t.free_loops + closed, under_in_known=False)
     occ = _occurrences(t.records)
-    wrong = set()
-    for i, s in (end for a in t.top for end in occ.get(a, ())):
-        if d.crossings[i] != records[i]:  # from_pd turned it half a turn
-            s = (s + 2) % 4
-        if s not in (0, d.over_in[i]):
-            wrong.add(d.component_of(d.crossings[i][s]))
-    for c in wrong:
-        d = d.reverse_component(c)
-    return d
-
-
-def plat_closure(t: Tangle, nested: bool = False) -> Diagram:
-    """Close with caps and cups pairing adjacent strands, or nested
-    concentric pairs with ``nested``."""
-    n = t.n_top
-    if n % 2 or t.n_bottom != n:
-        raise StrandMismatch("plat closure needs an even strand count")
-    if nested:
-        pairs = [(k, n - 1 - k) for k in range(n // 2)]
-    else:
-        pairs = [(2 * k, 2 * k + 1) for k in range(n // 2)]
-    glues = [(t.top[p], t.top[q]) for p, q in pairs]
-    glues += [(t.bottom[p], t.bottom[q]) for p, q in pairs]
-    records, _, closed = _glue(t.records, glues)
     return Diagram.from_pd(records, t.free_loops + closed,
-                           under_in_known=False)
-
-
-def tangle_substitute(d: Diagram, box: Iterable[int], t: Tangle) -> Diagram:
-    """Replace the trivial tangle spanned by the ``box`` arcs with ``t``.
-
-    The k-th box arc is cut; its upstream part feeds t's top k and its
-    downstream part continues from t's bottom k.  Existing strand
-    orientations are pinned and the tangle's are solved; an incompatible
-    splice raises InterfaceMismatch.
-    """
-    box = list(box)
-    if len(box) != t.n_top or t.n_top != t.n_bottom:
-        raise InterfaceMismatch(
-            f"box of {len(box)} arcs cannot host a {t.n_top}-strand tangle")
-    if len(set(box)) != len(box):
-        raise InterfaceMismatch("box arcs must be distinct")
-    for a in box:
-        if a not in d.arcs:
-            raise InterfaceMismatch(f"no arc {a} in the diagram")
-
-    offset = max(max(d.arcs), max(t.arcs(), default=0)) + 1
-    tr = _relabeled(t, offset)
-    next_id = max(tr.arcs()) + 1
-    stub = {a: next_id + k for k, a in enumerate(box)}
-
-    records = []
-    pinned = []
-    for i, rec in enumerate(d.crossings):
-        rec = list(rec)
-        for a in box:
-            hc, hs = d.head_of(a)
-            if hc == i:
-                rec[hs] = stub[a]
-        records.append(tuple(rec))
-        pinned.append(True)
-    for rec in tr.records:
-        records.append(tuple(rec))
-        pinned.append(False)
-
-    glues = list(zip(box, tr.top))
-    glues += [(b, stub[a]) for a, b in zip(box, tr.bottom)]
-    new_records, _, closed = _glue(records, glues)
-    try:
-        out = Diagram.from_pd(new_records,
-                              d.free_loops + t.free_loops + closed,
-                              under_in_known=pinned)
-    except DiagramSyntaxError as e:
-        raise InterfaceMismatch(f"cannot splice tangle into box: {e}") from e
-    except InconsistentOrientation as e:
-        raise InterfaceMismatch(
-            f"tangle orientation conflicts with the box: {e}") from e
-    if not out.is_planar():
-        raise InterfaceMismatch(
-            "splice is not planar: the box cut points must sit side by "
-            "side across a face, first box arc on the tangle's left")
-    return out
+                           entering=[end for a in t.top
+                                     for end in occ.get(a, ())])
 
 
 # =====================================================================
@@ -469,11 +387,13 @@ class PlatPresentation(NamedTuple):
         try:
             data = json.loads(text)
             genus, extra = data["genus"], data.get("extra", 0)
-            curls = data.get("curls", [0] * (2 * genus))
+            curls = data.get("curls")
             braid = braid_parse(data["braid"], data.get("strands"))
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
                 ValueError) as e:
             raise DiagramSyntaxError(f"bad plat JSON: {e}") from e
+        if "curls" not in data and _ints([genus]):
+            curls = [0] * (2 * genus)
         if not (_ints([genus, extra]) and isinstance(curls, list)
                 and _ints(curls)):
             raise DiagramSyntaxError(
@@ -663,8 +583,7 @@ def spine_boundary_knot(p: PlatPresentation) -> Diagram:
         glues.append((bottom[point], bottom[point + 1]))
     glues.append((bottom[legs - 1], bottom[0]))
     records, _, closed = _glue(doubled.records, glues)
-    out = Diagram.from_pd(records, doubled.free_loops + closed,
-                          under_in_known=False)
+    out = Diagram.from_pd(records, doubled.free_loops + closed, entering=())
     if out.n_components != 1:
         raise DisconnectedBoundary(
             f"banded spine boundary has {out.n_components} circles")

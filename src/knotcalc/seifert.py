@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .diagram import Diagram, _orbits
+from .diagram import Diagram, _ints, _orbits
 from .errors import DimensionMismatch, MultiComponent
 from .polyring import LaurentPoly
 
@@ -94,10 +94,10 @@ class SeifertMatrix(NamedTuple):
 def _coerce_matrix(s) -> tuple[tuple[int, ...], ...]:
     if isinstance(s, SeifertMatrix):
         return s.matrix
-    out = tuple(tuple(int(x) for x in row) for row in s)
+    out = tuple(tuple(row) for row in s)
     for row in out:
-        if len(row) != len(out):
-            raise DimensionMismatch("matrix must be square")
+        if len(row) != len(out) or not _ints(row):
+            raise DimensionMismatch("matrix must be a square integer matrix")
     return out
 
 
@@ -356,9 +356,9 @@ def elementary_enlarge(s, mode: str, x: Sequence[int]) -> SeifertMatrix:
     """
     m = _coerce_matrix(s)
     n = len(m)
-    x = [int(v) for v in x]
-    if len(x) != n:
-        raise DimensionMismatch(f"need a vector of length {n}")
+    x = list(x)
+    if len(x) != n or not _ints(x):
+        raise DimensionMismatch(f"need an integer vector of length {n}")
     if mode not in ("row", "column"):
         raise DimensionMismatch(f"unknown enlargement mode {mode!r}")
     big = [[0] * (n + 2) for _ in range(n + 2)]

@@ -19,7 +19,8 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     assert "pass: False" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("text", ["X[1,2,3]", "X[1,2,3,4]", "X[1,1,2,2] O x"])
+@pytest.mark.parametrize("text", ["X[1,2,3]", "X[1,2,3,4]", "X[1,1,2,2] O x",
+                                  "X[2,5,1,4] X[3,6,4,1] X[5,2,6,3]"])
 def test_bad_pd_text_exits_2(text, capsys):
     assert cli.main(["invariants", text]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,22 +1,25 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotcalc import skein
-from knotcalc.cable import cable2
+from knotcalc.cable import cable2, make_hat
 from knotcalc.diagram import (Diagram, _encode, _glue, _occurrences,
                               _split_pieces, canonical_form, pd_parse)
 from knotcalc.errors import (
     DanglingArc,
     DiagramSyntaxError,
+    InconsistentOrientation,
     SameComponent,
     UnknownComponent,
 )
 from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
 from knotcalc.table import diagram as table_diagram
 from knotcalc.table import table_names
+
+from strategies import braid_words, knot_braid_words
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -64,6 +67,61 @@ class TestParsing:
         succ = d.successor()
         for a in range(1, 7):
             assert succ[a] == a % 6 + 1
+
+
+def passes_under_everywhere(d):
+    """Every strand circle of d passes under at some crossing, so slot 0
+    of the records fixes its direction."""
+    return len({d.component_of(rec[0]) for rec in d.crossings}) == len(
+        d.components)
+
+
+class TestOrientation:
+    # the trefoil with its first record turned half a turn: slot 0 now
+    # names the arc where the under-strand leaves
+    @pytest.mark.parametrize("build", [
+        lambda: pd_parse("X[2,5,1,4] X[3,6,4,1] X[5,2,6,3]"),
+        lambda: Diagram.from_json(
+            '{"crossings": [[2, 5, 1, 4], [3, 6, 4, 1], [5, 2, 6, 3]]}'),
+    ], ids=["pd_text", "json"])
+    def test_half_turned_record_is_inconsistent(self, build):
+        with pytest.raises(InconsistentOrientation):
+            build()
+
+    def test_over_only_circle_starts_at_slot_3(self):
+        # the closure of s1 s1^-1: the second circle passes only over, so
+        # it is walked from its least record's slot 3
+        d = Diagram.from_pd([(1, 3, 4, 2), (4, 3, 1, 2)])
+        assert d.over_in == (3, 1)
+
+    def test_no_listed_end_walks_every_circle_from_its_least_record(self):
+        # the same records turned half a turn, with no listed end: the
+        # over circle starts at record 0's slot 3, the under circle at
+        # its slot 0
+        d = Diagram.from_pd([(4, 2, 1, 3), (1, 2, 4, 3)], entering=())
+        assert d.crossings == ((4, 2, 1, 3), (1, 2, 4, 3))
+        assert d.over_in == (3, 1)
+
+    def test_table_roundtrip(self, table_diagrams):
+        for d in table_diagrams.values():
+            for e in (d, d.mirror()):
+                assert Diagram.from_pd(e.crossings, e.free_loops) == e
+
+    def test_cable_and_hat_roundtrip(self, table_diagrams):
+        for name in ("3_1", "4_1", "5_2", "6_1", "7_4", "8_20"):
+            for framing in (-1, 0, 2):
+                cable = cable2(table_diagrams[name], framing)
+                for e in (cable.diagram, make_hat(cable).diagram):
+                    assert Diagram.from_pd(e.crossings, e.free_loops) == e
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(knot_braid_words(9), braid_words()))
+    def test_braid_closure_roundtrip(self, word):
+        # a circle that passes only over takes the fallback direction,
+        # which need not be the braid's
+        d = trace_closure(braid_to_tangle(word))
+        assume(passes_under_everywhere(d))
+        assert Diagram.from_pd(d.crossings, d.free_loops) == d
 
 
 class TestWrithe:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from knotcalc.errors import (
     DisconnectedBoundary,
     ExtraComponents,
     InconsistentOrientation,
-    InterfaceMismatch,
     NotStandardized,
     StrandMismatch,
 )
@@ -20,7 +20,6 @@ from knotcalc.presentations import (
     Tangle,
     braid_parse,
     braid_to_tangle,
-    plat_closure,
     plat_wedge,
     spine_boundary_knot,
     standardize,
@@ -28,7 +27,6 @@ from knotcalc.presentations import (
     tangle_double_delta,
     tangle_mirror,
     tangle_parallel_double,
-    tangle_substitute,
     trace_closure,
     validate_plat,
 )
@@ -101,6 +99,13 @@ class TestTraceClosure:
         # every strand runs downward, links included
         d = trace_closure(braid_to_tangle(word))
         assert d.signs == tuple(1 if x > 0 else -1 for x in word.letters)
+
+    def test_strand_turning_back_raises(self):
+        # the strand entering at top 3 crosses over and leaves by top 1:
+        # it cannot run down
+        t = Tangle([(2, 1, 4, 3)], [1, 2, 3], [4, 7, 7])
+        with pytest.raises(InconsistentOrientation):
+            trace_closure(t)
 
 
 class TestCompose:
@@ -199,35 +204,6 @@ class TestParallelDouble:
             assert canonical_form(a.crossings) == canonical_form(b.crossings)
 
 
-class TestSubstitute:
-    def test_identity_substitution(self):
-        d = trace_closure(braid_to_tangle(braid_parse("s1 s1 s1")))
-        comp = d.components[0]
-        box = (comp[0],)
-        eps1 = braid_to_tangle(BraidWord(1, ()))
-        out = tangle_substitute(d, box, eps1)
-        assert out.canonical_key() == d.canonical_key()
-
-    def test_single_crossing_raises_count(self):
-        d = trace_closure(braid_to_tangle(braid_parse("s1 s1 s1")))
-        kink = braid_to_tangle(BraidWord(1, ()))
-        out = tangle_substitute(d, (d.components[0][0],), kink)
-        assert out.n_crossings == d.n_crossings
-
-    def test_interface_mismatch(self):
-        d = trace_closure(braid_to_tangle(braid_parse("s1 s1 s1")))
-        with pytest.raises(InterfaceMismatch):
-            tangle_substitute(d, (1, 2, 3), braid_to_tangle(BraidWord(2, ())))
-
-    def test_orientation_conflict(self):
-        # a cap over a cup: both box strands enter from above and would
-        # meet head on
-        d = trace_closure(braid_to_tangle(braid_parse("s1 s1 s1 s1")))
-        with pytest.raises(InterfaceMismatch) as info:
-            tangle_substitute(d, (1, 2), Tangle([], (1, 1), (2, 2)))
-        assert isinstance(info.value.__cause__, InconsistentOrientation)
-
-
 class TestPlat:
     def test_identity_braid_wedge_valid(self):
         p = plat_wedge(1, 0, BraidWord(4, ()))
@@ -254,6 +230,24 @@ class TestPlat:
         assert s.mode == "standard"
         assert validate_plat(s) is s
         assert standardize(s) is s
+
+    def test_json_curls_default_to_zero(self):
+        p = PlatPresentation.from_json(
+            '{"genus": 1, "braid": "s2", "strands": 4}')
+        assert p.curls == (0, 0)
+
+    def test_json_rejected_before_allocating_curls(self):
+        # genus 10**6 with two curls given: the default of 2 * genus
+        # zeros must not be built on the way to the strand check
+        text = '{"genus": 1000000, "braid": "", "strands": 4, "curls": [0, 0]}'
+        tracemalloc.start()
+        try:
+            with pytest.raises(StrandMismatch):
+                PlatPresentation.from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_json_roundtrip(self):
         p = standardize(plat_wedge(1, 0, braid_parse("s2", 4)))

@@ -184,6 +184,18 @@ class TestSEquivalenceInvariance:
         with pytest.raises(DimensionMismatch):
             elementary_enlarge(seifert_matrix(TREFOIL), "diag", [1, 2])
 
+    @pytest.mark.parametrize("call", [
+        lambda: determinant([[1.5]]),
+        lambda: alexander_from_seifert([[-1.9, 1], [0, 1.2]]),
+        lambda: signature([[True, 0], [0, False]]),
+        lambda: determinant([["1", "0"], ["0", "1"]]),
+        lambda: elementary_enlarge(seifert_matrix(TREFOIL), "row", [0.7, 2]),
+    ], ids=["float", "floats", "bools", "strings", "enlarge-float"])
+    def test_non_integer_entries_rejected(self, call):
+        # no int() truncation: 1.5 would give determinant 2
+        with pytest.raises(DimensionMismatch, match="integer"):
+            call()
+
     def test_odd_size_rejected(self):
         # det(tS - S^T) is antisymmetric for odd n, so no knot has such S
         for s in ([[1]], [[1, 0, 0], [1, -1, 0], [0, 1, 1]]):
