@@ -11,12 +11,12 @@ Subcommands:
 * ``cable`` -- build a 2-cable with prescribed framing and run checks.
 
 The one global setting is ``--max-crossings`` (default from
-``$KNOTCALC_MAX_CROSSINGS``), the crossing cap of the recursive engines.
-Everything runs in one process.  Each command owns one memo per engine,
-shared by its own engine calls and dropped when it returns; the report's
-``memo`` section gives their counts.  When ``invariants`` builds a Seifert
-matrix, its ``seifert`` section gives the Seifert circles and the matrix
-size.
+``$KNOTCALC_MAX_CROSSINGS``), the crossing cap of the polynomial engines.
+Everything runs in one process.  Each command owns one memo per
+skein-kernel engine (Kauffman F and Conway), shared by its own engine
+calls and dropped when it returns; the report's ``memo`` section gives
+their counts.  When ``invariants`` builds a Seifert matrix, its
+``seifert`` section gives the Seifert circles and the matrix size.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 resource limit.  Reports are deterministic: timing and memo counts live
@@ -140,8 +140,7 @@ def cmd_invariants(args) -> int:
     for name in which:
         t0 = time.perf_counter()
         if name == "jones":
-            values[name] = str(jones_memoized(diagram, args.max_crossings,
-                                                memos["bracket"]))
+            values[name] = str(jones_memoized(diagram, args.max_crossings))
         elif name in ("alexander", "fibered"):
             if delta is None:  # one Alexander polynomial serves both
                 delta = alexander_from_seifert(smatrix)
@@ -203,8 +202,7 @@ def cmd_table(args) -> int:
     memos = engine_memos()
     rows = []
     for e in entries:
-        diffs = table_mod.verify_entry(e, args.max_crossings,
-                                       memos["bracket"], memos["conway"])
+        diffs = table_mod.verify_entry(e, args.max_crossings, memos["conway"])
         rows.append({"name": e.name, "clean": not diffs,
                      "diffs": {k: {"stored": s, "computed": c}
                                for k, (s, c) in sorted(diffs.items())}})
@@ -237,14 +235,12 @@ def cmd_cable(args) -> int:
     v_tilde = None
     if {"hat", "king"} & set(wanted):
         t0 = time.perf_counter()
-        v_tilde = jones_memoized(cab.diagram, args.max_crossings,
-                                 memos["bracket"])
+        v_tilde = jones_memoized(cab.diagram, args.max_crossings)
         timing["jones_cable"] = round(time.perf_counter() - t0, 6)
     if "hat" in wanted:
         hat = make_hat(cab)
         t0 = time.perf_counter()
-        v_hat = jones_memoized(hat.diagram, args.max_crossings,
-                               memos["bracket"])
+        v_hat = jones_memoized(hat.diagram, args.max_crossings)
         timing["jones_hat"] = round(time.perf_counter() - t0, 6)
         expected = LaurentPoly.t_pow(Fraction(-3 * args.framing)) * v_tilde
         checks["hat"] = {"pass": v_hat == expected,

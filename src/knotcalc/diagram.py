@@ -519,6 +519,16 @@ def _glue(records, pairs) -> tuple[tuple, dict[int, int], int]:
             rename, closed)
 
 
+def _bounds_bigon(rec_p, rec_q, over: int, under: int) -> bool:
+    """True when arc ``over``, in an odd slot of both records, and arc
+    ``under``, in an even slot of both, bound a bigon face: the slot
+    offset from the under arc to the over arc is +1 at one record and -1
+    at the other.  Equal offsets make a twisted pair, two curls of one
+    sign, which no R2 move removes."""
+    return (rec_p.index(over) - rec_p.index(under)
+            + rec_q.index(over) - rec_q.index(under)) % 4 == 0
+
+
 def _occurrences(records) -> dict[int, list[tuple[int, int]]]:
     """Arc label -> its (record index, slot) ends, in record order."""
     occ: dict[int, list[tuple[int, int]]] = {}

@@ -7,7 +7,7 @@ Site types:
 * R1 addition: an arc plus a sign; the kink is inserted just before the
   arc's head.
 * R2 removal: a pair of crossings joined by two arcs, one running over at
-  both and the other under at both (the bigon pattern).
+  both and the other under at both, that bound a face (a bigon).
 * R2 addition: two darts bounding a common face; the first arc is poked
   across the second through that face.
 * R3: a triangular face with a side whose strand runs over (or under) at
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import Diagram, _rotate
+from .diagram import Diagram, _bounds_bigon, _rotate
 from .errors import PatternNotFound
 
 __all__ = [
@@ -116,7 +116,7 @@ def find_r2_sites(d: Diagram) -> list[tuple[int, int, int, int]]:
             continue
         rec_p, rec_q = d.crossings[p], d.crossings[q]
         for y in {rec_p[0], rec_p[2]} & {rec_q[0], rec_q[2]}:
-            if y != x and len(incid[y]) == 2:
+            if y != x and _bounds_bigon(rec_p, rec_q, x, y):
                 sites.append((p, q, x, y))
     return sites
 

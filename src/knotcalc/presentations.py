@@ -392,7 +392,11 @@ class PlatPresentation(NamedTuple):
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
                 ValueError) as e:
             raise DiagramSyntaxError(f"bad plat JSON: {e}") from e
-        if "curls" not in data and _ints([genus]):
+        if "curls" not in data and _ints([genus, extra]):
+            if braid.strands != 2 * (2 * genus + extra):
+                # fail before 2 * genus default curls are built
+                validate_plat(cls(genus, extra, braid,
+                                  data.get("mode", "plat"), ()))
             curls = [0] * (2 * genus)
         if not (_ints([genus, extra]) and isinstance(curls, list)
                 and _ints(curls)):

@@ -1,18 +1,26 @@
 """Polynomial engines: Kauffman bracket, Jones, Kauffman F, Conway.
 
-The three engines share one skein kernel, ``_skein_rec``.  It removes
+The bracket, and with it Jones, comes from a frontier sweep,
+``_sweep_states``: the crossings are smoothed one at a time, in an order
+that keeps few arcs open, and a state is the matching that the smoothed
+strands make of the open arcs, carrying a polynomial in A with ``int``
+coefficients.  Each smoothing contributes ``A`` or ``A^-1`` and each
+closed circle ``delta = -A^2 - A^-2``; the sum is divided by ``delta``
+once and multiplied by ``delta`` per free loop.  The cost grows with the
+number of matchings, which the number of open arcs bounds, not with the
+number of crossings.  Conventions: ``<unknot> = 1``, the
+A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and ``c~d``, and
+``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
+
+Kauffman F and Conway share one skein kernel, ``_skein_rec``.  It removes
 kinks (one curl factor each) and bigons in a loop, collecting their
 factors, and keys only the reduced state under ``diagram.canonical_form``,
 so only split and branch states enter the memo.  A key of several pieces
 is a split state, whose pieces are evaluated apart (one circle factor per
 extra piece); a one-piece state branches.  A ring fixes what differs
-between the engines: its circle factor, curl factors, branch step and key
-tag.
+between the two engines: its circle factor, curl factors, branch step and
+key tag.
 
-* Bracket ring: circle ``-A^2 - A^-2``, curls ``-A^{+-3}``, and the
-  branch ``<D> = A <D_A> + A^-1 <D_B>`` at one crossing.  Conventions:
-  ``<unknot> = 1``, the A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and
-  ``c~d``, and ``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
 * Kauffman ring: the regular-isotopy ``L`` with ``L(unknot) = 1``,
   ``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) + L(soo))``, so the
   circle factor is ``(a + a^-1) z^-1 - 1``; the branch switches the first
@@ -22,7 +30,7 @@ tag.
   crossing and uses ``del(L+) - del(L-) = z del(L0)``.
 
 ``bracket_state_sum`` sums all ``2^n`` smoothings; it is capped and
-exponential, and serves as the oracle for the kernel.
+exponential, and serves as the oracle for the sweep.
 
 States are bare tuples of PD records (under diagonal in slots 0 and 2);
 free circles never live inside states, they are factored into
@@ -44,8 +52,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .diagram import (Diagram, _glue, _occurrences, _rotate, _split_pieces,
-                      canonical_form)
+from .diagram import (Diagram, _bounds_bigon, _glue, _occurrences, _rotate,
+                      _split_pieces, canonical_form)
 from .errors import BadSite, ResourceLimit, TooLarge
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
 from .moves import simplify as _simplify_diagram
@@ -71,8 +79,6 @@ DEFAULT_ORACLE_CAP = 26
 DEFAULT_ENGINE_CAP = 32
 
 _DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
-_A = LaurentPoly.a_pow(1)
-_A_INV = LaurentPoly.a_pow(-1)
 
 _ZVAR = TwoVarPoly.z_pow(1)
 _Z = LaurentPoly.t_pow(1)   # Conway's z
@@ -83,7 +89,8 @@ class SkeinMemo:
     """Write-once table from canonical diagram keys to the polynomial
     values of one engine, and counts of the kinks and bigons the engine
     removed (the skein kernel keys only what is left, so they never enter
-    the table).
+    the table).  The bracket sweep keys no states: it binds the memo and
+    leaves it empty.
 
     An engine called without a memo uses a fresh one for that call, so
     states are reused across calls only through a memo the caller owns
@@ -131,7 +138,7 @@ class SkeinMemo:
 def engine_memos() -> dict[str, SkeinMemo]:
     """One fresh memo per engine, for a caller whose engine calls share
     states."""
-    return {engine: SkeinMemo() for engine in ("bracket", "kauffman", "conway")}
+    return {engine: SkeinMemo() for engine in ("kauffman", "conway")}
 
 
 # =====================================================================
@@ -164,17 +171,21 @@ def _find_kink(state: tuple):
 
 
 def _find_bigon(state: tuple):
-    """Two crossings joined by an over-over arc and an under-under arc,
-    at the over arc that occurs first."""
+    """Two crossings joined by an over-over arc and an under-under arc
+    that bound a face, at the over arc that occurs first."""
     first = {}  # over arc -> its first (record, slot)
     found = None
     for i, rec in enumerate(state):
         for s in (1, 3):
-            end = first.setdefault(rec[s], (i, s))
+            x = rec[s]
+            end = first.setdefault(x, (i, s))
             j = end[0]
-            if (j != i and (found is None or end < found[0])
-                    and {rec[0], rec[2]} & {state[j][0], state[j][2]}):
-                found = end, j, i
+            if j != i and (found is None or end < found[0]):
+                other = state[j]
+                for y in {rec[0], rec[2]} & {other[0], other[2]}:
+                    if _bounds_bigon(other, rec, x, y):
+                        found = end, j, i
+                        break
     return found and found[1:]
 
 
@@ -237,8 +248,8 @@ def _skein_rec(state: tuple, loops: int, memo: SkeinMemo, ring: _Ring):
 
 def _skein_entry(d: Diagram, max_crossings: int, memo: SkeinMemo | None,
                  ring: _Ring):
-    """The regular-isotopy value of D in the ring (the bracket, or L);
-    without a memo, the call uses a fresh one."""
+    """The value of D in the ring (L, or Conway's del); without a memo,
+    the call uses a fresh one."""
     n = d.n_crossings
     if n > max_crossings:
         raise ResourceLimit(f"{n} crossings exceeds the engine cap {max_crossings}")
@@ -291,43 +302,111 @@ def bracket_state_sum(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> La
     return total
 
 
-def _pick_crossing(state: tuple) -> int:
-    """Prefer a crossing doubly adjacent to a neighbor: smoothing it tends
-    to create a kink or bigon immediately."""
-    n = len(state)
-    if n == 1:
-        return 0
-    owner: dict[int, int] = {}
-    scores = [0] * n
-    for i, rec in enumerate(state):
-        neigh: dict[int, int] = {}
+def _sweep_order(records) -> list[int]:
+    """Record indices in sweep order: next the record that closes the most
+    open arcs, ties to the lower index.  An arc is open while exactly one
+    of its two ends lies in a swept record."""
+    occ = _occurrences(records)
+    closes = [0] * len(records)  # open arcs each record holds
+    left = list(range(len(records)))
+    open_arcs: set[int] = set()
+    order = []
+    while left:
+        i = max(left, key=closes.__getitem__)
+        left.remove(i)
+        order.append(i)
+        for a in records[i]:
+            step = -1 if a in open_arcs else 1
+            open_arcs ^= {a}
+            for j, _ in occ[a]:
+                closes[j] += step
+    return order
+
+
+# the A-smoothing joins slots 0~1 and 2~3, the B-smoothing 0~3 and 1~2
+_SMOOTHINGS = ((((0, 1), (2, 3)), 1), (((0, 3), (1, 2)), -1))
+_DELTA_POWERS = ({0: 1}, {2: -1, -2: -1}, {4: 1, 0: 2, -4: 1})
+# the factor A^(+-1) delta^loops of one smoothing, as {exponent of A: coefficient}
+_FACTORS = {(shift, loops): {e + shift: c for e, c in power.items()}
+            for _, shift in _SMOOTHINGS
+            for loops, power in enumerate(_DELTA_POWERS)}
+
+
+def _sweep_states(records) -> dict[int, int]:
+    """The state sum of A^(#A - #B) delta^circles over all smoothings, as
+    {exponent of A: coefficient}.
+
+    The records are swept in ``_sweep_order``.  After each record the
+    smoothed strands of the swept records pair up the open arcs; a state
+    is that matching, the open arcs' partners in ascending arc order, and
+    it carries the sum of the weights of the smoothings that reach it.
+    """
+    states = {(): {0: 1}}
+    frontier: tuple = ()
+    open_arcs: set[int] = set()
+    for i in _sweep_order(records):
+        rec = records[i]
         for a in rec:
-            j = owner.setdefault(a, i)
-            if j != i:
-                neigh[j] = neigh.get(j, 0) + 1
-        for j, mult in neigh.items():
-            if mult > scores[i]:
-                scores[i] = mult
-            if mult > scores[j]:
-                scores[j] = mult
-    best = max(range(n), key=lambda i: scores[i])
-    return best
+            open_arcs ^= {a}
+        swept = tuple(sorted(open_arcs))
+        nxt: dict[tuple, dict[int, int]] = {}
+        for key, poly in states.items():
+            matched = dict(zip(frontier, key))
+            for joins, shift in _SMOOTHINGS:
+                partner = matched.copy()
+                loops = 0
+                for s1, s2 in joins:
+                    x, y = rec[s1], rec[s2]
+                    if x == y:  # an arc with both ends here closes on itself
+                        loops += 1
+                        continue
+                    # the far end of the strand on each side; a first-met
+                    # arc is its own far end
+                    ex = partner.pop(x, x)
+                    if ex == y:  # x and y end one strand
+                        del partner[y]
+                        loops += 1
+                        continue
+                    ey = partner.pop(y, y)
+                    partner[ex], partner[ey] = ey, ex
+                acc = nxt.setdefault(tuple(map(partner.__getitem__, swept)), {})
+                get = acc.get
+                for e2, c2 in _FACTORS[(shift, loops)].items():
+                    for e1, c1 in poly.items():
+                        acc[e1 + e2] = get(e1 + e2, 0) + c1 * c2
+        states, frontier = nxt, swept
+    return states[()]
 
 
-def _bracket_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> LaurentPoly:
-    i = _pick_crossing(state)
-    return (_A * _skein_rec(*_smooth(state, i, "A"), memo, ring)
-            + _A_INV * _skein_rec(*_smooth(state, i, "B"), memo, ring))
-
-
-_BRACKET = _Ring("bracket", _DELTA,
-                 (LaurentPoly.a_pow(3, -1), LaurentPoly.a_pow(-3, -1)),
-                 _bracket_branch)
+def _divide_by_delta(poly: dict[int, int]) -> dict[int, int]:
+    """``poly / (-A^2 - A^-2)``, exactly: ``-A^2 poly`` divided by
+    ``1 + A^4``, from the lowest exponent up."""
+    work = {e + 2: -c for e, c in poly.items() if c}
+    lo, hi = min(work), max(work)
+    quotient = {}
+    for e in range(lo, hi - 3):
+        c = work.get(e, 0)
+        if c:
+            quotient[e] = c
+            work[e + 4] = work.get(e + 4, 0) - c
+    if any(work.get(e, 0) for e in range(hi - 3, hi + 1)):
+        raise ArithmeticError("the state sum is not a multiple of delta")
+    return quotient
 
 
 def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                      memo: SkeinMemo | None = None) -> LaurentPoly:
-    return _skein_entry(d, max_crossings, memo, _BRACKET)
+    """Kauffman bracket by the frontier sweep of ``_sweep_states``.  The
+    sweep keys no states: a memo is only bound to the bracket engine."""
+    n = d.n_crossings
+    if n > max_crossings:
+        raise ResourceLimit(f"{n} crossings exceeds the engine cap {max_crossings}")
+    if memo is not None:
+        memo.bind("bracket")
+    if n == 0:
+        return _DELTA ** (d.n_components - 1)
+    reduced = _divide_by_delta(_sweep_states(d.crossings))
+    return _DELTA ** d.free_loops * LaurentPoly({-e: c for e, c in reduced.items()})
 
 
 def _normalize_bracket(d: Diagram, bracket: LaurentPoly) -> LaurentPoly:
@@ -343,7 +422,7 @@ def jones(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> LaurentPoly:
 
 def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                    memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Jones polynomial via the simplifying, memoized bracket recursion."""
+    """Jones polynomial from the frontier-sweep bracket."""
     return _normalize_bracket(d, bracket_memoized(d, max_crossings, memo))
 
 
@@ -491,9 +570,8 @@ def verify_jones_skein(d: Diagram, site: int,
                        max_crossings: int = DEFAULT_ENGINE_CAP,
                        memo: SkeinMemo | None = None) -> bool:
     """Check ``t^-1 V(L+) - t V(L-) + (t^-1/2 - t^1/2) V(L0) = 0`` exactly;
-    the three Jones calls share ``memo``, a fresh one when none is given."""
+    the three Jones calls bind ``memo`` (see ``bracket_memoized``)."""
     plus, minus, zero = skein_triple(d, site)
-    memo = memo if memo is not None else SkeinMemo()
     lhs = (LaurentPoly.t_pow(-1) * jones_memoized(plus, max_crossings, memo)
            - LaurentPoly.t_pow(1) * jones_memoized(minus, max_crossings, memo)
            + (LaurentPoly.t_pow(Fraction(-1, 2))

@@ -65,19 +65,17 @@ def diagram(name: str) -> Diagram:
 
 
 def verify_entry(e: KnotTableEntry, max_crossings: int = DEFAULT_ENGINE_CAP,
-                 bracket_memo: SkeinMemo | None = None,
                  conway_memo: SkeinMemo | None = None) -> dict[str, tuple[str, str]]:
     """Recompute every stored invariant; returns {field: (stored, computed)}
-    for the fields that differ (empty dict: clean entry).  The Jones and
-    Conway engines run on the caller's memos, fresh ones when none are
-    given."""
+    for the fields that differ (empty dict: clean entry).  The Conway
+    engine runs on the caller's memo, a fresh one when none is given."""
     d = e.diagram()
     s = seifert_matrix(d)
     alex_seifert = alexander_from_seifert(s)
     alex_conway = normalize_alexander(
         alexander_from_conway(conway(d, max_crossings, conway_memo)))
     computed = {
-        "jones": str(jones_memoized(d, max_crossings, bracket_memo)),
+        "jones": str(jones_memoized(d, max_crossings)),
         "alexander": str(alex_seifert),
         "alexander_conway_path": str(alex_conway),
         "determinant": determinant(s),

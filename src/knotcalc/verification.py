@@ -84,8 +84,9 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
 
     ``f_poly`` and ``v_tilde`` exist for fault-injection tests; by default
     everything is computed from the bundled 6_1 diagram.  The chain owns
-    one memo per engine, so the cable and hat Jones calls share bracket
-    states; their counts are reported in the ``memo`` section.
+    one memo per skein-kernel engine, whose counts are reported in the
+    ``memo`` section; Jones comes from the bracket sweep, which keys no
+    states.
     """
     steps = []
     timings = {}
@@ -160,15 +161,14 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
 
     computed_v_tilde = v_tilde if v_tilde is not None else clocked(
         "jones_cable",
-        lambda: jones_memoized(ktilde.diagram, max_crossings,
-                               memos["bracket"]))
+        lambda: jones_memoized(ktilde.diagram, max_crossings))
     step("jones-cable", computed_v_tilde == JONES_CABLE_61,
          computed_v_tilde, JONES_CABLE_61)
 
     khat = make_hat(ktilde)
     v_hat = clocked(
         "jones_hat",
-        lambda: jones_memoized(khat.diagram, max_crossings, memos["bracket"]))
+        lambda: jones_memoized(khat.diagram, max_crossings))
     step("hat-equality",
          v_hat == _T(-3 * 0) * computed_v_tilde,
          v_hat, computed_v_tilde)

@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 from knotcalc.presentations import BraidWord
 
 
-def braid_words(max_letters=9):
-    """Mixed-sign words of 2 to ``max_letters`` letters on 3 or 4 strands."""
-    def word(strands):
-        gens = st.integers(1, strands - 1)
+def braid_words(max_letters=9, strands=(3, 4)):
+    """Mixed-sign words of 2 to ``max_letters`` letters on a strand count
+    drawn from ``strands``."""
+    def word(n):
+        gens = st.integers(1, n - 1)
         letter = st.tuples(gens, st.booleans()).map(
             lambda x: x[0] if x[1] else -x[0])
         return st.lists(letter, min_size=2, max_size=max_letters).map(
-            lambda ls: BraidWord(strands, tuple(ls)))
-    return st.sampled_from((3, 4)).flatmap(word)
+            lambda ls: BraidWord(n, tuple(ls)))
+    return st.sampled_from(strands).flatmap(word)
 
 
 def knot_braid_words(max_letters):

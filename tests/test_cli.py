@@ -96,7 +96,7 @@ def test_memo_section_reports_one_command(capsys):
         assert cli.main(["--format", "json", "invariants", "6_1"]) == cli.EXIT_OK
         sections.append(json.loads(capsys.readouterr().out)["memo"])
     assert sections[0] == sections[1]
-    assert sections[0]["bracket"]["hits"] > 0
+    assert sections[0]["kauffman"]["hits"] > 0
 
 
 def test_cable_of_the_unknot(capsys):

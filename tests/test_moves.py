@@ -16,7 +16,7 @@ from knotcalc.moves import (
     reidemeister_r3,
     simplify,
 )
-from knotcalc.presentations import braid_to_tangle, trace_closure
+from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
 from knotcalc.seifert import (alexander_from_seifert, determinant,
                               seifert_circles, seifert_matrix, signature)
 from knotcalc.skein import conway, jones_memoized, kauffman_F
@@ -86,6 +86,26 @@ class TestR2:
         added = reidemeister_r2_add(d, dart_x, dart_y).diagram
         v = added.n_crossings
         assert v - 2 * v + len(added.faces()) == 2
+
+    def test_twisted_pair_is_no_site(self):
+        # records 0 and 1 share over arc 3 and under arc 7 with equal slot
+        # offsets: two curls of one sign, whose removal would drop the
+        # writhe by 2
+        d = trace_closure(braid_to_tangle(braid_parse("s2 s3 s4^-1 s4 s1 s1")))
+        sites = find_r2_sites(d)
+        assert (0, 1, 3, 7) not in sites
+        assert sites
+        for site in sites:
+            assert reidemeister_r2_remove(d, site).diagram.writhe() == d.writhe()
+        with pytest.raises(PatternNotFound):
+            reidemeister_r2_remove(d, (0, 1, 3, 7))
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(10, strands=(3, 4, 5, 6)))
+    def test_removal_keeps_the_writhe(self, word):
+        d = trace_closure(braid_to_tangle(word))
+        for site in find_r2_sites(d):
+            assert reidemeister_r2_remove(d, site).diagram.writhe() == d.writhe()
 
     def test_remove_rejects_bad_site(self):
         with pytest.raises(PatternNotFound):
@@ -179,9 +199,9 @@ def random_move(d, rng):
 
 
 def link_invariants(d):
-    """Ambient-isotopy invariants of links: Jones, Kauffman F and Conway
-    from the bracket, Kauffman and oriented Conway rings of the skein
-    kernel."""
+    """Ambient-isotopy invariants of links: Jones from the bracket sweep,
+    Kauffman F and Conway from the Kauffman and oriented Conway rings of
+    the skein kernel."""
     return jones_memoized(d), kauffman_F(d), conway(d)
 
 

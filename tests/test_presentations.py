@@ -237,17 +237,18 @@ class TestPlat:
         assert p.curls == (0, 0)
 
     def test_json_rejected_before_allocating_curls(self):
-        # genus 10**6 with two curls given: the default of 2 * genus
-        # zeros must not be built on the way to the strand check
-        text = '{"genus": 1000000, "braid": "", "strands": 4, "curls": [0, 0]}'
-        tracemalloc.start()
-        try:
-            with pytest.raises(StrandMismatch):
-                PlatPresentation.from_json(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # genus 10**6, with two curls given or none: the default of
+        # 2 * genus zeros must not be built on the way to the strand check
+        for curls in (', "curls": [0, 0]', ""):
+            text = '{"genus": 1000000, "braid": "", "strands": 4%s}' % curls
+            tracemalloc.start()
+            try:
+                with pytest.raises(StrandMismatch):
+                    PlatPresentation.from_json(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, curls
 
     def test_json_roundtrip(self):
         p = standardize(plat_wedge(1, 0, braid_parse("s2", 4)))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from knotcalc.cable import cable2
 from knotcalc.diagram import Diagram, pd_parse
 from knotcalc.errors import BadSite, ResourceLimit, TooLarge
 from knotcalc.moves import reidemeister_r1_add
@@ -35,6 +34,8 @@ UNLINK_FACTOR = -t(Fraction(1, 2)) - t(Fraction(-1, 2))
 JONES_A = -t(Fraction(-3, 4))
 JONES_Z = t(Fraction(1, 4)) + t(Fraction(-1, 4))
 TORUS_3_5 = BraidWord(3, (1, 2) * 5)
+# its closure, a 3-component link, holds a twisted pair (see moves' tests)
+TWISTED_PAIR = braid_parse("s2 s3 s4^-1 s4 s1 s1", 5)
 
 
 class TestBracket:
@@ -92,13 +93,15 @@ class TestJones:
             assert jones_memoized(d.mirror()) == jones_memoized(d).invert_t()
 
     def test_determinism_and_memo_hits(self):
+        # the sweep keys no states: it binds the memo and leaves it empty
         memo = SkeinMemo()
         d = pd_parse(SIX_ONE)
         first = jones_memoized(d, memo=memo)
-        misses = memo.misses
         second = jones_memoized(d, memo=memo)
         assert first == second
-        assert memo.misses == misses  # the rerun is pure hits
+        assert memo.engine == "bracket"
+        assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
+                                "kinks": 0, "bigons": 0}
 
     def test_memo_serves_one_engine(self):
         # bracket and F states share one key space but not one ring
@@ -158,6 +161,33 @@ class TestKernelProperties:
         assume(d.n_components == 1)
         assert bracket_memoized(d, memo=SkeinMemo()) == bracket_state_sum(d)
 
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(10, strands=(3, 4, 5, 6)))
+    def test_sweep_equals_state_sum_on_links(self, word):
+        d = trace_closure(braid_to_tangle(word))
+        assert bracket_memoized(d) == bracket_state_sum(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(10, strands=(3, 4, 5, 6)))
+    def test_kauffman_specializes_to_jones_on_links(self, word):
+        # F of a c-component link has z^(1-c) terms, and z's image is no
+        # unit, so both sides are multiplied by z^(c-1) first
+        d = trace_closure(braid_to_tangle(word))
+        lift = d.n_components - 1
+        f_poly = kauffman_F(d) * TwoVarPoly.z_pow(lift)
+        assert (two_var_substitute(f_poly, JONES_A, JONES_Z)
+                == jones_memoized(d) * JONES_Z ** lift)
+
+    def test_twisted_pair_is_no_bigon(self):
+        # records 0 and 1 share an over-over and an under-under arc, but
+        # with equal slot offsets: two curls of one sign, not an R2 bigon
+        d = trace_closure(braid_to_tangle(TWISTED_PAIR))
+        lift = d.n_components - 1
+        assert jones_memoized(d) == jones(d)
+        f_poly = kauffman_F(d) * TwoVarPoly.z_pow(lift)
+        assert (two_var_substitute(f_poly, JONES_A, JONES_Z)
+                == jones(d) * JONES_Z ** lift)
+
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(braid_words())
@@ -175,13 +205,6 @@ class TestMemoClasses:
     left after removing kinks and bigons are keyed; the removals are
     counted apart."""
 
-    def test_bracket_across_cable_framings(self, table_diagrams):
-        memo = SkeinMemo()
-        for f in range(-2, 3):
-            jones_memoized(cable2(table_diagrams["3_1"], f).diagram, 40, memo)
-        assert memo.stats() == {"entries": 87, "hits": 27, "misses": 87,
-                                "kinks": 426, "bigons": 168}
-
     def test_kauffman_of_torus_closure(self):
         memo = SkeinMemo()
         kauffman_F(trace_closure(braid_to_tangle(TORUS_3_5)), memo=memo)
@@ -193,7 +216,7 @@ class TestMemoClasses:
         for sign in (-1, -1, 1, -1):
             d = reidemeister_r1_add(d, min(d.arcs), sign).diagram
         memo = SkeinMemo()
-        assert jones_memoized(d, memo=memo) == 1
+        assert kauffman_F(d, memo=memo) == TwoVarPoly.one()
         assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
                                 "kinks": 5, "bigons": 0}
 

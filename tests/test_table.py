@@ -16,11 +16,9 @@ def test_verify_entry_caps_every_engine():
 
 
 def test_verify_entry_runs_on_the_callers_memos():
-    bracket, conway = SkeinMemo(), SkeinMemo()
-    assert verify_entry(entry("6_1"), bracket_memo=bracket,
-                        conway_memo=conway) == {}
-    assert bracket.table and conway.table
-    misses = bracket.misses, conway.misses
-    assert verify_entry(entry("6_1"), bracket_memo=bracket,
-                        conway_memo=conway) == {}
-    assert (bracket.misses, conway.misses) == misses  # the rerun is pure hits
+    conway = SkeinMemo()
+    assert verify_entry(entry("6_1"), conway_memo=conway) == {}
+    assert conway.table
+    misses = conway.misses
+    assert verify_entry(entry("6_1"), conway_memo=conway) == {}
+    assert conway.misses == misses  # the rerun is pure hits

@@ -8,8 +8,8 @@ from knotcalc.cable import cable2, king_verify, make_hat
 from knotcalc.errors import MultiComponent
 from knotcalc.polyring import LaurentPoly
 from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
-from knotcalc.skein import SkeinMemo, jones_memoized, kauffman_F
-from knotcalc.table import diagram
+from knotcalc.skein import jones_memoized, kauffman_F
+from knotcalc.table import diagram, table_names
 from knotcalc.verification import KAUFFMAN_61_PRINTED, stevedore_chain_report
 
 from strategies import knot_braid_words
@@ -27,10 +27,7 @@ def test_chain_passes(report):
 
 
 def test_chain_owns_one_memo_per_engine(report):
-    # the hat's Jones call reuses the cable's bracket states
     assert report["memo"] == {
-        "bracket": {"entries": 221, "hits": 166, "misses": 221,
-                    "kinks": 464, "bigons": 474},
         "kauffman": {"entries": 6, "hits": 5, "misses": 6,
                      "kinks": 18, "bigons": 6},
         "conway": {"entries": 4, "hits": 0, "misses": 4,
@@ -48,15 +45,16 @@ def test_printed_kauffman_polynomial_fails_exactly_its_steps():
     assert not bad["payload"]["all_pass"]
 
 
-@pytest.mark.parametrize("name", ["3_1", "4_1"])
+@pytest.mark.parametrize("name", table_names())
 def test_cabling_identity_at_framings(name):
-    # the identity ties F(K) to V of the f-framed 2-cable; one bracket
-    # memo serves all five cables of a knot
+    # the identity ties F(K) to V of the f-framed 2-cable, here at five
+    # framings of every table knot; the cables of 8-crossing knots exceed
+    # the default engine cap
     knot = diagram(name)
-    f_poly = kauffman_F(knot, memo=SkeinMemo())
-    memo = SkeinMemo()
+    f_poly = kauffman_F(knot)
     for framing in range(-2, 3):
-        v_cable = jones_memoized(cable2(knot, framing).diagram, memo=memo)
+        cab = cable2(knot, framing).diagram
+        v_cable = jones_memoized(cab, cab.n_crossings)
         assert king_verify(f_poly, v_cable, framing), framing
         assert not king_verify(f_poly, v_cable, framing + 1), framing
 
@@ -75,9 +73,8 @@ def test_cable_of_braid_closure_knots(word, shift):
     assert cab.linking() == framing
     assert cab.diagram.n_crossings == 4 * n + 2 * abs(shift)
     assert cab.diagram.writhe() == 4 * w + 2 * shift
-    memo = SkeinMemo()
-    v_cable = jones_memoized(cab.diagram, memo=memo)
-    v_hat = jones_memoized(make_hat(cab).diagram, memo=memo)
+    v_cable = jones_memoized(cab.diagram)
+    v_hat = jones_memoized(make_hat(cab).diagram)
     assert v_hat == LaurentPoly.t_pow(-3 * framing) * v_cable
     assert king_verify(kauffman_F(knot), v_cable, framing)
 
