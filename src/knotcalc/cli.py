@@ -10,6 +10,17 @@ Subcommands:
 * ``table`` -- list the bundled knot table or recompute and diff it;
 * ``cable`` -- build a 2-cable with prescribed framing and run checks.
 
+Plat JSON is an object with a ``genus`` key: ``{"genus": g, "extra": m,
+"braid": "s2 s3^-1 ...", "strands": 2*(2g+m), "curls": [c1, ...]}``.
+``extra`` defaults to 0, ``strands`` to one more than the largest
+generator index, and ``curls`` (one integer per wedge circle, 2g in all)
+to zeros; a ``mode`` key, if given, must be ``"plat"``.  Caps join
+strands (1, 2), (3, 4), ... above the braid; below it, a cone closes the
+leftmost 4g endpoints and cups join the rest in adjacent pairs.  The
+diagram reported on is the boundary knot of the banded spine; a spine
+with circles besides the wedge, or a boundary of several circles, is an
+input error.
+
 The one global setting is ``--max-crossings`` (default from
 ``$KNOTCALC_MAX_CROSSINGS``), the crossing cap of the polynomial engines.
 Everything runs in one process.  Each command owns one memo per
@@ -38,7 +49,7 @@ from .diagram import Diagram, pd_parse
 from .errors import KnotError, ResourceLimit, TooLarge
 from .polyring import LaurentPoly
 from .presentations import (PlatPresentation, braid_parse, braid_to_tangle,
-                            spine_boundary_knot, standardize, trace_closure)
+                            spine_boundary_knot, trace_closure)
 from .seifert import (alexander_from_seifert, determinant, is_monic,
                       seifert_circles, seifert_matrix, seifert_surface_genus,
                       signature)
@@ -78,8 +89,7 @@ def _load_input(text_or_path: str) -> Diagram:
     if text.startswith("{"):
         data = json.loads(text)
         if "genus" in data:
-            plat = PlatPresentation.from_json(text)
-            return spine_boundary_knot(standardize(plat))
+            return spine_boundary_knot(PlatPresentation.from_json(text))
         return Diagram.from_json(text)
     if text.split()[0].startswith(("X", "O")):
         return pd_parse(text)

@@ -59,10 +59,6 @@ class ExtraComponents(KnotError):
     """A plat closure produced circles besides the wedge spine."""
 
 
-class NotStandardized(KnotError):
-    """Operation requires a standard-mode plat presentation."""
-
-
 class DisconnectedBoundary(KnotError):
     """The banded spine's boundary is a link, not a knot."""
 

@@ -122,7 +122,8 @@ def find_r2_sites(d: Diagram) -> list[tuple[int, int, int, int]]:
 
 
 def reidemeister_r2_remove(d: Diagram, site: tuple[int, int, int, int]) -> MoveResult:
-    if site not in find_r2_sites(d) and (site[1], site[0], site[2], site[3]) not in find_r2_sites(d):
+    sites = find_r2_sites(d)
+    if site not in sites and (site[1], site[0], site[2], site[3]) not in sites:
         raise PatternNotFound(f"no R2 bigon at {site}")
     p, q = site[0], site[1]
     out = d.rewire({p, q}, _pass_glues(d, p) + _pass_glues(d, q))

@@ -15,11 +15,10 @@ and a pair whose arcs are already one closes a free circle.
 
 Plat presentations follow the wedge-of-circles model: a braid on
 ``2*(2g+m)`` strands, capped above by ``2g+m`` arcs and closed below by a
-cone on the leftmost ``4g`` endpoints plus ``m`` extra cups.  In plat mode
-the caps and cups pair adjacent strands; standardizing renests them
-concentrically by adding permutation words to the braid.  Widening the
-spine into bands and taking the boundary reuses the doubling rule, with
-per-circle framing realized as full twists inserted under the caps.
+cone on the leftmost ``4g`` endpoints plus ``m`` extra cups; caps and cups
+pair adjacent strands.  Widening the spine into bands, as given, and
+taking the boundary reuses the doubling rule, with per-circle framing
+realized as full twists inserted under the caps.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
     ExtraComponents,
-    NotStandardized,
     StrandMismatch,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "PlatPresentation",
     "plat_wedge",
     "validate_plat",
-    "standardize",
     "spine_boundary_knot",
 ]
 
@@ -338,18 +335,18 @@ def trace_closure(t: Tangle) -> Diagram:
 class PlatPresentation(NamedTuple):
     """Wedge of ``2g`` circles as a capped braid.
 
-    The braid acts on ``2*(2g+m)`` strands; a cone on the leftmost ``4g``
-    bottom endpoints closes the wedge and the remaining ``2m`` bottom
-    endpoints carry cups.  ``curls`` holds one framing integer per wedge
+    The braid acts on ``2*(2g+m)`` strands.  Caps join the top endpoints
+    of strands (2k, 2k+1); a cone on the leftmost ``4g`` bottom endpoints
+    closes the wedge and cups join the remaining ``2m`` bottom endpoints
+    in adjacent pairs.  ``curls`` holds one framing integer per wedge
     circle (circles numbered by their first cone leg, left to right),
-    realized as full twists under the circle's cap when the spine is
-    widened to bands.
+    realized as full twists under the circle's first cap when the spine
+    is widened to bands.
     """
 
     genus: int
     extra: int
     braid: BraidWord
-    mode: str            # "plat" | "standard"
     curls: tuple[int, ...]
 
     @property
@@ -362,24 +359,18 @@ class PlatPresentation(NamedTuple):
 
     def cap_pairs(self) -> list[tuple[int, int]]:
         """0-based strand pairs joined above the braid."""
-        n = self.strands
-        if self.mode == "standard":
-            return [(k, n - 1 - k) for k in range(n // 2)]
-        return [(2 * k, 2 * k + 1) for k in range(n // 2)]
+        return [(2 * k, 2 * k + 1) for k in range(self.arcs_per_side)]
 
     def cup_pairs(self) -> list[tuple[int, int]]:
         """0-based strand pairs joined below the braid (cone legs excluded)."""
-        lo, n = 4 * self.genus, self.strands
-        extra = n - lo
-        if self.mode == "standard":
-            return [(lo + k, n - 1 - k) for k in range(extra // 2)]
-        return [(lo + 2 * k, lo + 2 * k + 1) for k in range(extra // 2)]
+        lo = 4 * self.genus
+        return [(lo + 2 * k, lo + 2 * k + 1) for k in range(self.extra)]
 
     def to_json(self) -> str:
         return json.dumps({
             "genus": self.genus, "extra": self.extra,
             "braid": str(self.braid), "strands": self.strands,
-            "mode": self.mode, "curls": list(self.curls),
+            "curls": list(self.curls),
         })
 
     @classmethod
@@ -392,156 +383,81 @@ class PlatPresentation(NamedTuple):
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
                 ValueError) as e:
             raise DiagramSyntaxError(f"bad plat JSON: {e}") from e
+        if data.get("mode", "plat") != "plat":
+            raise DiagramSyntaxError(
+                f"bad plat JSON: mode {data['mode']!r}; caps and cups "
+                "pair adjacent strands")
         if "curls" not in data and _ints([genus, extra]):
             if braid.strands != 2 * (2 * genus + extra):
                 # fail before 2 * genus default curls are built
-                validate_plat(cls(genus, extra, braid,
-                                  data.get("mode", "plat"), ()))
+                validate_plat(cls(genus, extra, braid, ()))
             curls = [0] * (2 * genus)
         if not (_ints([genus, extra]) and isinstance(curls, list)
                 and _ints(curls)):
             raise DiagramSyntaxError(
                 "bad plat JSON: genus, extra and curls must be integers")
-        return validate_plat(cls(genus, extra, braid,
-                                 data.get("mode", "plat"), tuple(curls)))
+        return validate_plat(cls(genus, extra, braid, tuple(curls)))
 
 
 def validate_plat(p: PlatPresentation) -> PlatPresentation:
     if p.genus < 1 or p.extra < 0:
         raise DiagramSyntaxError("need genus >= 1 and extra arcs >= 0")
-    if p.mode not in ("plat", "standard"):
-        raise DiagramSyntaxError(f"unknown mode {p.mode!r}")
     if p.braid.strands != p.strands:
         raise StrandMismatch(
             f"braid on {p.braid.strands} strands, presentation needs {p.strands}")
     if len(p.curls) != 2 * p.genus:
         raise DiagramSyntaxError("one curl count per wedge circle required")
-    _check_spine_connected(p)
-    return p
-
-
-def _check_spine_connected(p: PlatPresentation):
-    n = p.strands
-    perm = p.braid.permutation()
-    parent = list(range(n + 1))      # nodes: strand tops, plus the vertex
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    top_of_bottom = {perm[k]: k for k in range(n)}
-    for a, b in p.cap_pairs():
-        union(a, b)
-    for a, b in p.cup_pairs():
-        union(top_of_bottom[a], top_of_bottom[b])
-    for leg in range(4 * p.genus):
-        union(top_of_bottom[leg], n)
-    if len({find(x) for x in range(n + 1)}) > 1:
+    if len(_circles_by_cap(p)) < p.arcs_per_side:
         raise ExtraComponents(
             "the plat closure has circles besides the wedge spine")
+    return p
 
 
 def plat_wedge(g: int, m: int, braid: BraidWord,
                curls: Iterable[int] | None = None) -> PlatPresentation:
     """Validated plat presentation of a wedge of ``2g`` circles."""
     curls = tuple(curls) if curls is not None else (0,) * (2 * g)
-    return validate_plat(PlatPresentation(g, m, braid, "plat", curls))
-
-
-def _permutation_word(target: list[int]) -> list[int]:
-    """Positive braid letters realizing ``top k -> bottom target[k]``.
-
-    Bubble sort emits adjacent transpositions top to bottom; permutation
-    braids slide cap systems isotopically, which is all standardize needs.
-    """
-    arr = list(target)
-    letters = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(arr) - 1):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                letters.append(j + 1)
-                changed = True
-    return letters
-
-
-def standardize(p: PlatPresentation) -> PlatPresentation:
-    """Renest caps and cups concentrically by adding permutation words to
-    the top and bottom of the braid; the spine is preserved because the
-    added words exactly compensate the re-pairing."""
-    validate_plat(p)
-    if p.mode == "standard":
-        return p
-    n = p.strands
-    half = n // 2
-    # w_top sends nested cap legs onto adjacent cap legs:
-    # nested pair (k, n-1-k) must map onto adjacent pair (2k, 2k+1)
-    top_perm = [0] * n
-    for k in range(half):
-        top_perm[k] = 2 * k
-        top_perm[n - 1 - k] = 2 * k + 1
-    # w_bot sends adjacent cup legs onto nested cup legs, fixing cone legs
-    lo = 4 * p.genus
-    extra = n - lo
-    bottom_perm = list(range(n))
-    for k in range(extra // 2):
-        bottom_perm[lo + 2 * k] = lo + k
-        bottom_perm[lo + 2 * k + 1] = n - 1 - k
-    letters = (tuple(_permutation_word(top_perm)) + p.braid.letters
-               + tuple(_permutation_word(bottom_perm)))
-    out = PlatPresentation(p.genus, p.extra, BraidWord(n, letters),
-                           "standard", p.curls)
-    return validate_plat(out)
+    return validate_plat(PlatPresentation(g, m, braid, curls))
 
 
 def _circles_by_cap(p: PlatPresentation) -> dict[int, int]:
     """Wedge-circle index of each cap (cap indexed by its position in
-    cap_pairs); circles numbered by first cone leg, left to right."""
+    cap_pairs) that a walk from the cone legs reaches; circles numbered
+    by first cone leg, left to right.  Every closed component of the
+    plat closure passes through a cap, so a cap left out lies on a
+    circle besides the wedge spine."""
     perm = p.braid.permutation()
-    top_of_bottom = {perm[k]: k for k in range(p.strands)}
-    cap_of_top = {}
-    for idx, (a, b) in enumerate(p.cap_pairs()):
-        cap_of_top[a] = (idx, b)
-        cap_of_top[b] = (idx, a)
-    cup_mate = {}
-    for a, b in p.cup_pairs():
-        cup_mate[a] = b
-        cup_mate[b] = a
+    top_of_bottom = {bottom: top for top, bottom in enumerate(perm)}
+    legs = 4 * p.genus
     circle_of_cap: dict[int, int] = {}
-    circle = 0
-    done_legs: set[int] = set()
-    for leg in range(4 * p.genus):
-        if leg in done_legs:
+    far_legs: set[int] = set()
+    for leg in range(legs):
+        if leg in far_legs:
             continue
-        done_legs.add(leg)
-        bottom = leg
+        circle, bottom = len(far_legs), leg
         while True:
+            # caps and cups pair endpoints 2k and 2k + 1: cap k holds
+            # top t at k = t // 2, and an endpoint's mate is its index ^ 1
             top = top_of_bottom[bottom]
-            cap_idx, mate_top = cap_of_top[top]
-            circle_of_cap[cap_idx] = circle
-            bottom = perm[mate_top]
-            if bottom < 4 * p.genus:
-                done_legs.add(bottom)
+            circle_of_cap[top // 2] = circle
+            bottom = perm[top ^ 1]
+            if bottom < legs:
                 break
-            bottom = cup_mate[bottom]
-        circle += 1
+            bottom ^= 1
+        far_legs.add(bottom)
     return circle_of_cap
 
 
 def spine_boundary_knot(p: PlatPresentation) -> Diagram:
     """Boundary of the banded wedge spine, as an oriented knot diagram.
 
-    Requires standard mode.  Each circle's framing integer inserts that
-    many full twists between its doubled cap and the rest of the band.
-    The spine is connected but the banded surface's boundary need not be
-    one circle; a multi-circle boundary raises DisconnectedBoundary.
+    The presentation is widened as given: every strand of the braid
+    becomes a band of two parallel strands, each cap and cup a nested
+    pair of arcs, and the cone a disk.  Each circle's framing integer
+    inserts that many full twists between its first doubled cap and the
+    rest of the band.  The spine is connected but the banded surface's
+    boundary need not be one circle; a multi-circle boundary raises
+    DisconnectedBoundary.
 
     The diagram is the boundary of the blackboard band surface F, of
     genus g: 4 crossings per braid letter (one band over another) plus
@@ -550,14 +466,11 @@ def spine_boundary_knot(p: PlatPresentation) -> Diagram:
     crossing block, one per disk region off the projection of F), so
     Seifert's algorithm on it gives genus k - g, not g.
     """
-    if p.mode != "standard":
-        raise NotStandardized("widen only standard presentations")
-    validate_plat(p)
+    circle_of_cap = _circles_by_cap(validate_plat(p))
     n = p.strands
     doubled = tangle_parallel_double(braid_to_tangle(p.braid))
 
     # framing twists on the doubled strand pair below each circle's cap
-    circle_of_cap = _circles_by_cap(p)
     twist_letters = []
     seen: set[int] = set()
     for cap_idx, (a, _) in enumerate(p.cap_pairs()):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from knotcalc import cli
+from knotcalc.table import entry
 
 
 def test_verify_paper_exits_0(capsys):
@@ -122,11 +123,22 @@ def test_empty_json_diagram_exits_2(capsys):
     '{"genus": 1, "braid": "", "strands": 4, "curls": [1.5, 0]}',
     '{"genus": 1.0, "braid": "", "strands": 4}',
     '{"genus": 1, "extra": true, "braid": "", "strands": 4}',
+    '{"genus": 1, "braid": "s2", "strands": 4, "mode": "standard"}',
 ])
 def test_malformed_json_exits_2(text, capsys):
     # a value of the wrong type is an input error, never truncated by int()
     assert cli.main(["invariants", text]) == cli.EXIT_INPUT
     assert "DiagramSyntaxError" in capsys.readouterr().err
+
+
+def test_plat_json_gives_the_boundary_knot(capsys):
+    # clasped bands with curls -1 and +1 bound the figure-eight knot
+    text = '{"genus": 1, "braid": "s2", "strands": 4, "curls": [-1, 1]}'
+    assert cli.main(["--format", "json", "invariants", text]) == cli.EXIT_OK
+    values = json.loads(capsys.readouterr().out)["payload"]["invariants"]
+    figure_eight = entry("4_1")
+    assert values["jones"] == figure_eight.jones
+    assert values["alexander"] == figure_eight.alexander
 
 
 @pytest.mark.parametrize("text", [

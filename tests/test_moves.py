@@ -107,6 +107,28 @@ class TestR2:
         for site in find_r2_sites(d):
             assert reidemeister_r2_remove(d, site).diagram.writhe() == d.writhe()
 
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(10, strands=(3, 4, 5, 6)))
+    def test_sites_are_the_bigon_faces(self, word):
+        # independent oracle: walk the faces of the projection and keep
+        # each two-sided one whose arcs run over at both corners and
+        # under at both corners
+        d = trace_closure(braid_to_tangle(word))
+        incid = d.incidences()
+        bigons = set()
+        for face in d.faces():
+            arcs = {arc for arc, _ in face}
+            if len(face) != 2 or len(arcs) != 2:
+                continue
+            over = [a for a in arcs if all(s % 2 for _, s in incid[a])]
+            under = [a for a in arcs if not any(s % 2 for _, s in incid[a])]
+            if over and under:
+                corners = frozenset(c for c, _ in incid[over[0]])
+                bigons.add((corners, over[0], under[0]))
+        sites = [(frozenset((p, q)), x, y) for p, q, x, y in find_r2_sites(d)]
+        assert len(set(sites)) == len(sites)
+        assert set(sites) == bigons
+
     def test_remove_rejects_bad_site(self):
         with pytest.raises(PatternNotFound):
             reidemeister_r2_remove(pd_parse(TREFOIL), (0, 1, 1, 4))

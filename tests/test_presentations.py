@@ -10,7 +10,6 @@ from knotcalc.errors import (
     DisconnectedBoundary,
     ExtraComponents,
     InconsistentOrientation,
-    NotStandardized,
     StrandMismatch,
 )
 from knotcalc.moves import simplify
@@ -22,16 +21,17 @@ from knotcalc.presentations import (
     braid_to_tangle,
     plat_wedge,
     spine_boundary_knot,
-    standardize,
     tangle_compose,
     tangle_double_delta,
     tangle_mirror,
     tangle_parallel_double,
     trace_closure,
-    validate_plat,
 )
-from knotcalc.seifert import seifert_surface_genus
-from knotcalc.skein import jones_memoized
+from knotcalc.seifert import (alexander_from_seifert, seifert_matrix,
+                              seifert_surface_genus, signature)
+from knotcalc.skein import jones_memoized, kauffman_F
+from knotcalc.table import entry as table_entry
+from knotcalc.verification import KAUFFMAN_61_CORRECTED
 
 from strategies import braid_words
 
@@ -208,7 +208,6 @@ class TestPlat:
     def test_identity_braid_wedge_valid(self):
         p = plat_wedge(1, 0, BraidWord(4, ()))
         assert p.strands == 4
-        assert p.mode == "plat"
 
     def test_spec_example_s2_on_four_strands(self):
         p = plat_wedge(1, 0, braid_parse("s2", 4))
@@ -223,13 +222,6 @@ class TestPlat:
     def test_strand_count_contract(self):
         with pytest.raises(StrandMismatch):
             plat_wedge(1, 0, BraidWord(2, ()))
-
-    def test_standardize_preserves_validity(self):
-        p = plat_wedge(1, 0, braid_parse("s2", 4))
-        s = standardize(p)
-        assert s.mode == "standard"
-        assert validate_plat(s) is s
-        assert standardize(s) is s
 
     def test_json_curls_default_to_zero(self):
         p = PlatPresentation.from_json(
@@ -251,39 +243,57 @@ class TestPlat:
             assert peak < 2**20, curls
 
     def test_json_roundtrip(self):
-        p = standardize(plat_wedge(1, 0, braid_parse("s2", 4)))
+        p = plat_wedge(1, 0, braid_parse("s2", 4))
         back = PlatPresentation.from_json(p.to_json())
         assert back == p
 
 
 class TestSpineBoundary:
-    def test_needs_standard_mode(self):
-        p = plat_wedge(1, 0, braid_parse("s2", 4))
-        with pytest.raises(NotStandardized):
-            spine_boundary_knot(p)
-
     def test_hooked_genus_one_gives_unknot(self):
-        p = standardize(plat_wedge(1, 0, braid_parse("s2", 4)))
+        p = plat_wedge(1, 0, braid_parse("s2", 4))
         out = spine_boundary_knot(p)
         assert out.n_components == 1
         simplified, _ = simplify(out)
         assert simplified.n_crossings == 0
         assert jones_memoized(out) == 1
 
-    def test_nested_identity_braid_boundary_is_disconnected(self):
-        # an identity braid nests the two bands, so the banded spine is a
-        # pair of pants with three boundary circles, not a knot
-        p = standardize(plat_wedge(1, 0, BraidWord(4, ())))
+    def test_unclasped_identity_braid_boundary_is_disconnected(self):
+        # an identity braid sets the two bands side by side, unclasped, so
+        # the banded spine is a disk with two holes, bounded by three
+        # circles, not a knot
+        p = plat_wedge(1, 0, BraidWord(4, ()))
         with pytest.raises(DisconnectedBoundary):
             spine_boundary_knot(p)
 
     def test_curl_changes_writhe_by_two(self):
-        base = standardize(plat_wedge(1, 0, braid_parse("s2", 4)))
-        curled = PlatPresentation(base.genus, base.extra, base.braid,
-                                  base.mode, (1, 0))
+        base = plat_wedge(1, 0, braid_parse("s2", 4))
+        curled = base._replace(curls=(1, 0))
         w0 = spine_boundary_knot(base).writhe()
         w1 = spine_boundary_knot(curled).writhe()
         assert w1 - w0 == 2
+
+    @pytest.mark.parametrize("clasp", ["s2", "s2^-1"])
+    def test_clasped_bands_match_their_seifert_form(self, clasp):
+        # two bands with a and b full twists, clasped once, carry a
+        # Seifert form [[a, +-1], [0, b]] on their core curves; the sign
+        # of the clasp changes neither the Alexander polynomial nor the
+        # signature
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                p = plat_wedge(1, 0, braid_parse(clasp, 4), (a, b))
+                s = seifert_matrix(spine_boundary_knot(p))
+                form = [[a, 1], [0, b]]
+                assert alexander_from_seifert(s) == alexander_from_seifert(form)
+                assert signature(s) == signature(form), (a, b)
+
+    @pytest.mark.parametrize("curls,name", [((-1, -1), "3_1"),
+                                            ((-1, 1), "4_1"),
+                                            ((-2, 1), "6_1")])
+    def test_twisted_clasps_give_table_knots(self, curls, name):
+        out = spine_boundary_knot(plat_wedge(1, 0, braid_parse("s2", 4), curls))
+        assert str(jones_memoized(out)) == table_entry(name).jones
+        if name == "6_1":
+            assert kauffman_F(out) == KAUFFMAN_61_CORRECTED
 
     def test_boundary_bounds_a_genus_g_surface(self):
         # the banded spine F is a flat genus-g surface for the boundary
@@ -312,7 +322,7 @@ class TestSpineBoundary:
             word = random_word(rng, 4, rng.randint(1, 3))
             curls = (rng.randint(-2, 2), rng.randint(-2, 2))
             try:
-                p = standardize(plat_wedge(g, 0, word))
+                p = plat_wedge(g, 0, word)
                 flat = spine_boundary_knot(p)
             except (ExtraComponents, DisconnectedBoundary):
                 continue
@@ -331,9 +341,9 @@ class TestSpineBoundary:
         assert seen >= 4, "not enough connected-boundary samples"
         assert nontrivial >= 1, "no sample tested the Alexander span"
         for text in ("s2", "s2^-1"):
-            hooked = standardize(plat_wedge(g, 0, braid_parse(text, 4)))
+            hooked = plat_wedge(g, 0, braid_parse(text, 4))
             k = len(hooked.braid.letters)
             out = spine_boundary_knot(hooked)
             assert out.n_crossings == 4 * k
             assert seifert_count(out) == 2 * k + 1 + 2 * g
-            assert seifert_surface_genus(out) == k - g == 2
+            assert seifert_surface_genus(out) == k - g == 0
