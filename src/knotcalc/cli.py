@@ -24,9 +24,12 @@ input error.
 The one global setting is ``--max-crossings`` (default from
 ``$KNOTCALC_MAX_CROSSINGS``), the crossing cap of the polynomial engines.
 Everything runs in one process.  Each command owns one memo per
-skein-kernel engine (Kauffman F and Conway), shared by its own engine
-calls and dropped when it returns; the report's ``memo`` section gives
-their counts.  When ``invariants`` builds a Seifert matrix, its
+memoizing engine (Kauffman F, which keys the diagrams it is called on,
+and the Conway skein kernel), shared by its own engine calls and dropped
+when it returns; the report's ``memo`` section gives their counts.
+``invariants`` reports ``surface_genus``, the genus of the Seifert
+surface of the diagram as drawn: an upper bound on the knot genus that
+depends on the drawing.  When ``invariants`` builds a Seifert matrix, its
 ``seifert`` section gives the Seifert circles and the matrix size.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
@@ -63,7 +66,7 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 INVARIANT_NAMES = ("jones", "alexander", "conway", "kauffman",
-                   "determinant", "signature", "genus", "fibered")
+                   "determinant", "signature", "surface_genus", "fibered")
 LINK_INVARIANTS = ("jones", "conway", "kauffman")
 CABLE_CHECKS = ("writhe-formula", "hat", "king")
 
@@ -168,7 +171,7 @@ def cmd_invariants(args) -> int:
             values[name] = determinant(smatrix)
         elif name == "signature":
             values[name] = signature(smatrix)
-        elif name == "genus":
+        elif name == "surface_genus":
             values[name] = seifert_surface_genus(diagram)
         timing[name] = round(time.perf_counter() - t0, 6)
     report = {
@@ -292,8 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="invariants of one diagram")
     p.add_argument("input", help="PD text, braid word, diagram/plat JSON, "
                                  "file path, or bundled table name")
-    p.add_argument("--which", help="comma-separated invariant names or "
-                                   "'all' (for a link: jones, conway, kauffman)")
+    p.add_argument("--which", help=(
+        "comma-separated invariant names or 'all' (for a link: jones, "
+        f"conway, kauffman): {', '.join(INVARIANT_NAMES)}; surface_genus "
+        "is the genus of the Seifert surface of the diagram as drawn, an "
+        "upper bound on the knot genus"))
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("verify-paper",

@@ -12,46 +12,45 @@ number of crossings.  Conventions: ``<unknot> = 1``, the
 A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and ``c~d``, and
 ``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
 
-Kauffman F and Conway share one skein kernel, ``_skein_rec``.  It removes
-kinks (one curl factor each) and bigons in a loop, collecting their
-factors, and keys only the reduced state under ``diagram.canonical_form``,
-so only split and branch states enter the memo.  A key of several pieces
-is a split state, whose pieces are evaluated apart (one circle factor per
-extra piece); a one-piece state branches.  A ring fixes what differs
-between the two engines: its circle factor, curl factors, branch step and
-key tag.
+Kauffman F comes from a second frontier sweep, ``chords.chord_sweep``,
+whose states are layered chord diagrams in the Kauffman skein of a disk
+(see ``chords``).  It gives the regular-isotopy invariant L with
+``L(unknot) = 1``, ``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) +
+L(soo))``, and ``F = a^{-w} L``.  Kinks and bigons are removed first, and
+only the reduced diagram is keyed in the memo, so a memo shared by
+several calls serves a diagram met again; each of its connected pieces
+is swept apart, one circle factor per extra piece.
 
-* Kauffman ring: the regular-isotopy ``L`` with ``L(unknot) = 1``,
-  ``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) + L(soo))``, so the
-  circle factor is ``(a + a^-1) z^-1 - 1``; the branch switches the first
-  crossing met from above on the way to a descending diagram, whose value
-  is read off directly.  ``F = a^{-w} L``.
-* Conway ring: circle 0 and curls 1; the branch takes the Kauffman ring's
-  crossing and uses ``del(L+) - del(L-) = z del(L0)``.
+Conway runs on an exponential skein kernel, ``_skein_rec``.  It removes
+kinks and bigons in a loop and keys only the reduced state under
+``diagram.canonical_form``.  A state that closes a circle or splits has
+``del = 0``; any other branches by ``del(L+) - del(L-) = z del(L0)`` at
+the first crossing that a walk along its strands meets from below, and a
+state with none is a stack of unknotted circles.
 
 ``bracket_state_sum`` sums all ``2^n`` smoothings; it is capped and
 exponential, and serves as the oracle for the sweep.
 
-States are bare tuples of PD records (under diagonal in slots 0 and 2);
-free circles never live inside states, they are factored into
-coefficients as they appear.  Kink and bigon removal and smoothing erase
-records and join the arcs across their slots with ``diagram._glue``,
-whose first-wins rule names a joined arc after the first arc of its
-pair.  An empty child state stands for the last circle of its piece, so
-it contributes one circle factor less than the circles closed while
-reaching it.  Conway's states are the diagram's own records, slot 0 the
-incoming under-strand, and stay so: erasure runs both strands through,
-the oriented smoothing is the A-smoothing at a positive crossing and the
-B-smoothing at a negative one, and a switch turns the over-in slot to
-slot 0.  So the records fix every sign, and a constant tag per record
-keys them without half-turns.
+States of the kernel and of the reductions are bare tuples of PD records
+(under diagonal in slots 0 and 2); free circles never live inside
+states, they are counted as they appear.  Kink and bigon removal and
+smoothing erase records and join the arcs across their slots with
+``diagram._glue``, whose first-wins rule names a joined arc after the
+first arc of its pair.  An empty state stands for the last circle of its
+piece, so it contributes one circle factor less than the circles closed
+while reaching it.  Conway's states are the diagram's own records, slot
+0 the incoming under-strand, and stay so: erasure runs both strands
+through, the oriented smoothing is the A-smoothing at a positive crossing
+and the B-smoothing at a negative one, and a switch turns the over-in
+slot to slot 0.  So the records fix every sign, and a constant tag per
+record keys them without half-turns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
+from .chords import A_STEP, CIRCLE, ONE, chord_sweep, times, unpack
 from .diagram import (Diagram, _bounds_bigon, _glue, _occurrences, _rotate,
                       _split_pieces, canonical_form)
 from .errors import BadSite, ResourceLimit, TooLarge
@@ -80,17 +79,16 @@ DEFAULT_ENGINE_CAP = 32
 
 _DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
 
-_ZVAR = TwoVarPoly.z_pow(1)
 _Z = LaurentPoly.t_pow(1)   # Conway's z
-_DELTA_F = TwoVarPoly({(1, -1): 1, (-1, -1): 1, (0, 0): -1})  # (a+a^-1)z^-1 - 1
 
 
 class SkeinMemo:
     """Write-once table from canonical diagram keys to the polynomial
     values of one engine, and counts of the kinks and bigons the engine
-    removed (the skein kernel keys only what is left, so they never enter
-    the table).  The bracket sweep keys no states: it binds the memo and
-    leaves it empty.
+    removed (only what is left is keyed, so they never enter the table).
+    Kauffman F keys only the reduced diagram it is called on, Conway
+    every reduced state of its recursion.  The bracket sweep keys no
+    states: it binds the memo and leaves it empty.
 
     An engine called without a memo uses a fresh one for that call, so
     states are reused across calls only through a memo the caller owns
@@ -141,6 +139,12 @@ def engine_memos() -> dict[str, SkeinMemo]:
     return {engine: SkeinMemo() for engine in ("kauffman", "conway")}
 
 
+def _check_cap(d: Diagram, max_crossings: int):
+    if d.n_crossings > max_crossings:
+        raise ResourceLimit(
+            f"{d.n_crossings} crossings exceeds the engine cap {max_crossings}")
+
+
 # =====================================================================
 # unoriented states
 # =====================================================================
@@ -163,10 +167,9 @@ def _smooth(state: tuple, i: int, mode: str) -> tuple[tuple, int]:
 
 
 def _find_kink(state: tuple):
-    for i, rec in enumerate(state):
-        for s in range(4):
-            if rec[s] == rec[(s + 1) % 4]:
-                return i, s
+    for i, (a, b, c, d) in enumerate(state):
+        if a == b or b == c or c == d or d == a:
+            return i, (0 if a == b else 1 if b == c else 2 if c == d else 3)
     return None
 
 
@@ -189,32 +192,17 @@ def _find_bigon(state: tuple):
     return found and found[1:]
 
 
-# =====================================================================
-# the skein kernel
-# =====================================================================
-
-class _Ring(NamedTuple):
-    """What the kernel needs of an engine: its memo name, the factor of
-    a closed circle, the factors of a kink with its loop at an even or an
-    odd slot, the step taken when no simplification applies, and the key
-    tag of every record (None lets keys turn records half a turn)."""
-
-    engine: str
-    circle: LaurentPoly | TwoVarPoly
-    curls: tuple
-    branch: Callable
-    tag: int | None = None
-
-
-def _skein_rec(state: tuple, loops: int, memo: SkeinMemo, ring: _Ring):
-    """The value of a state times ``loops`` closed circles.  Kinks and
-    bigons are removed first; only the reduced state is keyed."""
-    curls = [0, 0]
+def _reduce(state: tuple, loops: int,
+            memo: SkeinMemo) -> tuple[tuple, int, int]:
+    """Remove the first kink, else the first bigon, until neither is
+    left; return the state, the circles closed plus ``loops``, and the
+    kinks with their loop at an even slot less those at an odd slot."""
+    curl = 0
     while state:
         kink = _find_kink(state)
         if kink is not None:
             state, closed = _erase(state, kink[:1], _THROUGH)
-            curls[kink[1] % 2] += 1
+            curl += 1 if kink[1] % 2 == 0 else -1
             memo.kinks += 1
         else:
             bigon = _find_bigon(state)
@@ -223,41 +211,7 @@ def _skein_rec(state: tuple, loops: int, memo: SkeinMemo, ring: _Ring):
             state, closed = _erase(state, bigon, _THROUGH)
             memo.bigons += 1
         loops += closed
-    # an empty state stands for the last circle (see the module docstring)
-    scale = ring.circle ** (loops if state else loops - 1)
-    for curl, k in zip(ring.curls, curls):
-        if k:
-            scale = curl ** k * scale
-    if not state or not scale:
-        return scale
-    key = canonical_form(
-        state, None if ring.tag is None else (ring.tag,) * len(state))
-    value = memo.get(key)
-    if value is None:
-        if len(key) > 1:  # split: one circle factor per extra piece
-            value = ring.circle ** (len(key) - 1)
-            if value:
-                for members in _split_pieces(state):
-                    piece = tuple(state[i] for i in members)
-                    value = value * _skein_rec(piece, 0, memo, ring)
-        else:
-            value = ring.branch(state, memo, ring)
-        memo.put(key, value)
-    return scale * value if loops or any(curls) else value
-
-
-def _skein_entry(d: Diagram, max_crossings: int, memo: SkeinMemo | None,
-                 ring: _Ring):
-    """The value of D in the ring (L, or Conway's del); without a memo,
-    the call uses a fresh one."""
-    n = d.n_crossings
-    if n > max_crossings:
-        raise ResourceLimit(f"{n} crossings exceeds the engine cap {max_crossings}")
-    memo = memo if memo is not None else SkeinMemo()
-    memo.bind(ring.engine)
-    if n == 0:
-        return ring.circle ** (d.n_components - 1)
-    return _skein_rec(d.crossings, d.free_loops, memo, ring)
+    return state, loops, curl
 
 
 # =====================================================================
@@ -398,12 +352,10 @@ def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                      memo: SkeinMemo | None = None) -> LaurentPoly:
     """Kauffman bracket by the frontier sweep of ``_sweep_states``.  The
     sweep keys no states: a memo is only bound to the bracket engine."""
-    n = d.n_crossings
-    if n > max_crossings:
-        raise ResourceLimit(f"{n} crossings exceeds the engine cap {max_crossings}")
+    _check_cap(d, max_crossings)
     if memo is not None:
         memo.bind("bracket")
-    if n == 0:
+    if d.n_crossings == 0:
         return _DELTA ** (d.n_components - 1)
     reduced = _divide_by_delta(_sweep_states(d.crossings))
     return _DELTA ** d.free_loops * LaurentPoly({-e: c for e, c in reduced.items()})
@@ -427,17 +379,58 @@ def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
 
 
 # =====================================================================
-# deterministic traversal of unoriented states
+# Kauffman two-variable polynomial
 # =====================================================================
+
+def _kauffman_L(state: tuple, loops: int, memo: SkeinMemo) -> dict:
+    """L, packed, of a state of PD records times ``loops`` closed circles
+    (an empty state stands for the last circle).  Kinks and bigons are
+    removed first; the reduced state is keyed and its pieces swept."""
+    state, loops, curl = _reduce(state, loops, memo)
+    if not state:
+        value, loops = ONE, loops - 1
+    else:
+        key = canonical_form(state)
+        value = memo.get(key)
+        if value is None:  # one circle factor per extra piece
+            pieces = [state] if len(key) == 1 else [
+                [state[i] for i in members] for members in _split_pieces(state)]
+            value = chord_sweep(pieces[0])
+            for piece in pieces[1:]:
+                value = times(times(value, CIRCLE), chord_sweep(piece))
+            memo.put(key, value)
+    for _ in range(loops):
+        value = times(value, CIRCLE)
+    return {e + curl * A_STEP: c for e, c in value.items()} if curl else value
+
+
+def kauffman_F(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
+               memo: SkeinMemo | None = None) -> TwoVarPoly:
+    """Two-variable Kauffman polynomial ``F = a^{-w} L``, L from the chord
+    sweep; the orientation of D enters only through the writhe.  Without
+    a memo, the call uses a fresh one."""
+    _check_cap(d, max_crossings)
+    memo = memo if memo is not None else SkeinMemo()
+    memo.bind("kauffman")
+    return unpack(_kauffman_L(d.crossings, d.free_loops, memo), -d.writhe())
+
+
+# =====================================================================
+# Conway / Alexander: the skein kernel
+# =====================================================================
+
+_ZERO = LaurentPoly.zero()
+_ONE = LaurentPoly.one()
+
 
 def _descending_base(state: tuple):
     """Walk every strand circle once, each from the first end of its
     least arc, and return (the first crossing met from below or None,
-    the circle count, the sum of the signs of self-crossings, the over-in
-    slot of that crossing).  The over-in slot assumes an oriented state
-    (slot 0 the incoming under-strand) and is read off the direction of
-    the over strand's first under pass; it is None when there is no such
-    pass, so that the over strand's circle lifts off the rest."""
+    the circle count, the over-in slot of that crossing).  The over-in
+    slot assumes an oriented state (slot 0 the incoming under-strand) and
+    is read off the direction of the over strand's first under pass; it
+    is None when there is no such pass, so that the over strand's circle
+    lifts off the rest."""
     occ = _occurrences(state)
     walked: set[int] = set()
     passes: dict[tuple[int, bool], tuple[int, int]] = {}  # -> (circle, slot)
@@ -463,22 +456,13 @@ def _descending_base(state: tuple):
             if arc == a0:
                 break
         circles += 1
-    self_writhe = 0
-    for i in range(len(state)):
-        (cu, u), (co, o) = passes[(i, True)], passes[(i, False)]
-        if cu == co:
-            self_writhe += 1 if (o - u) % 4 == 3 else -1
     over_in = None
     if bad is not None:
         c, s = passes[(bad, False)]
         if c in forward:
             over_in = s if forward[c] else s ^ 2
-    return bad, circles, self_writhe, over_in
+    return bad, circles, over_in
 
-
-# =====================================================================
-# Kauffman two-variable polynomial
-# =====================================================================
 
 def _switch_state(state: tuple, i: int, turn: int) -> tuple:
     work = list(state)
@@ -486,56 +470,44 @@ def _switch_state(state: tuple, i: int, turn: int) -> tuple:
     return tuple(work)
 
 
-def _kauffman_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> TwoVarPoly:
-    bad, circles, self_writhe, _ = _descending_base(state)
-    if bad is None:
-        # stacked unknotted circles with curls
-        return TwoVarPoly.a_pow(self_writhe) * _DELTA_F ** (circles - 1)
-    return (-_skein_rec(_switch_state(state, bad, 1), 0, memo, ring)
-            + _ZVAR * _skein_rec(*_smooth(state, bad, "A"), memo, ring)
-            + _ZVAR * _skein_rec(*_smooth(state, bad, "B"), memo, ring))
+def _skein_rec(state: tuple, loops: int, memo: SkeinMemo) -> LaurentPoly:
+    """Conway's del of a state times ``loops`` closed circles.  Kinks and
+    bigons are removed first; only the reduced state is keyed."""
+    state, loops, _ = _reduce(state, loops, memo)
+    # an empty state stands for the last circle (see the module docstring)
+    if loops != (0 if state else 1):
+        return _ZERO
+    if not state:
+        return _ONE
+    key = canonical_form(state, (0,) * len(state))
+    value = memo.get(key)
+    if value is None:
+        value = _conway_branch(state, memo) if len(key) == 1 else _ZERO
+        memo.put(key, value)
+    return value
 
 
-_KAUFFMAN = _Ring("kauffman", _DELTA_F,
-                  (TwoVarPoly.a_pow(1), TwoVarPoly.a_pow(-1)),
-                  _kauffman_branch)
-
-
-def kauffman_F(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
-               memo: SkeinMemo | None = None) -> TwoVarPoly:
-    """Two-variable Kauffman polynomial ``F = a^{-w} L``; the orientation
-    of D enters only through the writhe."""
-    lam = _skein_entry(d, max_crossings, memo, _KAUFFMAN)
-    return TwoVarPoly.a_pow(-d.writhe()) * lam
-
-
-# =====================================================================
-# Conway / Alexander
-# =====================================================================
-
-def _conway_branch(state: tuple, memo: SkeinMemo, ring: _Ring) -> LaurentPoly:
-    """``del(L+-) = del(L-+) +- z del(L0)`` at the Kauffman ring's crossing;
-    the switch brings the over-in slot to slot 0."""
-    bad, circles, _, o = _descending_base(state)
+def _conway_branch(state: tuple, memo: SkeinMemo) -> LaurentPoly:
+    """``del(L+-) = del(L-+) +- z del(L0)`` at the first crossing met
+    from below on the walk; the switch brings the over-in slot to slot 0."""
+    bad, circles, o = _descending_base(state)
     if bad is None:  # stacked unknotted circles
-        return ring.circle ** (circles - 1)
+        return _ONE if circles == 1 else _ZERO
     if o is None:  # its component lifts off the rest
-        return LaurentPoly.zero()
-    smoothed = _skein_rec(*_smooth(state, bad, "A" if o == 3 else "B"),
-                          memo, ring)
-    rest = _skein_rec(_switch_state(state, bad, o), 0, memo, ring)
+        return _ZERO
+    smoothed = _skein_rec(*_smooth(state, bad, "A" if o == 3 else "B"), memo)
+    rest = _skein_rec(_switch_state(state, bad, o), 0, memo)
     return rest + _Z * smoothed if o == 3 else rest - _Z * smoothed
-
-
-_CONWAY = _Ring("conway", LaurentPoly.zero(), (LaurentPoly.one(),) * 2,
-                _conway_branch, tag=0)
 
 
 def conway(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
            memo: SkeinMemo | None = None) -> LaurentPoly:
     """Conway polynomial; the variable z occupies the t-exponent slots.
     Without a memo, the call uses a fresh one."""
-    return _skein_entry(d, max_crossings, memo, _CONWAY)
+    _check_cap(d, max_crossings)
+    memo = memo if memo is not None else SkeinMemo()
+    memo.bind("conway")
+    return _skein_rec(d.crossings, d.free_loops, memo)
 
 
 def alexander_from_conway(nabla: LaurentPoly) -> LaurentPoly:

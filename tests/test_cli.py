@@ -97,7 +97,6 @@ def test_memo_section_reports_one_command(capsys):
         assert cli.main(["--format", "json", "invariants", "6_1"]) == cli.EXIT_OK
         sections.append(json.loads(capsys.readouterr().out)["memo"])
     assert sections[0] == sections[1]
-    assert sections[0]["kauffman"]["hits"] > 0
 
 
 def test_cable_of_the_unknot(capsys):
@@ -139,6 +138,26 @@ def test_plat_json_gives_the_boundary_knot(capsys):
     figure_eight = entry("4_1")
     assert values["jones"] == figure_eight.jones
     assert values["alexander"] == figure_eight.alexander
+
+
+def test_surface_genus_depends_on_the_drawing(capsys):
+    # the plat's boundary is 4_1, drawn with a genus 2 Seifert surface;
+    # the table diagram of 4_1 has one of genus 1, the knot genus
+    plat = '{"genus": 1, "braid": "s2", "strands": 4, "curls": [-1, 1]}'
+    got = []
+    for text in (plat, "4_1"):
+        argv = ["--format", "json", "invariants", text,
+                "--which", "surface_genus"]
+        assert cli.main(argv) == cli.EXIT_OK
+        got.append(json.loads(capsys.readouterr().out)
+                   ["payload"]["invariants"]["surface_genus"])
+    assert got == [2, 1]
+
+
+def test_genus_is_no_invariant_name(capsys):
+    argv = ["invariants", "4_1", "--which", "genus"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "unknown invariants: genus" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

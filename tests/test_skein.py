@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from knotcalc.diagram import Diagram, pd_parse
+from knotcalc.chords import unpack
+from knotcalc.diagram import Diagram, _rotate, pd_parse
 from knotcalc.errors import BadSite, ResourceLimit, TooLarge
 from knotcalc.moves import reidemeister_r1_add
 from knotcalc.polyring import LaurentPoly, TwoVarPoly, two_var_substitute
@@ -13,6 +14,8 @@ from knotcalc.presentations import (BraidWord, braid_parse, braid_to_tangle,
                                     trace_closure)
 from knotcalc.skein import (
     SkeinMemo,
+    _kauffman_L,
+    _smooth,
     alexander_from_conway,
     bracket_memoized,
     bracket_state_sum,
@@ -152,6 +155,71 @@ class TestKauffman:
             assert spec == jones_memoized(d)
 
 
+def torus_F(rows):
+    """F from rows (z exponent, least a exponent, coefficients of a^j for
+    j from there in steps of two)."""
+    return TwoVarPoly({(a0 + 2 * k, z): c for z, a0, coeffs in rows
+                       for k, c in enumerate(coeffs)})
+
+
+# F of torus closures, as the exponential skein kernel gave them before
+# the chord sweep replaced it; T(3,4) and T(4,3) are one knot
+TORUS_F = {
+    (3, 4): [(0, -10, (-1, -5, -5)), (1, -9, (5, 5)), (2, -8, (10, 10)),
+             (3, -9, (-5, -5)), (4, -8, (-6, -6)), (5, -9, (1, 1)),
+             (6, -8, (1, 1))],
+    (4, 3): [(0, -10, (-1, -5, -5)), (1, -9, (5, 5)), (2, -8, (10, 10)),
+             (3, -9, (-5, -5)), (4, -8, (-6, -6)), (5, -9, (1, 1)),
+             (6, -8, (1, 1))],
+    (3, 5): [(0, -12, (2, 8, 7)), (1, -11, (-8, -8)), (2, -12, (-1, -22, -21)),
+             (3, -11, (14, 14)), (4, -10, (21, 21)), (5, -11, (-7, -7)),
+             (6, -10, (-8, -8)), (7, -11, (1, 1)), (8, -10, (1, 1))],
+    (4, 5): [(0, -18, (1, 9, 21, 14)), (1, -19, (-1, -8, -28, -21)),
+             (2, -18, (-1, -22, -91, -70)), (3, -17, (14, 84, 70)),
+             (4, -16, (21, 154, 133)), (5, -17, (-7, -91, -84)),
+             (6, -16, (-8, -129, -121)), (7, -17, (1, 46, 45)),
+             (8, -16, (1, 56, 55)), (9, -15, (-11, -11)),
+             (10, -14, (-12, -12)), (11, -15, (1, 1)), (12, -14, (1, 1))],
+}
+
+
+class TestKauffmanOracle:
+    """The relations that determine L, on raw PD records: L(O) = 1, the
+    unoriented skein relation at any crossing, and a^+-1 per curl."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(10, strands=(3, 4, 5, 6)), st.integers(0, 99))
+    def test_skein_relation_at_a_random_record(self, word, site):
+        state = trace_closure(braid_to_tangle(word)).crossings
+        i = site % len(state)
+        switched = state[:i] + (_rotate(state[i], 1),) + state[i + 1:]
+        memo = SkeinMemo()
+
+        def lam(records, loops=0):
+            return unpack(_kauffman_L(records, loops, memo))
+
+        assert lam(state) + lam(switched) == TwoVarPoly.z_pow(1) * (
+            lam(*_smooth(state, i, "A")) + lam(*_smooth(state, i, "B")))
+
+    @settings(max_examples=40, deadline=None)
+    @given(braid_words(10, strands=(3, 4, 5, 6)), st.integers(0, 99),
+           st.sampled_from((1, -1)))
+    def test_curl_scales_by_a(self, word, site, sign):
+        d = trace_closure(braid_to_tangle(word))
+        arc = sorted(d.arcs)[site % len(d.arcs)]
+        curled = reidemeister_r1_add(d, arc, sign).diagram
+        assert (unpack(_kauffman_L(curled.crossings, 0, SkeinMemo()))
+                == unpack(_kauffman_L(d.crossings, 0, SkeinMemo()), sign))
+
+    def test_unknot(self):
+        assert unpack(_kauffman_L((), 1, SkeinMemo())) == TwoVarPoly.one()
+
+    @pytest.mark.parametrize("p, q", sorted(TORUS_F))
+    def test_torus_closures(self, p, q):
+        d = trace_closure(braid_to_tangle(BraidWord(p, tuple(range(1, p)) * q)))
+        assert kauffman_F(d) == torus_F(TORUS_F[(p, q)])
+
+
 class TestKernelProperties:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
@@ -203,13 +271,16 @@ class TestMemoClasses:
     """Memo counts follow the partition of states into key classes, so
     they move when canonical keys merge or split a class.  Only states
     left after removing kinks and bigons are keyed; the removals are
-    counted apart."""
+    counted apart.  Kauffman F keys only the reduced diagram it is
+    called on."""
 
-    def test_kauffman_of_torus_closure(self):
+    def test_kauffman_keys_one_diagram(self):
+        d = trace_closure(braid_to_tangle(TORUS_3_5))
         memo = SkeinMemo()
-        kauffman_F(trace_closure(braid_to_tangle(TORUS_3_5)), memo=memo)
-        assert memo.stats() == {"entries": 50, "hits": 43, "misses": 51,
-                                "kinks": 146, "bigons": 137}
+        for _ in range(2):
+            kauffman_F(d, memo=memo)
+        assert memo.stats() == {"entries": 1, "hits": 1, "misses": 1,
+                                "kinks": 0, "bigons": 0}
 
     def test_curled_unknot_reduces_to_nothing(self):
         d = reidemeister_r1_add(Diagram.unknot(), None, 1).diagram

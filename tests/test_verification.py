@@ -28,8 +28,8 @@ def test_chain_passes(report):
 
 def test_chain_owns_one_memo_per_engine(report):
     assert report["memo"] == {
-        "kauffman": {"entries": 6, "hits": 5, "misses": 6,
-                     "kinks": 18, "bigons": 6},
+        "kauffman": {"entries": 1, "hits": 0, "misses": 1,
+                     "kinks": 0, "bigons": 0},
         "conway": {"entries": 4, "hits": 0, "misses": 4,
                    "kinks": 8, "bigons": 4},
     }
