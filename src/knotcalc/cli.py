@@ -23,10 +23,10 @@ input error.
 
 The one global setting is ``--max-crossings`` (default from
 ``$KNOTCALC_MAX_CROSSINGS``), the crossing cap of the polynomial engines.
-Everything runs in one process.  Each command owns one memo per
-memoizing engine (Kauffman F, which keys the diagrams it is called on,
-and the Conway skein kernel), shared by its own engine calls and dropped
-when it returns; the report's ``memo`` section gives their counts.
+Everything runs in one process.  ``invariants`` and ``cable`` own the
+memo of the one memoizing engine, Kauffman F, which keys the diagrams it
+is called on; it is shared by the command's own engine calls and dropped
+when it returns, and the report's ``memo`` section gives its counts.
 ``invariants`` reports ``surface_genus``, the genus of the Seifert
 surface of the diagram as drawn: an upper bound on the knot genus that
 depends on the drawing.  When ``invariants`` builds a Seifert matrix, its
@@ -162,7 +162,7 @@ def cmd_invariants(args) -> int:
             else:
                 values[name] = "pass" if is_monic(delta) else "fail"
         elif name == "conway":
-            nabla = conway(diagram, args.max_crossings, memos["conway"])
+            nabla = conway(diagram, args.max_crossings)
             values[name] = nabla.to_str("z")
         elif name == "kauffman":
             values[name] = str(kauffman_F(diagram, args.max_crossings,
@@ -212,17 +212,15 @@ def cmd_table(args) -> int:
         _emit({"payload": payload, "timing": {}}, args.format)
         return EXIT_OK
     t0 = time.perf_counter()
-    memos = engine_memos()
     rows = []
     for e in entries:
-        diffs = table_mod.verify_entry(e, args.max_crossings, memos["conway"])
+        diffs = table_mod.verify_entry(e, args.max_crossings)
         rows.append({"name": e.name, "clean": not diffs,
                      "diffs": {k: {"stored": s, "computed": c}
                                for k, (s, c) in sorted(diffs.items())}})
     payload = {"entries": rows, "all_clean": all(r["clean"] for r in rows)}
     report = {"payload": payload,
-              "timing": {"total": round(time.perf_counter() - t0, 6)},
-              "memo": _memo_stats(memos)}
+              "timing": {"total": round(time.perf_counter() - t0, 6)}}
     _emit(report, args.format)
     return EXIT_OK if payload["all_clean"] else EXIT_VERIFY
 
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-crossings", type=int,
         default=os.environ.get("KNOTCALC_MAX_CROSSINGS", DEFAULT_ENGINE_CAP),
-        help="crossing cap for the recursive engines (default: "
+        help="crossing cap for the polynomial engines (default: "
              f"$KNOTCALC_MAX_CROSSINGS, else {DEFAULT_ENGINE_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -70,7 +70,7 @@ class TooLarge(KnotError):
 
 
 class ResourceLimit(KnotError):
-    """Crossing count exceeds the configured cap of a recursive engine."""
+    """Crossing count exceeds the configured cap of a polynomial engine."""
 
 
 # -------------------------------------------------------------------- seifert

@@ -44,12 +44,13 @@ total work is linear in c after ``Diagram.faces()``.
 Derived quantities rest on one exact integer determinant, Bareiss
 fraction-free elimination (``_int_det``).  The Alexander polynomial
 ``det(t^1/2 S - t^-1/2 S^T)``, normalized symmetric with positive leading
-coefficient, is interpolated from integer determinants of ``t S - S^T``
-at ``t = 0..n``; the determinant is ``|det(S + S^T)|``; the signature of
-``Q = S + S^T`` is read off the interpolated characteristic polynomial
-``det(t I - Q)`` by Descartes' rule of signs, exact because its roots are
-all real.  Also here: the monicity test (the fiberedness obstruction) and
-Trotter's elementary enlargements.
+coefficient, is read off one integer determinant of ``t S - S^T`` at a
+t past every coefficient's bound (``_det_poly``); the determinant is
+``|det(S + S^T)|``; the signature of ``Q = S + S^T`` is read off the
+characteristic polynomial ``det(t I - Q)``, found the same way, by
+Descartes' rule of signs, exact because its roots are all real.  Also
+here: the monicity test (the fiberedness obstruction) and Trotter's
+elementary enlargements.
 """
 
 from __future__ import annotations
@@ -157,6 +158,13 @@ def seifert_matrix(d: Diagram) -> SeifertMatrix:
     terms."""
     if d.n_components != 1:
         raise MultiComponent("Seifert matrices are computed for knots here")
+    return _seifert_form(d)
+
+
+def _seifert_form(d: Diagram) -> SeifertMatrix:
+    """The Seifert form of ``seifert_matrix`` on any diagram without free
+    loops whose projection is connected, links included: then the
+    surface is connected and the c - s + 1 face loops are a basis."""
     if not d.crossings:
         return SeifertMatrix((), ())
     faces = d.faces()
@@ -258,22 +266,25 @@ def _int_det(m) -> int:
 
 
 def _det_poly(a, b) -> list[int]:
-    """Integer coefficients of ``det(a + t b)``, lowest degree first,
-    interpolated (Newton divided differences) from ``_int_det`` at
-    ``t = 0..n``."""
-    n = len(a)
-    c = [_int_det([[x + t * y for x, y in zip(ra, rb)]
-                   for ra, rb in zip(a, b)]) for t in range(n + 1)]
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            c[i], rem = divmod(c[i] - c[i - 1], k)
-            if rem:
-                raise AssertionError("determinant is not an integer polynomial")
-    # Newton form c0 + c1 t + c2 t(t-1) + ..., expanded by Horner's scheme
-    poly = [c[n]]
-    for k in range(n - 1, -1, -1):
-        poly = [x - k * y for x, y in zip([0] + poly, poly + [0])]
-        poly[0] += c[k]
+    """Integer coefficients of ``det(a + t b)``, lowest degree first, read
+    off one integer determinant (Kronecker substitution).  Every
+    coefficient is at most the product of the rows' l1 norms, so at
+    ``t = 2 * bound + 1`` the balanced base-t digits of the determinant
+    are the coefficients."""
+    bound = 1
+    for ra, rb in zip(a, b):
+        bound *= sum(map(abs, ra)) + sum(map(abs, rb))
+    base = 2 * bound + 1
+    value = _int_det([[x + base * y for x, y in zip(ra, rb)]
+                      for ra, rb in zip(a, b)])
+    poly = []
+    for _ in range(len(a) + 1):
+        value, digit = divmod(value, base)
+        if digit > bound:
+            value, digit = value + 1, digit - base
+        poly.append(digit)
+    if value:
+        raise AssertionError("determinant exceeds its coefficient bound")
     return poly
 
 

@@ -21,42 +21,44 @@ only the reduced diagram is keyed in the memo, so a memo shared by
 several calls serves a diagram met again; each of its connected pieces
 is swept apart, one circle factor per extra piece.
 
-Conway runs on an exponential skein kernel, ``_skein_rec``.  It removes
-kinks and bigons in a loop and keys only the reduced state under
-``diagram.canonical_form``.  A state that closes a circle or splits has
-``del = 0``; any other branches by ``del(L+) - del(L-) = z del(L0)`` at
-the first crossing that a walk along its strands meets from below, and a
-state with none is a stack of unknotted circles.
+Conway comes from integer determinants, each read off by
+``seifert._det_poly``.  A knot's Alexander polynomial is a minor of the
+Fox matrix of its Wirtinger presentation (Fox, Ann. Math. 1953),
+normalized to be symmetric with ``Delta(1) = 1``; it shares no matrix
+with ``seifert_matrix``, so the Alexander polynomial of a knot has two
+independent routes.  A link has ``Delta(1) = 0``, which leaves the sign
+of ``del`` open, so its ``del`` is ``x^-n det(x^2 S - S^T)`` with
+``x = t^1/2``, S the Seifert form of its diagram, of size
+``n = c - s + 1``; a link with free loops or a split projection has
+``del = 0``.  Either polynomial in x is read as a polynomial in
+``z = x - x^-1`` by peeling off its top power.
 
 ``bracket_state_sum`` sums all ``2^n`` smoothings; it is capped and
 exponential, and serves as the oracle for the sweep.
 
-States of the kernel and of the reductions are bare tuples of PD records
+The states that F's reductions work on are bare tuples of PD records
 (under diagonal in slots 0 and 2); free circles never live inside
-states, they are counted as they appear.  Kink and bigon removal and
-smoothing erase records and join the arcs across their slots with
-``diagram._glue``, whose first-wins rule names a joined arc after the
-first arc of its pair.  An empty state stands for the last circle of its
-piece, so it contributes one circle factor less than the circles closed
-while reaching it.  Conway's states are the diagram's own records, slot
-0 the incoming under-strand, and stay so: erasure runs both strands
-through, the oriented smoothing is the A-smoothing at a positive crossing
-and the B-smoothing at a negative one, and a switch turns the over-in
-slot to slot 0.  So the records fix every sign, and a constant tag per
-record keys them without half-turns.
+states, they are counted as they appear.  Kink and bigon removal erase
+records and join the arcs across their slots with ``diagram._glue``,
+whose first-wins rule names a joined arc after the first arc of its
+pair.  An empty state stands for the last circle of its piece, so it
+contributes one circle factor less than the circles closed while
+reaching it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .chords import A_STEP, CIRCLE, ONE, chord_sweep, times, unpack
-from .diagram import (Diagram, _bounds_bigon, _glue, _occurrences, _rotate,
+from .diagram import (Diagram, _bounds_bigon, _glue, _occurrences,
                       _split_pieces, canonical_form)
 from .errors import BadSite, ResourceLimit, TooLarge
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
 from .moves import simplify as _simplify_diagram
 from .polyring import LaurentPoly, TwoVarPoly
+from .seifert import _det_poly, _seifert_form
 
 __all__ = [
     "SkeinMemo",
@@ -79,16 +81,14 @@ DEFAULT_ENGINE_CAP = 32
 
 _DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
 
-_Z = LaurentPoly.t_pow(1)   # Conway's z
-
 
 class SkeinMemo:
     """Write-once table from canonical diagram keys to the polynomial
     values of one engine, and counts of the kinks and bigons the engine
     removed (only what is left is keyed, so they never enter the table).
-    Kauffman F keys only the reduced diagram it is called on, Conway
-    every reduced state of its recursion.  The bracket sweep keys no
-    states: it binds the memo and leaves it empty.
+    Kauffman F keys only the reduced diagram it is called on.  The
+    bracket sweep and the Conway determinants key nothing: they bind the
+    memo and leave it empty.
 
     An engine called without a memo uses a fresh one for that call, so
     states are reused across calls only through a memo the caller owns
@@ -134,9 +134,9 @@ class SkeinMemo:
 
 
 def engine_memos() -> dict[str, SkeinMemo]:
-    """One fresh memo per engine, for a caller whose engine calls share
-    states."""
-    return {engine: SkeinMemo() for engine in ("kauffman", "conway")}
+    """One fresh memo per engine that keys states, for a caller whose
+    engine calls share them: Kauffman F is the only one."""
+    return {"kauffman": SkeinMemo()}
 
 
 def _check_cap(d: Diagram, max_crossings: int):
@@ -159,11 +159,6 @@ def _erase(state: tuple, removed, pairs) -> tuple[tuple, int]:
     kept, _, loops = _glue(
         [rec for j, rec in enumerate(state) if j not in removed], glues)
     return kept, loops
-
-
-def _smooth(state: tuple, i: int, mode: str) -> tuple[tuple, int]:
-    pairs = ((0, 1), (2, 3)) if mode == "A" else ((0, 3), (1, 2))
-    return _erase(state, (i,), pairs)
 
 
 def _find_kink(state: tuple):
@@ -416,98 +411,81 @@ def kauffman_F(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
 
 
 # =====================================================================
-# Conway / Alexander: the skein kernel
+# Conway / Alexander: integer determinants
 # =====================================================================
 
-_ZERO = LaurentPoly.zero()
-_ONE = LaurentPoly.one()
+def _conway_from_x(coeffs: dict[int, int]) -> LaurentPoly:
+    """del(z) of a Laurent polynomial in x = t^1/2, {exponent: coefficient},
+    that is a polynomial in z = x - x^-1: the top power c x^m is peeled
+    off as c (x - x^-1)^m, expanded by binomials."""
+    work = {e: c for e, c in coeffs.items() if c}
+    nabla = {}
+    while work:
+        m = max(work)
+        if m < 0:
+            raise ArithmeticError("not a polynomial in x - x^-1")
+        c = nabla[m] = work[m]
+        for j in range(m + 1):
+            e = m - 2 * j
+            left = work.get(e, 0) - (-1) ** j * comb(m, j) * c
+            if left:
+                work[e] = left
+            else:
+                work.pop(e, None)
+    return LaurentPoly.from_terms(nabla.items())
 
 
-def _descending_base(state: tuple):
-    """Walk every strand circle once, each from the first end of its
-    least arc, and return (the first crossing met from below or None,
-    the circle count, the over-in slot of that crossing).  The over-in
-    slot assumes an oriented state (slot 0 the incoming under-strand) and
-    is read off the direction of the over strand's first under pass; it
-    is None when there is no such pass, so that the over strand's circle
-    lifts off the rest."""
-    occ = _occurrences(state)
-    walked: set[int] = set()
-    passes: dict[tuple[int, bool], tuple[int, int]] = {}  # -> (circle, slot)
-    forward: dict[int, bool] = {}  # circle -> walked along its orientation
-    bad = None
-    circles = 0
-    for a0 in sorted(occ):
-        if a0 in walked:
-            continue
-        arc, end = a0, min(occ[a0])  # a0 flows into this end
-        while True:
-            walked.add(arc)
-            i, s = end
-            under = s % 2 == 0
-            if bad is None and under and (i, False) not in passes:
-                bad = i  # first met from below
-            passes[(i, under)] = circles, s
-            if under and circles not in forward:
-                forward[circles] = s == 0
-            out_slot = (s + 2) % 4
-            arc = state[i][out_slot]
-            (end,) = [e for e in occ[arc] if e != (i, out_slot)]
-            if arc == a0:
-                break
-        circles += 1
-    over_in = None
-    if bad is not None:
-        c, s = passes[(bad, False)]
-        if c in forward:
-            over_in = s if forward[c] else s ^ 2
-    return bad, circles, over_in
+# the Fox row of a crossing by its sign, as (constant, t coefficient) on
+# (over arc, incoming under arc, outgoing under arc)
+_FOX_ROWS = {1: ((1, -1), (0, 1), (-1, 0)), -1: ((-1, 1), (1, 0), (0, -1))}
 
 
-def _switch_state(state: tuple, i: int, turn: int) -> tuple:
-    work = list(state)
-    work[i] = _rotate(work[i], turn)
-    return tuple(work)
-
-
-def _skein_rec(state: tuple, loops: int, memo: SkeinMemo) -> LaurentPoly:
-    """Conway's del of a state times ``loops`` closed circles.  Kinks and
-    bigons are removed first; only the reduced state is keyed."""
-    state, loops, _ = _reduce(state, loops, memo)
-    # an empty state stands for the last circle (see the module docstring)
-    if loops != (0 if state else 1):
-        return _ZERO
-    if not state:
-        return _ONE
-    key = canonical_form(state, (0,) * len(state))
-    value = memo.get(key)
-    if value is None:
-        value = _conway_branch(state, memo) if len(key) == 1 else _ZERO
-        memo.put(key, value)
-    return value
-
-
-def _conway_branch(state: tuple, memo: SkeinMemo) -> LaurentPoly:
-    """``del(L+-) = del(L-+) +- z del(L0)`` at the first crossing met
-    from below on the walk; the switch brings the over-in slot to slot 0."""
-    bad, circles, o = _descending_base(state)
-    if bad is None:  # stacked unknotted circles
-        return _ONE if circles == 1 else _ZERO
-    if o is None:  # its component lifts off the rest
-        return _ZERO
-    smoothed = _skein_rec(*_smooth(state, bad, "A" if o == 3 else "B"), memo)
-    rest = _skein_rec(_switch_state(state, bad, o), 0, memo)
-    return rest + _Z * smoothed if o == 3 else rest - _Z * smoothed
+def _fox_alexander(d: Diagram) -> dict[int, int]:
+    """Delta of a knot diagram with crossings, as {exponent of x: coefficient},
+    symmetric with Delta(1) = 1, from the Fox matrix of the Wirtinger
+    presentation.  The generators are the over-arcs, PD arcs joined
+    through slots 1 and 3; a positive crossing gives the row (1 - t, t,
+    -1) on (over arc, incoming under arc, outgoing under arc), a negative
+    one (t - 1, 1, -t).  The first row and column are deleted, and the
+    minor, det(a + t b), is Delta up to a unit +-t^k."""
+    recs, _, _ = _glue(d.crossings, [(rec[1], rec[3]) for rec in d.crossings])
+    column = {x: k for k, x in enumerate(sorted({x for r in recs for x in r}))}
+    n = len(recs)  # as many over-arcs as crossings
+    a = [[0] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    for i, rec in enumerate(recs):
+        for slot, (x, y) in zip((1, 0, 2), _FOX_ROWS[d.sign(i)]):
+            a[i][column[rec[slot]]] += x
+            b[i][column[rec[slot]]] += y
+    coeffs = _det_poly([r[1:] for r in a[1:]], [r[1:] for r in b[1:]])
+    ks = [k for k, c in enumerate(coeffs) if c]
+    unit = 1 if sum(coeffs) > 0 else -1
+    return {2 * k - ks[0] - ks[-1]: unit * coeffs[k] for k in ks}
 
 
 def conway(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
            memo: SkeinMemo | None = None) -> LaurentPoly:
     """Conway polynomial; the variable z occupies the t-exponent slots.
-    Without a memo, the call uses a fresh one."""
+
+    A knot's del comes from its Fox matrix (``_fox_alexander``), a link's
+    from its Seifert form S of size n = c - s + 1, as x^-n det(x^2 S - S^T)
+    with x = t^1/2; both are turned into polynomials in z = x - x^-1 by
+    ``_conway_from_x``.  A link with free loops, or whose projection
+    falls into several pieces, is split and gets 0.  Nothing is keyed: a
+    memo is only bound to the Conway engine."""
     _check_cap(d, max_crossings)
-    memo = memo if memo is not None else SkeinMemo()
-    memo.bind("conway")
-    return _skein_rec(d.crossings, d.free_loops, memo)
+    if memo is not None:
+        memo.bind("conway")
+    if not d.crossings:
+        return LaurentPoly.one() if d.free_loops == 1 else LaurentPoly.zero()
+    if d.n_components == 1:
+        return _conway_from_x(_fox_alexander(d))
+    if d.free_loops or d.connected_pieces() > 1:
+        return LaurentPoly.zero()
+    s = _seifert_form(d).matrix
+    n = len(s)
+    coeffs = _det_poly([[-s[j][i] for j in range(n)] for i in range(n)], s)
+    return _conway_from_x({2 * k - n: c for k, c in enumerate(coeffs)})
 
 
 def alexander_from_conway(nabla: LaurentPoly) -> LaurentPoly:

@@ -16,8 +16,8 @@ from .diagram import Diagram, pd_parse
 from .seifert import (alexander_from_seifert, determinant, is_monic,
                       normalize_alexander, seifert_matrix,
                       seifert_surface_genus, signature)
-from .skein import (DEFAULT_ENGINE_CAP, SkeinMemo, alexander_from_conway,
-                    conway, jones_memoized)
+from .skein import (DEFAULT_ENGINE_CAP, alexander_from_conway, conway,
+                    jones_memoized)
 
 __all__ = ["KnotTableEntry", "load_table", "table_names", "entry", "diagram",
            "verify_entry"]
@@ -64,16 +64,17 @@ def diagram(name: str) -> Diagram:
     return entry(name).diagram()
 
 
-def verify_entry(e: KnotTableEntry, max_crossings: int = DEFAULT_ENGINE_CAP,
-                 conway_memo: SkeinMemo | None = None) -> dict[str, tuple[str, str]]:
+def verify_entry(e: KnotTableEntry, max_crossings: int = DEFAULT_ENGINE_CAP
+                 ) -> dict[str, tuple[str, str]]:
     """Recompute every stored invariant; returns {field: (stored, computed)}
-    for the fields that differ (empty dict: clean entry).  The Conway
-    engine runs on the caller's memo, a fresh one when none is given."""
+    for the fields that differ (empty dict: clean entry).  The Alexander
+    polynomial is computed twice, from the Seifert matrix and through
+    Conway, which takes a knot's Fox matrix."""
     d = e.diagram()
     s = seifert_matrix(d)
     alex_seifert = alexander_from_seifert(s)
     alex_conway = normalize_alexander(
-        alexander_from_conway(conway(d, max_crossings, conway_memo)))
+        alexander_from_conway(conway(d, max_crossings)))
     computed = {
         "jones": str(jones_memoized(d, max_crossings)),
         "alexander": str(alex_seifert),

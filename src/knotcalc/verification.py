@@ -84,9 +84,11 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
 
     ``f_poly`` and ``v_tilde`` exist for fault-injection tests; by default
     everything is computed from the bundled 6_1 diagram.  The chain owns
-    one memo per skein-kernel engine, whose counts are reported in the
-    ``memo`` section; Jones comes from the bracket sweep, which keys no
-    states.
+    the Kauffman F memo, whose counts are reported in the ``memo``
+    section.  The two Alexander routes are independent: the Seifert
+    matrix on one side, Conway from the Fox matrix of the Wirtinger
+    presentation on the other.  Jones comes from the bracket sweep, and
+    neither it nor Conway keys states.
     """
     steps = []
     timings = {}
@@ -114,7 +116,7 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
     alex_conway = clocked(
         "alexander_conway",
         lambda: normalize_alexander(
-            alexander_from_conway(conway(d61, max_crossings, memos["conway"]))))
+            alexander_from_conway(conway(d61, max_crossings))))
     step("alexander-both-paths",
          alex_seifert == ALEXANDER_61 and _unit_multiple(alex_conway,
                                                          ALEXANDER_61),

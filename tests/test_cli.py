@@ -56,6 +56,14 @@ def test_link_invariants_under_all(capsys):
     assert values["conway"] == "z"
 
 
+def test_conway_alone_on_the_hopf_link(capsys):
+    argv = ["--format", "json", "invariants", "s1 s1", "--which", "conway"]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"]["invariants"] == {"conway": "z"}
+    assert "conway" not in report["memo"]
+
+
 def test_negative_hopf_link_keeps_the_braid_orientation(capsys):
     argv = ["--format", "json", "invariants", "s1^-1 s1^-1"]
     assert cli.main(argv) == cli.EXIT_OK

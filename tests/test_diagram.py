@@ -286,8 +286,8 @@ def smoothed_state(d, rng):
     """An unoriented state: D with a random subset of crossings smoothed."""
     state = d.crossings
     for _ in range(rng.randrange(len(state))):
-        state, _ = skein._smooth(state, rng.randrange(len(state)),
-                                 rng.choice("AB"))
+        smoothing = rng.choice((((0, 1), (2, 3)), ((0, 3), (1, 2))))  # A, B
+        state, _ = skein._erase(state, (rng.randrange(len(state)),), smoothing)
     return state
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from knotcalc import seifert, skein
 from knotcalc.chords import unpack
 from knotcalc.diagram import Diagram, _rotate, pd_parse
 from knotcalc.errors import BadSite, ResourceLimit, TooLarge
@@ -12,10 +13,11 @@ from knotcalc.moves import reidemeister_r1_add
 from knotcalc.polyring import LaurentPoly, TwoVarPoly, two_var_substitute
 from knotcalc.presentations import (BraidWord, braid_parse, braid_to_tangle,
                                     trace_closure)
+from knotcalc.seifert import normalize_alexander
 from knotcalc.skein import (
     SkeinMemo,
+    _erase,
     _kauffman_L,
-    _smooth,
     alexander_from_conway,
     bracket_memoized,
     bracket_state_sum,
@@ -39,6 +41,9 @@ JONES_Z = t(Fraction(1, 4)) + t(Fraction(-1, 4))
 TORUS_3_5 = BraidWord(3, (1, 2) * 5)
 # its closure, a 3-component link, holds a twisted pair (see moves' tests)
 TWISTED_PAIR = braid_parse("s2 s3 s4^-1 s4 s1 s1", 5)
+# the slot pairs that the A- and the B-smoothing of a record join
+A_SMOOTHING = ((0, 1), (2, 3))
+B_SMOOTHING = ((0, 3), (1, 2))
 
 
 class TestBracket:
@@ -199,7 +204,8 @@ class TestKauffmanOracle:
             return unpack(_kauffman_L(records, loops, memo))
 
         assert lam(state) + lam(switched) == TwoVarPoly.z_pow(1) * (
-            lam(*_smooth(state, i, "A")) + lam(*_smooth(state, i, "B")))
+            lam(*_erase(state, (i,), A_SMOOTHING))
+            + lam(*_erase(state, (i,), B_SMOOTHING)))
 
     @settings(max_examples=40, deadline=None)
     @given(braid_words(10, strands=(3, 4, 5, 6)), st.integers(0, 99),
@@ -291,12 +297,6 @@ class TestMemoClasses:
         assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
                                 "kinks": 5, "bigons": 0}
 
-    def test_conway_of_torus_closure(self):
-        memo = SkeinMemo()
-        conway(trace_closure(braid_to_tangle(TORUS_3_5)), memo=memo)
-        assert memo.stats() == {"entries": 40, "hits": 21, "misses": 40,
-                                "kinks": 21, "bigons": 39}
-
 
 class TestConway:
     def test_unknot(self):
@@ -331,17 +331,63 @@ class TestConway:
         d = trace_closure(braid_to_tangle(braid_parse(word)))
         assert conway(d) == LaurentPoly.from_terms(terms)
 
-    @settings(max_examples=60, deadline=None)
-    @given(braid_words(), st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    @given(braid_words(10, strands=(3, 4, 5, 6)), st.integers(0, 99))
     def test_skein_relation_and_mirror_on_closures(self, word, site):
-        # skein_triple builds L+, L- and L0 with Diagram.rewire, apart
-        # from the kernel; the mirror image has del(-z)
+        # skein_triple builds L+, L- and L0 with Diagram.rewire; when L+-
+        # is a knot, L0 is a link, so the Fox route of the knots meets the
+        # Seifert route of the link.  The mirror image has del(-z)
         d = trace_closure(braid_to_tangle(word))
         plus, minus, zero = skein_triple(d, site % d.n_crossings)
         assert conway(plus) - conway(minus) == t(1) * conway(zero)
         nabla = conway(d).terms
         assert conway(d.mirror()) == LaurentPoly(
             {q: c if q % 8 == 0 else -c for q, c in nabla.items()})
+
+    def test_unlink_drawn_connected(self):
+        # an R2 overlap: one piece, no free loops, so the 0 comes from the
+        # determinant and not from the split shortcut
+        d = trace_closure(braid_to_tangle(braid_parse("s1 s1^-1")))
+        assert d.n_components == 2
+        assert (d.free_loops, d.connected_pieces()) == (0, 1)
+        assert conway(d).is_zero()
+
+    def test_relabeling_keeps_conway(self, table_diagrams):
+        # the Fox minor drops the row and column of whichever record and
+        # over-arc come first, so both are moved here
+        rng = random.Random(16)
+        for name, d in table_diagrams.items():
+            want = conway(d)
+            assert conway(d.relabeled()) == want, name
+            arcs = sorted(d.arcs)
+            fresh = rng.sample(range(1, 5 * len(arcs)), len(arcs))
+            label = dict(zip(arcs, fresh))
+            k = rng.randrange(d.n_crossings)
+            recs = [tuple(label[a] for a in rec) for rec in d.crossings]
+            moved = Diagram(recs[k:] + recs[:k], d.over_in[k:] + d.over_in[:k])
+            assert conway(moved) == want, name
+
+
+class TestConwayIndependence:
+    """A knot's Conway must not come from the Seifert form, or the checks
+    that compare the Conway route with the Seifert route compare one
+    matrix with itself."""
+
+    def test_knots_never_build_a_seifert_form(self, monkeypatch, table):
+        def refuse(*args):
+            raise AssertionError("Conway of a knot built a Seifert form")
+
+        for target in (seifert.seifert_matrix, seifert._seifert_form):
+            for module in (seifert, skein):
+                for name, value in list(vars(module).items()):
+                    if value is target:
+                        monkeypatch.setattr(module, name, refuse)
+        for e in table:
+            delta = alexander_from_conway(conway(e.diagram()))
+            assert str(normalize_alexander(delta)) == e.alexander, e.name
+        hopf = trace_closure(braid_to_tangle(braid_parse("s1 s1")))
+        with pytest.raises(AssertionError, match="Seifert form"):
+            conway(hopf)  # the patch holds: links do use the form
 
 
 class TestSkeinTriple:

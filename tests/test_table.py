@@ -2,23 +2,21 @@
 
 import pytest
 
+from knotcalc import table
 from knotcalc.errors import ResourceLimit
-from knotcalc.skein import SkeinMemo
-from knotcalc.table import entry, verify_entry
+from knotcalc.table import entry, load_table, verify_entry
 
 
-def test_verify_entry_caps_every_engine():
-    memo = SkeinMemo()
+def test_verify_entry_caps_every_engine(monkeypatch):
+    # each engine honors the cap: with Jones stubbed out, Conway must
+    # still stop the call
     with pytest.raises(ResourceLimit):
-        verify_entry(entry("6_1"), 2, conway_memo=memo)
-    assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
-                            "kinks": 0, "bigons": 0}
+        verify_entry(entry("6_1"), 2)
+    monkeypatch.setattr(table, "jones_memoized", lambda d, cap: "")
+    with pytest.raises(ResourceLimit):
+        verify_entry(entry("6_1"), 2)
 
 
-def test_verify_entry_runs_on_the_callers_memos():
-    conway = SkeinMemo()
-    assert verify_entry(entry("6_1"), conway_memo=conway) == {}
-    assert conway.table
-    misses = conway.misses
-    assert verify_entry(entry("6_1"), conway_memo=conway) == {}
-    assert conway.misses == misses  # the rerun is pure hits
+def test_verify_entry_is_clean_on_every_entry():
+    assert {e.name: verify_entry(e) for e in load_table()} == {
+        e.name: {} for e in load_table()}
