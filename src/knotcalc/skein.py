@@ -12,14 +12,24 @@ number of crossings.  Conventions: ``<unknot> = 1``, the
 A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and ``c~d``, and
 ``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
 
+The bracket depends only on the unoriented diagram (Kauffman, Topology
+1987), so a memo shared by several calls keys each bracket by the free
+loops and the PD records, each taken up to a half-turn, ``_half_turn_key``.
+Reversing a component turns exactly the records whose under strand it
+holds by a half-turn and keeps every arc label, so the orientations of
+one diagram, such as a 2-cable and its hat, share one sweep.  A mirror
+turns records a quarter-turn and a relabeling renames arcs: neither is
+met in the memo.
+
 Kauffman F comes from a second frontier sweep, ``chords.chord_sweep``,
 whose states are layered chord diagrams in the Kauffman skein of a disk
 (see ``chords``).  It gives the regular-isotopy invariant L with
 ``L(unknot) = 1``, ``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) +
 L(soo))``, and ``F = a^{-w} L``.  Kinks and bigons are removed first, and
-only the reduced diagram is keyed in the memo, so a memo shared by
-several calls serves a diagram met again; each of its connected pieces
-is swept apart, one circle factor per extra piece.
+only the reduced diagram is keyed in the memo, by the same half-turn key
+as the bracket, so a memo shared by several calls serves a diagram met
+again; each of its connected pieces is swept apart, one circle factor
+per extra piece.
 
 Conway comes from integer determinants, each read off by
 ``seifert._det_poly``.  A knot's Alexander polynomial is a minor of the
@@ -53,7 +63,7 @@ from math import comb
 
 from .chords import A_STEP, CIRCLE, ONE, chord_sweep, times, unpack
 from .diagram import (Diagram, _bounds_bigon, _glue, _occurrences,
-                      _split_pieces, canonical_form)
+                      _split_pieces)
 from .errors import BadSite, ResourceLimit, TooLarge
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
 from .moves import simplify as _simplify_diagram
@@ -83,15 +93,16 @@ _DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
 
 
 class SkeinMemo:
-    """Write-once table from canonical diagram keys to the polynomial
-    values of one engine, and counts of the kinks and bigons the engine
-    removed (only what is left is keyed, so they never enter the table).
-    Kauffman F keys only the reduced diagram it is called on.  The
-    bracket sweep and the Conway determinants key nothing: they bind the
-    memo and leave it empty.
+    """Write-once table from diagram keys to the polynomial values of one
+    engine, and counts of the kinks and bigons the engine removed (only
+    what is left is keyed, so they never enter the table).  The bracket
+    keys the diagram it is called on, Kauffman F the reduced diagram;
+    both key PD records up to a half-turn (``_half_turn_key``), so a
+    mirror or a relabeling of a diagram is a new key.  The Conway
+    determinants key nothing: they bind the memo and leave it empty.
 
     An engine called without a memo uses a fresh one for that call, so
-    states are reused across calls only through a memo the caller owns
+    values are reused across calls only through a memo the caller owns
     and passes to each of them.  The first engine that uses a memo owns
     it: the engines' keys overlap while their values live in different
     rings, so handing the memo to another engine raises ``ValueError``.
@@ -134,8 +145,12 @@ class SkeinMemo:
 
 
 def engine_memos() -> dict[str, SkeinMemo]:
-    """One fresh memo per engine that keys states, for a caller whose
-    engine calls share them: Kauffman F is the only one."""
+    """One fresh memo for Kauffman F, for a caller whose F calls share it.
+    The bracket keys values too, but gets no memo here: the CLI and the
+    verification chain check V(hat) against V(cable), and a shared memo
+    would answer the hat from the cable's sweep, so that the check would
+    compare one sweep with itself.  A caller that wants the reuse passes
+    its own bracket memo."""
     return {"kauffman": SkeinMemo()}
 
 
@@ -150,6 +165,13 @@ def _check_cap(d: Diagram, max_crossings: int):
 # =====================================================================
 
 _THROUGH = ((0, 2), (1, 3))  # both strands run through the crossing
+
+
+def _half_turn_key(records) -> tuple:
+    """The records, each as the lesser of itself and its half-turn: the
+    same for every orientation of one unoriented diagram, whose records
+    keep the under diagonal in slots 0 and 2."""
+    return tuple(min(r, r[2:] + r[:2]) for r in records)
 
 
 def _erase(state: tuple, removed, pairs) -> tuple[tuple, int]:
@@ -345,15 +367,25 @@ def _divide_by_delta(poly: dict[int, int]) -> dict[int, int]:
 
 def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                      memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Kauffman bracket by the frontier sweep of ``_sweep_states``.  The
-    sweep keys no states: a memo is only bound to the bracket engine."""
+    """Kauffman bracket by the frontier sweep of ``_sweep_states``.
+
+    A memo keys the bracket by the free loops and ``_half_turn_key`` of
+    the records, so a later call on the same diagram in any orientation
+    reads it back without a sweep; a mirror or a relabeling is swept
+    anew.  Without a memo, the call uses a fresh one."""
     _check_cap(d, max_crossings)
-    if memo is not None:
-        memo.bind("bracket")
+    memo = memo if memo is not None else SkeinMemo()
+    memo.bind("bracket")
     if d.n_crossings == 0:
         return _DELTA ** (d.n_components - 1)
-    reduced = _divide_by_delta(_sweep_states(d.crossings))
-    return _DELTA ** d.free_loops * LaurentPoly({-e: c for e, c in reduced.items()})
+    key = (d.free_loops, _half_turn_key(d.crossings))
+    value = memo.get(key)
+    if value is None:
+        reduced = _divide_by_delta(_sweep_states(d.crossings))
+        value = _DELTA ** d.free_loops * LaurentPoly(
+            {-e: c for e, c in reduced.items()})
+        memo.put(key, value)
+    return value
 
 
 def _normalize_bracket(d: Diagram, bracket: LaurentPoly) -> LaurentPoly:
@@ -369,7 +401,10 @@ def jones(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> LaurentPoly:
 
 def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                    memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Jones polynomial from the frontier-sweep bracket."""
+    """Jones polynomial from the frontier-sweep bracket.  A shared memo
+    holds brackets, which do not see the orientation, and each call
+    applies its own writhe factor, so a 2-cable and its hat share one
+    sweep (see ``bracket_memoized``)."""
     return _normalize_bracket(d, bracket_memoized(d, max_crossings, memo))
 
 
@@ -385,11 +420,11 @@ def _kauffman_L(state: tuple, loops: int, memo: SkeinMemo) -> dict:
     if not state:
         value, loops = ONE, loops - 1
     else:
-        key = canonical_form(state)
+        key = (0, _half_turn_key(state))
         value = memo.get(key)
         if value is None:  # one circle factor per extra piece
-            pieces = [state] if len(key) == 1 else [
-                [state[i] for i in members] for members in _split_pieces(state)]
+            pieces = [[state[i] for i in members]
+                      for members in _split_pieces(state)]
             value = chord_sweep(pieces[0])
             for piece in pieces[1:]:
                 value = times(times(value, CIRCLE), chord_sweep(piece))

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from knotcalc import seifert, skein
+from knotcalc.cable import cable2, make_hat
 from knotcalc.chords import unpack
 from knotcalc.diagram import Diagram, _rotate, pd_parse
 from knotcalc.errors import BadSite, ResourceLimit, TooLarge
@@ -29,7 +30,7 @@ from knotcalc.skein import (
     verify_jones_skein,
 )
 
-from strategies import braid_words
+from strategies import braid_words, knot_braid_words
 
 t = LaurentPoly.t_pow
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -101,15 +102,50 @@ class TestJones:
             assert jones_memoized(d.mirror()) == jones_memoized(d).invert_t()
 
     def test_determinism_and_memo_hits(self):
-        # the sweep keys no states: it binds the memo and leaves it empty
+        # the first call sweeps and keys the bracket, the second reads it
         memo = SkeinMemo()
         d = pd_parse(SIX_ONE)
         first = jones_memoized(d, memo=memo)
         second = jones_memoized(d, memo=memo)
         assert first == second
         assert memo.engine == "bracket"
-        assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
+        assert memo.stats() == {"entries": 1, "hits": 1, "misses": 1,
                                 "kinks": 0, "bigons": 0}
+
+    def test_shared_memo_serves_the_hat_from_the_cable(self):
+        # the hat is the cable with its copy reversed: the same unoriented
+        # diagram, so its bracket is read back and only the writhe differs
+        knot = pd_parse(SIX_ONE)
+        memo = SkeinMemo()
+        for k, framing in enumerate((-1, 0, 2), 1):
+            cab = cable2(knot, framing)
+            hat = make_hat(cab).diagram
+            v_cable = jones_memoized(cab.diagram, memo=memo)
+            v_hat = jones_memoized(hat, memo=memo)
+            assert (memo.hits, memo.misses) == (k, k)
+            assert v_hat == jones_memoized(hat)
+            assert v_hat == t(-3 * framing) * v_cable
+
+    def test_mirror_and_free_loop_miss(self):
+        # a mirror turns each record a quarter-turn and a free loop
+        # changes the bracket: both are keys of their own
+        d = pd_parse(SIX_ONE)
+        memo = SkeinMemo()
+        jones_memoized(d, memo=memo)
+        for other in (d.mirror(), d.add_free_loops(1)):
+            assert jones_memoized(other, memo=memo) == jones_memoized(other)
+        assert memo.stats() == {"entries": 3, "hits": 0, "misses": 3,
+                                "kinks": 0, "bigons": 0}
+
+    @settings(max_examples=20, deadline=None)
+    @given(knot_braid_words(4), st.integers(-2, 2))
+    def test_shared_memo_keeps_cable_and_hat_jones(self, word, framing):
+        cab = cable2(trace_closure(braid_to_tangle(word)), framing)
+        cap = cab.diagram.n_crossings
+        memo = SkeinMemo()
+        for link in (cab.diagram, make_hat(cab).diagram):
+            assert jones_memoized(link, cap, memo) == jones_memoized(link, cap)
+        assert memo.hits == 1
 
     def test_memo_serves_one_engine(self):
         # bracket and F states share one key space but not one ring
@@ -275,7 +311,7 @@ class TestKernelProperties:
 
 class TestMemoClasses:
     """Memo counts follow the partition of states into key classes, so
-    they move when canonical keys merge or split a class.  Only states
+    they move when the half-turn keys merge or split a class.  Only states
     left after removing kinks and bigons are keyed; the removals are
     counted apart.  Kauffman F keys only the reduced diagram it is
     called on."""
