@@ -23,12 +23,10 @@ input error.
 
 The one global setting is ``--max-crossings`` (default from
 ``$KNOTCALC_MAX_CROSSINGS``), the crossing cap of the polynomial engines.
-Everything runs in one process.  ``invariants`` and ``cable`` own a
-memo for Kauffman F, which keys the diagrams it is called on; it is
-shared by the command's own F calls and dropped when it returns, and the
-report's ``memo`` section gives its counts.  The bracket could key its
-values too, but gets no memo here, so that ``cable``'s hat check
-compares two sweeps, not one sweep with itself.
+Everything runs in one process.  ``invariants`` and ``cable`` own the
+memo of the one memoizing engine, Kauffman F, which keys the diagrams it
+is called on; it is shared by the command's own engine calls and dropped
+when it returns, and the report's ``memo`` section gives its counts.
 ``invariants`` reports ``surface_genus``, the genus of the Seifert
 surface of the diagram as drawn: an upper bound on the knot genus that
 depends on the drawing.  When ``invariants`` builds a Seifert matrix, its

@@ -40,7 +40,7 @@ from .errors import (
     UnknownComponent,
 )
 
-__all__ = ["Diagram", "canonical_form", "pd_parse"]
+__all__ = ["Diagram", "pd_parse"]
 
 Crossing = tuple[int, int, int, int]
 
@@ -395,21 +395,6 @@ class Diagram:
         v = self.n_crossings
         return v - 2 * v + len(self.faces()) == 2 * self.connected_pieces()
 
-    # ------------------------------------------------------------- canonics
-
-    def canonical_key(self):
-        """Opaque key equal for diagrams identical up to arc relabeling and
-        crossing reordering; distinct for mirrors (see ``canonical_form``)."""
-        got = self._cache.get("key")
-        if got is None:
-            if self.n_crossings == 0:
-                got = ("U", self.free_loops)
-            else:
-                got = (self.free_loops,
-                       canonical_form(self.crossings, self.signs))
-            self._cache["key"] = got
-        return got
-
     # ---------------------------------------------------------------- protocol
 
     def __eq__(self, other):
@@ -564,114 +549,6 @@ def _split_pieces(records) -> list[list[int]]:
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
-
-
-def canonical_form(records, tags=None) -> tuple:
-    """Key of PD records invariant under arc relabeling and record
-    reordering: the sorted tuple of each connected piece's least BFS
-    encoding over its starts of least local type.
-
-    ``tags`` gives one value per record that must match too: the crossing
-    signs of an oriented diagram, or a constant for oriented skein states,
-    whose records (slot 0 the incoming under-strand) fix their own signs.
-    Untagged records are unoriented states, whose records may also be
-    turned half a turn, which keeps the under diagonal in slots 0 and 2.
-    Every arc occurs in two slots, as in any diagram or skein state.
-
-    A start is a record read from a turn.  Each slot has a local type,
-    read from where its arc ends: the slot offset ``(s2 - s1) & 3`` when
-    the arc returns to the same record, else ``4 + (far slot & 1)``.  A
-    start's type is its record's four slot types read from its turn,
-    followed by the record's tag (0 when untagged).  No type depends on
-    an arc label or on the record order, and none on a half-turn of an
-    untagged record, since a half-turn moves every slot by 2.  So an
-    isomorphism of states maps the least-type starts of a piece onto
-    those of its image, and with them their encodings: the least encoding
-    over these starts is as canonical as the least over all starts, and
-    two states share a key exactly when they are isomorphic.
-
-    An encoding is a BFS, so it covers only its start's piece: when the
-    first one covers every record, the key is that piece's encoding.
-    Otherwise the pieces are split apart and keyed one by one.
-    """
-    occ = _occurrences(records)
-    types = [[0, 0, 0, 0] for _ in records]
-    for (i1, s1), (i2, s2) in occ.values():
-        if i1 == i2:
-            types[i1][s1] = (s2 - s1) & 3
-            types[i1][s2] = (s1 - s2) & 3
-        else:
-            types[i1][s1] = 4 + (s2 & 1)
-            types[i2][s2] = 4 + (s1 & 1)
-    width = 4 if tags is None else 5  # encoding entries per record
-
-    def least_encoding(members):
-        """The least encoding over the least-type starts of ``members``,
-        or None when the first one misses a record of ``members``."""
-        starts = []
-        for i in members:
-            t0, t1, t2, t3 = types[i]
-            tag = 0 if tags is None else tags[i]
-            starts.append(((t0, t1, t2, t3, tag), i, 0))
-            if tags is None:
-                starts.append(((t2, t3, t0, t1, tag), i, 2))
-        least = min(starts)[0]
-        best = None
-        for typ, start, turn in starts:
-            if typ == least:
-                enc = _encode(records, tags, occ, start, turn, best)
-                if best is None and len(enc) < width * len(members):
-                    return None
-                if enc is not None and (best is None or enc < best):
-                    best = enc
-        return best
-
-    if not records:
-        return ()
-    key = least_encoding(range(len(records)))
-    if key is not None:
-        return (key,)
-    return tuple(sorted(least_encoding(m) for m in _split_pieces(records)))
-
-
-def _encode(records, tags, occ, start, turn, best):
-    """BFS relabeling of the piece holding ``start``, each record followed
-    by its tag; None as soon as a prefix exceeds ``best``.  An untagged
-    record reached through an arc in slot 2 or 3 is read half-turned."""
-    half_turns = tags is None
-    arc_ids: dict[int, int] = {}
-    entry_turn = {start: turn}
-    queue = [start]
-    out = []
-    tied = best is not None  # out is still a prefix of best
-    pos = 0
-    for ci in queue:  # the queue grows while it is read
-        rec = records[ci]
-        if entry_turn[ci]:
-            rec = (rec[2], rec[3], rec[0], rec[1])
-        if not half_turns:
-            rec += (None,)  # the place of the tag
-        for a in rec:
-            if a is None:
-                k = tags[ci]
-            else:
-                k = arc_ids.get(a)
-                if k is None:
-                    k = len(arc_ids)
-                    arc_ids[a] = k
-                    for cj, sj in occ[a]:
-                        if cj not in entry_turn:
-                            entry_turn[cj] = (sj & 2) if half_turns else 0
-                            queue.append(cj)
-            out.append(k)
-            if tied:
-                b = best[pos]
-                if k > b:
-                    return None
-                if k < b:
-                    tied = False
-                pos += 1
-    return tuple(out)
 
 
 def _check_occurrences(recs):

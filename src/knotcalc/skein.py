@@ -8,28 +8,22 @@ coefficients.  Each smoothing contributes ``A`` or ``A^-1`` and each
 closed circle ``delta = -A^2 - A^-2``; the sum is divided by ``delta``
 once and multiplied by ``delta`` per free loop.  The cost grows with the
 number of matchings, which the number of open arcs bounds, not with the
-number of crossings.  Conventions: ``<unknot> = 1``, the
+number of crossings.  A state's polynomial is packed into one integer
+(Kronecker substitution), so a smoothing costs a few integer operations,
+not one per term.  The sweep keys nothing: the bracket engine only binds
+a memo it is given.  Conventions: ``<unknot> = 1``, the
 A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and ``c~d``, and
 ``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
-
-The bracket depends only on the unoriented diagram (Kauffman, Topology
-1987), so a memo shared by several calls keys each bracket by the free
-loops and the PD records, each taken up to a half-turn, ``_half_turn_key``.
-Reversing a component turns exactly the records whose under strand it
-holds by a half-turn and keeps every arc label, so the orientations of
-one diagram, such as a 2-cable and its hat, share one sweep.  A mirror
-turns records a quarter-turn and a relabeling renames arcs: neither is
-met in the memo.
 
 Kauffman F comes from a second frontier sweep, ``chords.chord_sweep``,
 whose states are layered chord diagrams in the Kauffman skein of a disk
 (see ``chords``).  It gives the regular-isotopy invariant L with
 ``L(unknot) = 1``, ``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) +
 L(soo))``, and ``F = a^{-w} L``.  Kinks and bigons are removed first, and
-only the reduced diagram is keyed in the memo, by the same half-turn key
-as the bracket, so a memo shared by several calls serves a diagram met
-again; each of its connected pieces is swept apart, one circle factor
-per extra piece.
+only the reduced diagram is keyed in the memo, by its records each taken
+up to a half-turn (``_half_turn_key``), so a memo shared by several
+calls serves a diagram met again in any orientation; each of its
+connected pieces is swept apart, one circle factor per extra piece.
 
 Conway comes from integer determinants, each read off by
 ``seifert._det_poly``.  A knot's Alexander polynomial is a minor of the
@@ -60,6 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 
 from .chords import A_STEP, CIRCLE, ONE, chord_sweep, times, unpack
 from .diagram import (Diagram, _bounds_bigon, _glue, _occurrences,
@@ -95,10 +90,10 @@ _DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
 class SkeinMemo:
     """Write-once table from diagram keys to the polynomial values of one
     engine, and counts of the kinks and bigons the engine removed (only
-    what is left is keyed, so they never enter the table).  The bracket
-    keys the diagram it is called on, Kauffman F the reduced diagram;
-    both key PD records up to a half-turn (``_half_turn_key``), so a
-    mirror or a relabeling of a diagram is a new key.  The Conway
+    what is left is keyed, so they never enter the table).  Kauffman F
+    keys the reduced diagram it is called on, its PD records each taken
+    up to a half-turn (``_half_turn_key``), so a mirror or a relabeling
+    of a diagram is a new key.  The bracket sweep and the Conway
     determinants key nothing: they bind the memo and leave it empty.
 
     An engine called without a memo uses a fresh one for that call, so
@@ -145,12 +140,8 @@ class SkeinMemo:
 
 
 def engine_memos() -> dict[str, SkeinMemo]:
-    """One fresh memo for Kauffman F, for a caller whose F calls share it.
-    The bracket keys values too, but gets no memo here: the CLI and the
-    verification chain check V(hat) against V(cable), and a shared memo
-    would answer the hat from the cable's sweep, so that the check would
-    compare one sweep with itself.  A caller that wants the reuse passes
-    its own bracket memo."""
+    """One fresh memo per engine that keys states, for a caller whose
+    engine calls share them: Kauffman F is the only one."""
     return {"kauffman": SkeinMemo()}
 
 
@@ -169,8 +160,10 @@ _THROUGH = ((0, 2), (1, 3))  # both strands run through the crossing
 
 def _half_turn_key(records) -> tuple:
     """The records, each as the lesser of itself and its half-turn: the
-    same for every orientation of one unoriented diagram, whose records
-    keep the under diagonal in slots 0 and 2."""
+    same for every orientation of one unoriented state, whose records
+    keep the under diagonal in slots 0 and 2.  Reversing a component
+    keeps every arc label and turns a record by two exactly when its
+    under strand is reversed; a mirror turns records by one."""
     return tuple(min(r, r[2:] + r[:2]) for r in records)
 
 
@@ -294,15 +287,6 @@ def _sweep_order(records) -> list[int]:
     return order
 
 
-# the A-smoothing joins slots 0~1 and 2~3, the B-smoothing 0~3 and 1~2
-_SMOOTHINGS = ((((0, 1), (2, 3)), 1), (((0, 3), (1, 2)), -1))
-_DELTA_POWERS = ({0: 1}, {2: -1, -2: -1}, {4: 1, 0: 2, -4: 1})
-# the factor A^(+-1) delta^loops of one smoothing, as {exponent of A: coefficient}
-_FACTORS = {(shift, loops): {e + shift: c for e, c in power.items()}
-            for _, shift in _SMOOTHINGS
-            for loops, power in enumerate(_DELTA_POWERS)}
-
-
 def _sweep_states(records) -> dict[int, int]:
     """The state sum of A^(#A - #B) delta^circles over all smoothings, as
     {exponent of A: coefficient}.
@@ -311,23 +295,39 @@ def _sweep_states(records) -> dict[int, int]:
     smoothed strands of the swept records pair up the open arcs; a state
     is that matching, the open arcs' partners in ascending arc order, and
     it carries the sum of the weights of the smoothings that reach it.
+
+    A state's sum is held as ``(lo, p)``: ``A^lo q(A^2)`` with
+    ``p = q(256^width)``.  Every exponent of a state has the parity of
+    the number of records swept, so steps of A^2 lose no term, and the
+    factor ``A^(+-1) delta^loops`` of a smoothing is ``A^(+-1 - 2 loops)``
+    times ``(-1 - A^4)^loops``, one multiplication of p.  The coefficient
+    sizes of the whole sum add up to at most ``8^n``: each record doubles
+    the smoothings, and a factor's coefficient sizes add up to at most 4.
+    So ``8 * width >= 3n + 2`` bits keep every coefficient apart.
     """
-    states = {(): {0: 1}}
+    width = (3 * len(records) + 9) // 8
+    x2 = 1 << 16 * width  # A^4, two slots up
+    times_delta = (1, -1 - x2, 1 + 2 * x2 + x2 * x2)  # (-1 - A^4)^loops
+    states = {(): (0, 1)}
     frontier: tuple = ()
     open_arcs: set[int] = set()
     for i in _sweep_order(records):
-        rec = records[i]
-        for a in rec:
-            open_arcs ^= {a}
+        a, b, c, d = rec = records[i]
+        for arc in rec:
+            open_arcs ^= {arc}
         swept = tuple(sorted(open_arcs))
-        nxt: dict[tuple, dict[int, int]] = {}
-        for key, poly in states.items():
+        # the open arcs' partners in ``swept`` order; no frontier is odd
+        pick = itemgetter(*swept) if swept else lambda partner: ()
+        # the A-smoothing joins a~b and c~d, the B-smoothing a~d and b~c
+        smoothings = ((((a, b), (c, d)), 1), (((a, d), (b, c)), -1))
+        nxt: dict[tuple, tuple[int, int]] = {}
+        get = nxt.get
+        for key, (lo, p) in states.items():
             matched = dict(zip(frontier, key))
-            for joins, shift in _SMOOTHINGS:
+            for joins, shift in smoothings:
                 partner = matched.copy()
                 loops = 0
-                for s1, s2 in joins:
-                    x, y = rec[s1], rec[s2]
+                for x, y in joins:
                     if x == y:  # an arc with both ends here closes on itself
                         loops += 1
                         continue
@@ -340,13 +340,37 @@ def _sweep_states(records) -> dict[int, int]:
                         continue
                     ey = partner.pop(y, y)
                     partner[ex], partner[ey] = ey, ex
-                acc = nxt.setdefault(tuple(map(partner.__getitem__, swept)), {})
-                get = acc.get
-                for e2, c2 in _FACTORS[(shift, loops)].items():
-                    for e1, c1 in poly.items():
-                        acc[e1 + e2] = get(e1 + e2, 0) + c1 * c2
+                new = pick(partner)
+                e, q = lo + shift - 2 * loops, p * times_delta[loops]
+                old = get(new)
+                if old is None:
+                    nxt[new] = (e, q)
+                else:  # shift the higher sum up to the lower one's slots
+                    e0, q0 = old
+                    if e < e0:
+                        e, q, e0, q0 = e0, q0, e, q
+                    nxt[new] = (e0, q0 + (q << 4 * width * (e - e0)))
         states, frontier = nxt, swept
-    return states[()]
+    return _unpack(*states[()], width)
+
+
+def _unpack(lo: int, p: int, width: int) -> dict[int, int]:
+    """{exponent of A: coefficient} of ``A^lo q(A^2)`` from
+    ``p = q(256^width)``, each coefficient of q less than half of
+    ``256^width`` in size: adding that half to every coefficient makes
+    each one fill its own ``width`` bytes."""
+    # |p| exceeds half of its top coefficient's place value, so that
+    # coefficient lies in the first bit_length // (8 width) + 1 slots
+    slots = abs(p).bit_length() // (8 * width) + 1
+    halves = int.from_bytes((b"\0" * (width - 1) + b"\x80") * slots, "little")
+    raw = (p + halves).to_bytes(slots * width, "little")
+    half = 1 << (8 * width - 1)
+    out = {}
+    for j in range(slots):
+        c = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
+        if c:
+            out[lo + 2 * j] = c
+    return out
 
 
 def _divide_by_delta(poly: dict[int, int]) -> dict[int, int]:
@@ -367,25 +391,15 @@ def _divide_by_delta(poly: dict[int, int]) -> dict[int, int]:
 
 def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                      memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Kauffman bracket by the frontier sweep of ``_sweep_states``.
-
-    A memo keys the bracket by the free loops and ``_half_turn_key`` of
-    the records, so a later call on the same diagram in any orientation
-    reads it back without a sweep; a mirror or a relabeling is swept
-    anew.  Without a memo, the call uses a fresh one."""
+    """Kauffman bracket by the frontier sweep of ``_sweep_states``.  The
+    sweep keys no states: a memo is only bound to the bracket engine."""
     _check_cap(d, max_crossings)
-    memo = memo if memo is not None else SkeinMemo()
-    memo.bind("bracket")
+    if memo is not None:
+        memo.bind("bracket")
     if d.n_crossings == 0:
         return _DELTA ** (d.n_components - 1)
-    key = (d.free_loops, _half_turn_key(d.crossings))
-    value = memo.get(key)
-    if value is None:
-        reduced = _divide_by_delta(_sweep_states(d.crossings))
-        value = _DELTA ** d.free_loops * LaurentPoly(
-            {-e: c for e, c in reduced.items()})
-        memo.put(key, value)
-    return value
+    reduced = _divide_by_delta(_sweep_states(d.crossings))
+    return _DELTA ** d.free_loops * LaurentPoly({-e: c for e, c in reduced.items()})
 
 
 def _normalize_bracket(d: Diagram, bracket: LaurentPoly) -> LaurentPoly:
@@ -401,10 +415,7 @@ def jones(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> LaurentPoly:
 
 def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                    memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Jones polynomial from the frontier-sweep bracket.  A shared memo
-    holds brackets, which do not see the orientation, and each call
-    applies its own writhe factor, so a 2-cable and its hat share one
-    sweep (see ``bracket_memoized``)."""
+    """Jones polynomial from the frontier-sweep bracket."""
     return _normalize_bracket(d, bracket_memoized(d, max_crossings, memo))
 
 
@@ -420,7 +431,7 @@ def _kauffman_L(state: tuple, loops: int, memo: SkeinMemo) -> dict:
     if not state:
         value, loops = ONE, loops - 1
     else:
-        key = (0, _half_turn_key(state))
+        key = _half_turn_key(state)
         value = memo.get(key)
         if value is None:  # one circle factor per extra piece
             pieces = [[state[i] for i in members]

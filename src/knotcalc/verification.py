@@ -87,9 +87,8 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
     the Kauffman F memo, whose counts are reported in the ``memo``
     section.  The two Alexander routes are independent: the Seifert
     matrix on one side, Conway from the Fox matrix of the Wirtinger
-    presentation on the other.  Jones comes from the bracket sweep with
-    no memo, so the cable and the hat are swept apart and the
-    hat-equality step compares two sweeps; Conway keys nothing.
+    presentation on the other.  Jones comes from the bracket sweep, and
+    neither it nor Conway keys states.
     """
     steps = []
     timings = {}

@@ -23,6 +23,7 @@ from knotcalc.skein import conway, jones_memoized, kauffman_F
 from knotcalc.table import diagram as table_diagram
 from knotcalc.table import table_names
 
+from canonical import canonical_key
 from strategies import braid_words, knot_braid_words
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -49,7 +50,7 @@ class TestR1:
                 assert added.n_crossings == 4
                 (site,) = find_r1_sites(added)
                 back = reidemeister_r1_remove(added, site).diagram
-                assert back.canonical_key() == d.canonical_key()
+                assert canonical_key(back) == canonical_key(d)
 
     def test_add_on_free_loop(self):
         d = Diagram.unknot()
@@ -77,7 +78,7 @@ class TestR2:
                 sites = find_r2_sites(added)
                 assert sites
                 back = reidemeister_r2_remove(added, sites[0]).diagram
-                assert back.canonical_key() == d.canonical_key()
+                assert canonical_key(back) == canonical_key(d)
 
     def test_add_preserves_planarity(self):
         d = pd_parse(TREFOIL)
@@ -164,10 +165,10 @@ class TestR3:
         moved = reidemeister_r3(d, sites[0]).diagram
         # a second R3 at the matching new site restores the diagram
         back_keys = {
-            reidemeister_r3(moved, s).diagram.canonical_key()
+            canonical_key(reidemeister_r3(moved, s).diagram)
             for s in find_r3_sites(moved)
         }
-        assert d.canonical_key() in back_keys
+        assert canonical_key(d) in back_keys
 
 
 class TestSimplify:
@@ -187,7 +188,7 @@ class TestSimplify:
         dart_y = next(x for x in face if x[0] != dart_x[0])
         poked = reidemeister_r2_add(d, dart_x, dart_y).diagram
         out, log = simplify(poked)
-        assert out.canonical_key() == d.canonical_key()
+        assert canonical_key(out) == canonical_key(d)
         assert log == ["R2-"]
 
 

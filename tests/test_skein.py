@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from knotcalc import seifert, skein
-from knotcalc.cable import cable2, make_hat
 from knotcalc.chords import unpack
 from knotcalc.diagram import Diagram, _rotate, pd_parse
 from knotcalc.errors import BadSite, ResourceLimit, TooLarge
@@ -19,6 +18,7 @@ from knotcalc.skein import (
     SkeinMemo,
     _erase,
     _kauffman_L,
+    _unpack,
     alexander_from_conway,
     bracket_memoized,
     bracket_state_sum,
@@ -30,7 +30,7 @@ from knotcalc.skein import (
     verify_jones_skein,
 )
 
-from strategies import braid_words, knot_braid_words
+from strategies import braid_words
 
 t = LaurentPoly.t_pow
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -68,6 +68,27 @@ class TestBracket:
         with pytest.raises(ResourceLimit):
             bracket_memoized(pd_parse(TREFOIL), max_crossings=2)
 
+    def test_sweep_closes_two_loops_at_one_record(self):
+        # a one-crossing curl joins each of its arcs to itself: one
+        # smoothing closes two loops at the record, the other one
+        d = reidemeister_r1_add(Diagram.unknot(), None, 1).diagram
+        for sign in (1, -1, -1):
+            assert bracket_memoized(d) == bracket_state_sum(d)
+            d = reidemeister_r1_add(d, min(d.arcs), sign).diagram
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 9), st.integers(-40, 40), st.data())
+    def test_unpack_keeps_coefficients_below_half_a_slot(self, width, lo, data):
+        # the sweep's packed sum A^lo q(A^2) holds coefficient j of q at
+        # 256^(width j), signed and less than half a slot in size
+        bound = (1 << (8 * width - 1)) - 1
+        coefficient = st.one_of(st.integers(-bound, bound),
+                                st.sampled_from((-bound, bound)))
+        coefficients = data.draw(st.lists(coefficient, max_size=12))
+        p = sum(c << (8 * width * j) for j, c in enumerate(coefficients))
+        assert _unpack(lo, p, width) == {
+            lo + 2 * j: c for j, c in enumerate(coefficients) if c}
+
 
 class TestJones:
     def test_unknot(self):
@@ -102,50 +123,15 @@ class TestJones:
             assert jones_memoized(d.mirror()) == jones_memoized(d).invert_t()
 
     def test_determinism_and_memo_hits(self):
-        # the first call sweeps and keys the bracket, the second reads it
+        # the sweep keys no states: it binds the memo and leaves it empty
         memo = SkeinMemo()
         d = pd_parse(SIX_ONE)
         first = jones_memoized(d, memo=memo)
         second = jones_memoized(d, memo=memo)
         assert first == second
         assert memo.engine == "bracket"
-        assert memo.stats() == {"entries": 1, "hits": 1, "misses": 1,
+        assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
                                 "kinks": 0, "bigons": 0}
-
-    def test_shared_memo_serves_the_hat_from_the_cable(self):
-        # the hat is the cable with its copy reversed: the same unoriented
-        # diagram, so its bracket is read back and only the writhe differs
-        knot = pd_parse(SIX_ONE)
-        memo = SkeinMemo()
-        for k, framing in enumerate((-1, 0, 2), 1):
-            cab = cable2(knot, framing)
-            hat = make_hat(cab).diagram
-            v_cable = jones_memoized(cab.diagram, memo=memo)
-            v_hat = jones_memoized(hat, memo=memo)
-            assert (memo.hits, memo.misses) == (k, k)
-            assert v_hat == jones_memoized(hat)
-            assert v_hat == t(-3 * framing) * v_cable
-
-    def test_mirror_and_free_loop_miss(self):
-        # a mirror turns each record a quarter-turn and a free loop
-        # changes the bracket: both are keys of their own
-        d = pd_parse(SIX_ONE)
-        memo = SkeinMemo()
-        jones_memoized(d, memo=memo)
-        for other in (d.mirror(), d.add_free_loops(1)):
-            assert jones_memoized(other, memo=memo) == jones_memoized(other)
-        assert memo.stats() == {"entries": 3, "hits": 0, "misses": 3,
-                                "kinks": 0, "bigons": 0}
-
-    @settings(max_examples=20, deadline=None)
-    @given(knot_braid_words(4), st.integers(-2, 2))
-    def test_shared_memo_keeps_cable_and_hat_jones(self, word, framing):
-        cab = cable2(trace_closure(braid_to_tangle(word)), framing)
-        cap = cab.diagram.n_crossings
-        memo = SkeinMemo()
-        for link in (cab.diagram, make_hat(cab).diagram):
-            assert jones_memoized(link, cap, memo) == jones_memoized(link, cap)
-        assert memo.hits == 1
 
     def test_memo_serves_one_engine(self):
         # bracket and F states share one key space but not one ring

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotcalc import cli, skein
 from knotcalc.cable import cable2, king_verify, make_hat
 from knotcalc.errors import MultiComponent
 from knotcalc.polyring import LaurentPoly
@@ -42,28 +41,6 @@ def test_printed_kauffman_polynomial_fails_exactly_its_steps():
     failed = [s["name"] for s in bad["payload"]["steps"] if not s["pass"]]
     assert failed == ["kauffman-F", "substitution", "king-identity"]
     assert not bad["payload"]["all_pass"]
-
-
-def _cable_hat_check():
-    assert cli.main(["--format", "json", "cable", "6_1",
-                     "--checks", "hat"]) == cli.EXIT_OK
-
-
-@pytest.mark.parametrize("run", [stevedore_chain_report, _cable_hat_check])
-def test_hat_check_sweeps_the_hat_apart(run, monkeypatch, capsys):
-    # a bracket memo shared by the cable and the hat would answer the hat
-    # from the cable's sweep; the hat checks must compare two sweeps
-    swept = []
-
-    def counted(records):
-        swept.append(records)
-        return sweep(records)
-
-    sweep = skein._sweep_states
-    monkeypatch.setattr(skein, "_sweep_states", counted)
-    run()
-    cab = cable2(diagram("6_1"), 0)
-    assert swept == [cab.diagram.crossings, make_hat(cab).diagram.crossings]
 
 
 @pytest.mark.parametrize("name", table_names())
