@@ -28,8 +28,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .diagram import Diagram
-from .errors import MultiComponent, UnknownComponent
-from .polyring import GaussInt, LaurentPoly, TwoVarPoly, two_var_substitute
+from .errors import (MultiComponent, NonInvertibleImage, ResidualImaginaryPart,
+                     UnknownComponent)
+from .polyring import GaussInt, LaurentPoly, TwoVarPoly, _difference_power
 from .presentations import (BraidWord, Tangle, braid_to_tangle,
                             tangle_compose, tangle_parallel_double,
                             trace_closure)
@@ -102,10 +103,33 @@ def make_hat(cable: CableLink) -> CableLink:
 
 
 def king_substitution(f_poly: TwoVarPoly) -> LaurentPoly:
-    """``F(i t^-2, i(t - t^-1))``, asserted real."""
-    a_image = _T(-2, GaussInt.I)
-    z_image = (_T(1) - _T(-1)) * GaussInt.I
-    return two_var_substitute(f_poly, a_image, z_image, require_real=True)
+    """``F(i t^-2, i(t - t^-1))``, asserted real, in integers.
+
+    A term ``c a^j z^k`` goes to ``c i^(j+k) t^-2j (t - t^-1)^k``, the
+    power of ``t - t^-1`` expanded by binomials.  On a knot every term has
+    j + k even, so ``i^(j+k) = (-1)^((j+k)/2)``; the terms with j + k odd
+    are summed apart, and ``ResidualImaginaryPart`` is raised unless they
+    cancel.  A negative power of z raises ``NonInvertibleImage``, as
+    ``t - t^-1`` is not a unit.
+    """
+    terms = f_poly.terms
+    if any(k < 0 for _, k in terms):
+        raise NonInvertibleImage(
+            "negative z-exponents need an invertible z-image")
+    real: dict[int, int] = {}
+    imag: dict[int, int] = {}
+    for (j, k), c in terms.items():
+        acc = imag if (j + k) % 2 else real
+        if (j + k) % 4 > 1:   # i^(j+k) is -1 or -i
+            c = -c
+        for e, b in _difference_power(k):
+            q = 4 * (e - 2 * j)
+            acc[q] = acc.get(q, 0) + b * c
+    if any(imag.values()):
+        raise ResidualImaginaryPart("nonzero imaginary coefficients in {}".format(
+            LaurentPoly({q: GaussInt(real.get(q, 0), imag.get(q, 0))
+                         for q in real.keys() | imag.keys()})))
+    return LaurentPoly(real)
 
 
 def king_verify(f_poly: TwoVarPoly, v_tilde: LaurentPoly, framing: int) -> bool:

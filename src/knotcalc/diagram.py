@@ -91,9 +91,8 @@ class Diagram:
         for c in recs:
             if len(c) != 4:
                 raise DiagramSyntaxError(f"crossing record {c} must have 4 arcs")
-        _check_occurrences(recs)
         far = {}  # each end -> the other end of its arc
-        for e1, e2 in _occurrences(recs).values():
+        for e1, e2 in _check_occurrences(recs).values():
             far[e1], far[e2] = e2, e1
         enters: dict[tuple[int, int], bool] = {}
 
@@ -123,7 +122,13 @@ class Diagram:
                 rec, o = _rotate(rec, 2), (o + 2) % 4
             normalized.append(rec)
             over_in.append(o)
-        return cls(normalized, over_in, free_loops)
+        # the walk gave every arc one entering and one leaving end
+        if int(free_loops) < 0:
+            raise DiagramSyntaxError("negative free loop count")
+        if not recs and not free_loops:
+            raise DiagramSyntaxError(
+                "empty diagram: no crossings and no free loops")
+        return cls(normalized, over_in, free_loops, _validated=True)
 
     @classmethod
     def unknot(cls, circles: int = 1) -> "Diagram":
@@ -356,28 +361,28 @@ class Diagram:
 
         Each face is a cyclic tuple of darts ``(arc, along_orientation)``;
         the walk turns to the counterclockwise-next slot at every crossing.
+        Faces start at their least dart and are ordered by it.
         """
         got = self._cache.get("faces")
         if got is not None:
             return got
-        darts = [(a, d) for a in sorted(self.arcs) for d in (True, False)]
-        remaining = set(darts)
+        nxt = {}  # the dart reaching slot s -> the dart leaving by slot s + 1
+        for rec, o in zip(self.crossings, self.over_in):
+            heads = (True, o == 1, False, o == 3)  # slot s holds an arc's head
+            for s in range(4):
+                t = (s + 1) % 4
+                nxt[(rec[s], heads[s])] = (rec[t], not heads[t])
+        seen = set()
         faces = []
-        while remaining:
-            d0 = min(remaining)
-            walk = []
-            d = d0
-            while True:
+        for d0 in sorted(nxt):
+            if d0 in seen:
+                continue
+            walk = [d0]
+            d = nxt[d0]
+            while d != d0:
                 walk.append(d)
-                remaining.discard(d)
-                arc, along = d
-                ci, s = self.head_of(arc) if along else self.tail_of(arc)
-                nxt_arc = self.crossings[ci][(s + 1) % 4]
-                # leave the crossing along nxt_arc, away from this end of it
-                away = self.tail_of(nxt_arc) == (ci, (s + 1) % 4)
-                d = (nxt_arc, away)
-                if d == d0:
-                    break
+                d = nxt[d]
+            seen.update(walk)
             faces.append(tuple(walk))
         got = tuple(faces)
         self._cache["faces"] = got
@@ -551,17 +556,18 @@ def _split_pieces(records) -> list[list[int]]:
     return list(groups.values())
 
 
-def _check_occurrences(recs):
-    counts: dict[int, int] = {}
-    for rec in recs:
-        for a in rec:
-            if a <= 0:
-                raise DiagramSyntaxError(f"arc labels must be positive, got {a}")
-            counts[a] = counts.get(a, 0) + 1
-    bad = {a: k for a, k in counts.items() if k != 2}
+def _check_occurrences(recs) -> dict[int, list[tuple[int, int]]]:
+    """``_occurrences(recs)``, once every label is known to be positive and
+    to occur exactly twice."""
+    occ = _occurrences(recs)
+    for a in occ:
+        if a <= 0:
+            raise DiagramSyntaxError(f"arc labels must be positive, got {a}")
+    bad = {a: len(ends) for a, ends in occ.items() if len(ends) != 2}
     if bad:
         a, k = sorted(bad.items())[0]
         raise DanglingArc(f"arc {a} occurs {k} times (every arc must occur twice)")
+    return occ
 
 
 _PD_TERM = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]$")

@@ -146,14 +146,24 @@ def _quarters(exponent: ExponentLike) -> int:
 
 
 def _exp_str(var: str, quarters: int) -> str:
-    if quarters == 0:
-        return ""
-    frac = Fraction(quarters, 4)
-    if frac == 1:
+    """``var`` to the power ``quarters / 4``, the fraction reduced."""
+    if quarters == 4:
         return var
-    if frac.denominator == 1:
-        return f"{var}^{frac.numerator}"
-    return f"{var}^{frac.numerator}/{frac.denominator}"
+    if quarters % 4 == 0:
+        return f"{var}^{quarters // 4}" if quarters else ""
+    if quarters % 2 == 0:
+        return f"{var}^{quarters // 2}/2"
+    return f"{var}^{quarters}/4"
+
+
+def _difference_power(k: int) -> list[tuple[int, int]]:
+    """``(x - x^-1)^k`` by binomials, as (exponent of x, coefficient)
+    pairs from the top power down."""
+    out, c = [], 1
+    for j in range(k + 1):
+        out.append((k - 2 * j, c))
+        c = -c * (k - j) // (j + 1)
+    return out
 
 
 def _scalar_term_strings(items) -> list[tuple[str, str]]:

@@ -55,6 +55,7 @@ elementary enlargements.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .diagram import Diagram, _ints, _orbits
@@ -304,24 +305,33 @@ def alexander_from_seifert(s) -> LaurentPoly:
         raise DimensionMismatch(
             f"a knot's Seifert matrix has even size, got {n}x{n}")
     neg_t = [[-m[j][i] for j in range(n)] for i in range(n)]
-    return normalize_alexander(LaurentPoly.from_terms(
-        enumerate(_det_poly(neg_t, m))))
+    return _centered({4 * k: c for k, c in enumerate(_det_poly(neg_t, m)) if c})
 
 
 def normalize_alexander(p: LaurentPoly) -> LaurentPoly:
     """Center to the symmetric form and fix a positive leading coefficient."""
-    if p.is_zero():
-        return p
-    center = (p.min_exponent() + p.max_exponent()) / 2
-    p = p.shift(-center)
-    if p.invert_t() != p:
+    return _centered(p.terms)
+
+
+def _centered(terms: dict) -> LaurentPoly:
+    """The polynomial of {quarter exponent: nonzero coefficient}, int or
+    GaussInt, shifted to be symmetric about t^0 and signed so that its
+    leading coefficient is positive."""
+    if not terms:
+        return LaurentPoly.zero()
+    lo, hi = min(terms), max(terms)
+    if (lo + hi) % 2:
+        raise ValueError(
+            f"exponent {Fraction(-(lo + hi), 8)} is not a multiple of 1/4")
+    if any(terms.get(lo + hi - q) != c for q, c in terms.items()):
         raise AssertionError("Alexander polynomial is not symmetric")
-    lead = p.coefficient(p.max_exponent())
-    if lead.im != 0:
-        raise AssertionError("Alexander polynomial has imaginary parts")
-    if lead.re < 0:
-        p = -p
-    return p
+    lead = terms[hi]
+    if not isinstance(lead, int):
+        if lead.im != 0:
+            raise AssertionError("Alexander polynomial has imaginary parts")
+        lead = lead.re
+    mid, sign = (lo + hi) // 2, -1 if lead < 0 else 1
+    return LaurentPoly({q - mid: sign * c for q, c in terms.items()})
 
 
 def _form(s) -> list[list[int]]:

@@ -53,7 +53,6 @@ reaching it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from operator import itemgetter
 
 from .chords import A_STEP, CIRCLE, ONE, chord_sweep, times, unpack
@@ -62,7 +61,7 @@ from .diagram import (Diagram, _bounds_bigon, _glue, _occurrences,
 from .errors import BadSite, ResourceLimit, TooLarge
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
 from .moves import simplify as _simplify_diagram
-from .polyring import LaurentPoly, TwoVarPoly
+from .polyring import LaurentPoly, TwoVarPoly, _difference_power
 from .seifert import _det_poly, _seifert_form
 
 __all__ = [
@@ -399,12 +398,16 @@ def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
     if d.n_crossings == 0:
         return _DELTA ** (d.n_components - 1)
     reduced = _divide_by_delta(_sweep_states(d.crossings))
-    return _DELTA ** d.free_loops * LaurentPoly({-e: c for e, c in reduced.items()})
+    bracket = LaurentPoly({-e: c for e, c in reduced.items()})
+    return _DELTA ** d.free_loops * bracket if d.free_loops else bracket
 
 
 def _normalize_bracket(d: Diagram, bracket: LaurentPoly) -> LaurentPoly:
+    """``(-A)^{-3w} <D>``: with ``A = t^-1/4`` every exponent moves up 3w
+    quarters, and an odd writhe flips the sign."""
     w = d.writhe()
-    return bracket * LaurentPoly.t_pow(Fraction(3 * w, 4), 1 if w % 2 == 0 else -1)
+    sign = -1 if w % 2 else 1
+    return LaurentPoly({q + 3 * w: sign * c for q, c in bracket.terms.items()})
 
 
 def jones(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> LaurentPoly:
@@ -471,14 +474,13 @@ def _conway_from_x(coeffs: dict[int, int]) -> LaurentPoly:
         if m < 0:
             raise ArithmeticError("not a polynomial in x - x^-1")
         c = nabla[m] = work[m]
-        for j in range(m + 1):
-            e = m - 2 * j
-            left = work.get(e, 0) - (-1) ** j * comb(m, j) * c
+        for e, b in _difference_power(m):
+            left = work.get(e, 0) - b * c
             if left:
                 work[e] = left
             else:
                 work.pop(e, None)
-    return LaurentPoly.from_terms(nabla.items())
+    return LaurentPoly({4 * m: c for m, c in nabla.items()})
 
 
 # the Fox row of a crossing by its sign, as (constant, t coefficient) on
@@ -535,15 +537,18 @@ def conway(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
 
 
 def alexander_from_conway(nabla: LaurentPoly) -> LaurentPoly:
-    """Alexander polynomial: substitute ``z -> t^{1/2} - t^{-1/2}``."""
-    z_img = (LaurentPoly.t_pow(Fraction(1, 2))
-             - LaurentPoly.t_pow(Fraction(-1, 2)))
-    total = LaurentPoly.zero()
-    for q, c in sorted(nabla.terms.items()):
+    """Alexander polynomial: substitute ``z -> t^{1/2} - t^{-1/2}``, each
+    ``z^k`` expanded by binomials in x = t^1/2, the inverse of
+    ``_conway_from_x``."""
+    total = {}
+    for q, c in nabla.terms.items():
         if q % 4 or q < 0:
             raise ValueError("Conway polynomial must be polynomial in z")
-        total = total + z_img ** (q // 4) * c
-    return total
+        if not c.im:
+            c = c.re
+        for e, b in _difference_power(q // 4):
+            total[2 * e] = total.get(2 * e, 0) + b * c
+    return LaurentPoly(total)
 
 
 # =====================================================================

@@ -57,6 +57,43 @@ class TestParsing:
         with pytest.raises(DiagramSyntaxError, match="empty diagram"):
             build()
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: pd_parse("X[1,4,2,5] X[3,6,4,1] X[5,2,6,4]"), DanglingArc,
+         "arc 3 occurs 1 times (every arc must occur twice)"),
+        (lambda: Diagram.from_pd([(1, 1, 1, 2), (2, 3, 3, 4)]), DanglingArc,
+         "arc 1 occurs 3 times (every arc must occur twice)"),
+        (lambda: Diagram.from_pd([(0, 1, 1, 0)]), DiagramSyntaxError,
+         "arc labels must be positive, got 0"),
+        (lambda: Diagram.from_pd([(1, 2, 3)]), DiagramSyntaxError,
+         "crossing record (1, 2, 3) must have 4 arcs"),
+        (lambda: Diagram.from_pd([]), DiagramSyntaxError,
+         "empty diagram: no crossings and no free loops"),
+        (lambda: Diagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)], -1),
+         DiagramSyntaxError, "negative free loop count"),
+        (lambda: Diagram.from_pd([], -1), DiagramSyntaxError,
+         "negative free loop count"),
+        (lambda: Diagram.from_json('{"crossings": [], "free_loops": -2}'),
+         DiagramSyntaxError, "negative free loop count"),
+        # a dangling arc is found before a negative loop count
+        (lambda: Diagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 4)], -1),
+         DanglingArc, "arc 3 occurs 1 times (every arc must occur twice)"),
+        (lambda: Diagram.from_pd([(2, 5, 1, 4), (3, 6, 4, 1), (5, 2, 6, 3)], -1),
+         InconsistentOrientation, "record 1 slot 0 is listed as entering, "
+         "but the strand walked from an earlier end leaves there"),
+        (lambda: Diagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)],
+                                 entering=[(0, 0), (0, 2)]),
+         InconsistentOrientation, "record 0 slot 2 is listed as entering, "
+         "but the strand walked from an earlier end leaves there"),
+    ], ids=["dangling", "thrice", "zero-label", "short-record", "empty",
+            "negative-loops", "negative-loops-only", "negative-json",
+            "dangling-before-negative", "orientation-before-negative",
+            "listed-end-left"])
+    def test_errors(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
     def test_roundtrip(self):
         d = pd_parse(SIX_ONE)
         assert pd_parse(d.pd_text()) == d
@@ -226,7 +263,47 @@ class TestGlue:
             pd_parse(TREFOIL).rewire({0}, [(1, 2), (1, 5)])
 
 
+def faces_by_min_walk(d):
+    """The faces of d, each walked from the least dart not yet used."""
+    darts = [(a, along) for a in sorted(d.arcs) for along in (True, False)]
+    remaining = set(darts)
+    faces = []
+    while remaining:
+        d0 = min(remaining)
+        walk = []
+        dart = d0
+        while True:
+            walk.append(dart)
+            remaining.discard(dart)
+            arc, along = dart
+            ci, s = d.head_of(arc) if along else d.tail_of(arc)
+            nxt_arc = d.crossings[ci][(s + 1) % 4]
+            dart = (nxt_arc, d.tail_of(nxt_arc) == (ci, (s + 1) % 4))
+            if dart == d0:
+                break
+        faces.append(tuple(walk))
+    return tuple(faces)
+
+
 class TestFaces:
+    def test_table_cables_and_hats_as_the_min_walk(self, table_diagrams):
+        for name, d in table_diagrams.items():
+            for e in (d, d.mirror(), d.add_free_loops(2)):
+                assert e.faces() == faces_by_min_walk(e), name
+            for framing in (-2, 1):
+                cable = cable2(d, framing)
+                for e in (cable.diagram, make_hat(cable).diagram):
+                    assert e.faces() == faces_by_min_walk(e), (name, framing)
+
+    @settings(max_examples=150, deadline=None)
+    @given(braid_words(12, strands=(2, 3, 4, 5)), st.integers(0, 2))
+    def test_closures_as_the_min_walk(self, word, loops):
+        # links, and kinks whose arcs have both ends at one record
+        d = trace_closure(braid_to_tangle(word)).add_free_loops(loops)
+        assert d.faces() == faces_by_min_walk(d)
+        relabeled = Diagram.from_pd(d.relabeled().crossings, loops)
+        assert relabeled.faces() == faces_by_min_walk(relabeled)
+
     @pytest.mark.parametrize("text", [TREFOIL, FIG8, HOPF, SIX_ONE])
     def test_euler_formula(self, text):
         d = pd_parse(text)

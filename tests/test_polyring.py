@@ -8,6 +8,8 @@ from knotcalc.polyring import (
     GaussInt,
     LaurentPoly,
     TwoVarPoly,
+    _difference_power,
+    _exp_str,
     two_var_substitute,
 )
 
@@ -173,6 +175,53 @@ class TestDisplayGrammar:
         assert str(f) == "-a^-2 + a^2 + a^4 + (2a + 2a^3)z + z^5"
         assert str(TwoVarPoly.zero()) == "0"
         assert str(TwoVarPoly.term(0, -1, 1) - 1) == "z^-1 - 1"
+
+
+def fraction_exp_str(var, quarters):
+    """The exponent rendering of ``_exp_str`` by way of a reduced Fraction."""
+    if quarters == 0:
+        return ""
+    frac = Fraction(quarters, 4)
+    if frac == 1:
+        return var
+    if frac.denominator == 1:
+        return f"{var}^{frac.numerator}"
+    return f"{var}^{frac.numerator}/{frac.denominator}"
+
+
+class TestExponentStrings:
+    QUARTERS = range(-400, 401)
+
+    def test_exp_str_matches_fraction_formatting(self):
+        for var in ("t", "a", "z"):
+            for q in self.QUARTERS:
+                assert _exp_str(var, q) == fraction_exp_str(var, q), (var, q)
+
+    def test_laurent_strings(self):
+        for q in self.QUARTERS:
+            power = fraction_exp_str("t", q)
+            assert str(LaurentPoly({q: 1})) == (power or "1")
+            assert str(LaurentPoly({q: -3})) == f"-3{power}"
+            assert LaurentPoly({q: 2}).to_str("A") == "2" + fraction_exp_str("A", q)
+
+    def test_twovar_strings(self):
+        # TwoVarPoly exponents are integers, whole multiples of 4 quarters
+        for q in self.QUARTERS[::4]:
+            k = q // 4
+            a, z = fraction_exp_str("a", q), fraction_exp_str("z", q)
+            assert str(TwoVarPoly.a_pow(k, -1)) == "-" + (a or "1")
+            assert str(TwoVarPoly.z_pow(k, 5)) == f"5{z}"
+            if k:
+                assert str(TwoVarPoly.term(k, k) + TwoVarPoly.term(k + 1, k)) == (
+                    f"({a} + {fraction_exp_str('a', q + 4) or '1'}){z}")
+
+
+class TestDifferencePower:
+    def test_matches_laurent_powers(self):
+        x = LaurentPoly.t_pow(1)
+        for k in range(12):
+            want = (x - x.invert_t()) ** k
+            assert LaurentPoly({4 * e: c for e, c in _difference_power(k)}) == want
 
 
 class TestUnits:

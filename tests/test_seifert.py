@@ -1,12 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from knotcalc.diagram import Diagram, pd_parse
 from knotcalc.errors import DimensionMismatch, MultiComponent
-from knotcalc.polyring import LaurentPoly
+from knotcalc.polyring import GaussInt, LaurentPoly
 from knotcalc.seifert import (
     SeifertMatrix,
     alexander_from_seifert,
@@ -18,12 +19,13 @@ from knotcalc.seifert import (
     seifert_matrix,
     seifert_surface_genus,
     signature,
+    _det_poly,
     _int_det,
 )
 from knotcalc.skein import alexander_from_conway, conway
 from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
 
-from strategies import braid_words
+from strategies import braid_words, knot_braid_words
 
 TREFOIL = pd_parse("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 FIG8 = pd_parse("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
@@ -115,6 +117,64 @@ class TestAlexanderProperties:
             seifert_path = alexander_from_seifert(seifert_matrix(d))
             conway_path = alexander_from_conway(conway(d))
             assert _unit_multiple(seifert_path, conway_path), name
+
+
+def normalize_by_shift(p):
+    """Center by a Fraction shift and sign by the leading coefficient."""
+    if p.is_zero():
+        return p
+    p = p.shift(-(p.min_exponent() + p.max_exponent()) / 2)
+    if p.invert_t() != p:
+        raise AssertionError("Alexander polynomial is not symmetric")
+    lead = p.coefficient(p.max_exponent())
+    if lead.im != 0:
+        raise AssertionError("Alexander polynomial has imaginary parts")
+    return -p if lead.re < 0 else p
+
+
+class TestNormalizeAlexander:
+    def test_equals_shift_route(self, table_diagrams):
+        rng = random.Random(18)
+        for name, d in table_diagrams.items():
+            delta = alexander_from_seifert(seifert_matrix(d))
+            for k in (0, rng.randint(-9, 9), rng.randint(-40, 40)):
+                for unit in (1, -1, GaussInt(0, 1)):
+                    p = (delta * unit).shift(Fraction(k, 4))
+                    try:
+                        want = normalize_by_shift(p)
+                    except AssertionError as e:  # the unit i
+                        with pytest.raises(AssertionError, match=str(e)):
+                            normalize_alexander(p)
+                    else:
+                        assert normalize_alexander(p) == want, (name, k, unit)
+
+    def test_zero_stays_zero(self):
+        assert normalize_alexander(LaurentPoly.zero()).is_zero()
+
+    @pytest.mark.parametrize("p, error, match", [
+        (LaurentPoly.from_terms([(0, 1), (1, 1), (2, 2)]),
+         AssertionError, "not symmetric"),
+        (LaurentPoly.from_terms([(-1, 1), (0, 3)]), AssertionError, "not symmetric"),
+        (LaurentPoly({-4: GaussInt(0, 2), 0: 1, 4: GaussInt(0, 2)}),
+         AssertionError, "imaginary parts"),
+        (LaurentPoly({-4: GaussInt(0, 1), 0: GaussInt(0, 1), 4: GaussInt(1, 1)}),
+         AssertionError, "not symmetric"),
+        (LaurentPoly({0: 1, 1: 1}), ValueError, "not a multiple of 1/4"),
+    ], ids=["asymmetric", "asymmetric-short", "imaginary", "asymmetric-complex",
+            "eighth"])
+    def test_errors_as_the_shift_route(self, p, error, match):
+        for normalize in (normalize_alexander, normalize_by_shift):
+            with pytest.raises(error, match=match):
+                normalize(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(knot_braid_words(8))
+    def test_seifert_route_equals_shift_route(self, word):
+        s = seifert_matrix(trace_closure(braid_to_tangle(word)))
+        n = s.size
+        raw = LaurentPoly.from_terms(enumerate(_det_poly(
+            [[-s.matrix[j][i] for j in range(n)] for i in range(n)], s.matrix)))
+        assert alexander_from_seifert(s) == normalize_by_shift(raw)
 
 
 class TestMonicity:

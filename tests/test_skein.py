@@ -10,7 +10,7 @@ from knotcalc.chords import unpack
 from knotcalc.diagram import Diagram, _rotate, pd_parse
 from knotcalc.errors import BadSite, ResourceLimit, TooLarge
 from knotcalc.moves import reidemeister_r1_add
-from knotcalc.polyring import LaurentPoly, TwoVarPoly, two_var_substitute
+from knotcalc.polyring import GaussInt, LaurentPoly, TwoVarPoly, two_var_substitute
 from knotcalc.presentations import (BraidWord, braid_parse, braid_to_tangle,
                                     trace_closure)
 from knotcalc.seifert import normalize_alexander
@@ -388,6 +388,48 @@ class TestConway:
             recs = [tuple(label[a] for a in rec) for rec in d.crossings]
             moved = Diagram(recs[k:] + recs[:k], d.over_in[k:] + d.over_in[:k])
             assert conway(moved) == want, name
+
+
+def alexander_by_laurent_powers(nabla):
+    """del(t^1/2 - t^-1/2) summed from Laurent powers of t^1/2 - t^-1/2."""
+    z_img = t(Fraction(1, 2)) - t(Fraction(-1, 2))
+    total = LaurentPoly.zero()
+    for q, c in sorted(nabla.terms.items()):
+        if q % 4 or q < 0:
+            raise ValueError("Conway polynomial must be polynomial in z")
+        total = total + z_img ** (q // 4) * c
+    return total
+
+
+class TestAlexanderFromConway:
+    def test_equals_laurent_route_on_the_table(self, table_diagrams):
+        for name, d in table_diagrams.items():
+            for e in (d, d.mirror()):
+                nabla = conway(e)
+                assert (alexander_from_conway(nabla)
+                        == alexander_by_laurent_powers(nabla)), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(braid_words(10, strands=(2, 3, 4, 5)))
+    def test_equals_laurent_route_on_closures(self, word):
+        # links too: odd powers of z give half-integer powers of t
+        nabla = conway(trace_closure(braid_to_tangle(word)))
+        assert alexander_from_conway(nabla) == alexander_by_laurent_powers(nabla)
+
+    def test_equals_laurent_route_on_gaussian_coefficients(self):
+        rng = random.Random(18)
+        for _ in range(100):
+            nabla = LaurentPoly({4 * k: GaussInt(rng.randint(-5, 5),
+                                                 rng.choice((0, 0, 1, -3)))
+                                 for k in rng.sample(range(9), rng.randint(0, 5))})
+            assert alexander_from_conway(nabla) == alexander_by_laurent_powers(nabla)
+
+    @pytest.mark.parametrize("nabla", [t(-1), t(Fraction(1, 4)),
+                                       t(Fraction(3, 2)) + 1])
+    def test_rejects_what_is_not_a_polynomial_in_z(self, nabla):
+        for substitute in (alexander_from_conway, alexander_by_laurent_powers):
+            with pytest.raises(ValueError, match="polynomial in z"):
+                substitute(nabla)
 
 
 class TestConwayIndependence:

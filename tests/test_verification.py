@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotcalc.cable import cable2, king_verify, make_hat
-from knotcalc.errors import MultiComponent
-from knotcalc.polyring import LaurentPoly
+from knotcalc.cable import cable2, king_substitution, king_verify, make_hat
+from knotcalc.errors import (MultiComponent, NonInvertibleImage,
+                             ResidualImaginaryPart)
+from knotcalc.polyring import GaussInt, LaurentPoly, TwoVarPoly, two_var_substitute
 from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
 from knotcalc.skein import jones_memoized, kauffman_F
 from knotcalc.table import diagram, table_names
@@ -81,3 +82,55 @@ def test_cable_of_a_link_raises():
     hopf = trace_closure(braid_to_tangle(braid_parse("s1 s1")))
     with pytest.raises(MultiComponent):
         cable2(hopf)
+
+
+KING_A = LaurentPoly.t_pow(-2, GaussInt.I)
+KING_Z = (LaurentPoly.t_pow(1) - LaurentPoly.t_pow(-1)) * GaussInt.I
+
+
+def king_by_laurent_powers(f_poly):
+    """The King substitution through Gaussian-integer Laurent powers."""
+    return two_var_substitute(f_poly, KING_A, KING_Z, require_real=True)
+
+
+def test_king_substitution_equals_laurent_route_on_the_table():
+    for name in table_names():
+        knot = diagram(name)
+        for d in (knot, knot.mirror()):
+            f_poly = kauffman_F(d)
+            assert king_substitution(f_poly) == king_by_laurent_powers(f_poly), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(knot_braid_words(9))
+def test_king_substitution_equals_laurent_route_on_closures(word):
+    f_poly = kauffman_F(trace_closure(braid_to_tangle(word)))
+    assert king_substitution(f_poly) == king_by_laurent_powers(f_poly)
+
+
+_a, _z = TwoVarPoly.a_pow(1), TwoVarPoly.z_pow(1)
+# (z^2 - 2)^2 + (a - a^-1)^2 lies in the kernel of the substitution, so a
+# times it is made of terms with j + k odd whose imaginary parts cancel
+_ODD_KERNEL = _a * (_z * _z - 2) ** 2 + _a * (_a - TwoVarPoly.a_pow(-1)) ** 2
+
+
+@pytest.mark.parametrize("f_poly", [_a, _z, TwoVarPoly.term(2, 1, 3) + 1,
+                                    _ODD_KERNEL + _a - TwoVarPoly.term(-1, 2)])
+def test_king_substitution_rejects_odd_terms(f_poly):
+    for substitute in (king_substitution, king_by_laurent_powers):
+        with pytest.raises(ResidualImaginaryPart):
+            substitute(f_poly)
+
+
+def test_king_substitution_keeps_cancelling_odd_terms():
+    assert king_substitution(_ODD_KERNEL) == king_by_laurent_powers(_ODD_KERNEL) == 0
+    f_poly = _ODD_KERNEL + TwoVarPoly.term(2, 2, 7)
+    assert king_substitution(f_poly) == king_by_laurent_powers(f_poly)
+
+
+@pytest.mark.parametrize("f_poly", [TwoVarPoly.z_pow(-1),
+                                    TwoVarPoly.term(1, -1) + 1])
+def test_king_substitution_rejects_negative_z_powers(f_poly):
+    for substitute in (king_substitution, king_by_laurent_powers):
+        with pytest.raises(NonInvertibleImage):
+            substitute(f_poly)
