@@ -24,6 +24,13 @@ circle with no listed end, such as one that passes only over, starts at its
 least record: at slot 3 when the circle holds that record's over pass, at
 slot 0 otherwise.  A listed end that the walk leaves by raises
 ``InconsistentOrientation``.
+
+Reidemeister I and II sites are found here, by one rule for both
+engines that remove them, ``moves.simplify`` and Kauffman F's reduction
+in ``skein``: ``_kinks`` yields the records that hold one arc in
+cyclically adjacent slots, ``_bigons`` the pairs of records joined by an
+over arc and an under arc that bound a face (``_bounds_bigon``).  Both
+engines remove the first kink, else the first bigon.
 """
 
 from __future__ import annotations
@@ -147,7 +154,9 @@ class Diagram:
                 "empty diagram: no crossings and no free loops")
         _check_occurrences(self.crossings)
         # successor structure must decompose into cycles: guaranteed when
-        # every arc is entered once and left once
+        # every arc is entered once and left once.  No arc entered or left
+        # twice means the 2n head ends and the 2n tail ends each cover all
+        # 2n arcs.
         heads: dict[int, int] = {}
         tails: dict[int, int] = {}
         for i, rec in enumerate(self.crossings):
@@ -161,8 +170,6 @@ class Diagram:
                 if a in tails:
                     raise InconsistentOrientation(f"arc {a} left twice")
                 tails[a] = i
-        if set(heads) != set(tails):
-            raise InconsistentOrientation("unbalanced arc ends")
 
     # -------------------------------------------------------------- inspection
 
@@ -517,6 +524,28 @@ def _bounds_bigon(rec_p, rec_q, over: int, under: int) -> bool:
     sign, which no R2 move removes."""
     return (rec_p.index(over) - rec_p.index(under)
             + rec_q.index(over) - rec_q.index(under)) % 4 == 0
+
+
+def _kinks(records):
+    """The R1 sites of PD records, ``(record, slot)`` in record order: a
+    record that holds one arc in slots s and s + 1 (the loop of a kink),
+    at its least such s."""
+    for i, (a, b, c, d) in enumerate(records):
+        if a == b or b == c or c == d or d == a:
+            yield i, (0 if a == b else 1 if b == c else 2 if c == d else 3)
+
+
+def _bigons(records):
+    """The R2 sites of PD records, ``(p, q, over, under)`` ordered by the
+    first end of the over arc (the ``_occurrences`` order): records p < q
+    joined by an arc in an odd slot of both and an arc in an even slot of
+    both, which bound a face.  Every arc must occur twice."""
+    for x, ((p, s), (q, t)) in _occurrences(records).items():
+        if s % 2 and t % 2 and p != q:
+            rec_p, rec_q = records[p], records[q]
+            for y in {rec_p[0], rec_p[2]} & {rec_q[0], rec_q[2]}:
+                if _bounds_bigon(rec_p, rec_q, x, y):
+                    yield p, q, x, y
 
 
 def _occurrences(records) -> dict[int, list[tuple[int, int]]]:

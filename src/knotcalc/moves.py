@@ -3,25 +3,28 @@
 Site types:
 
 * R1 removal: a crossing whose record repeats an arc in cyclically adjacent
-  slots (the loop of a kink).
+  slots (the loop of a kink), as ``diagram._kinks`` finds it.
 * R1 addition: an arc plus a sign; the kink is inserted just before the
   arc's head.
 * R2 removal: a pair of crossings joined by two arcs, one running over at
-  both and the other under at both, that bound a face (a bigon).
+  both and the other under at both, that bound a face (a bigon), as
+  ``diagram._bigons`` finds it.
 * R2 addition: two darts bounding a common face; the first arc is poked
   across the second through that face.
 * R3: a triangular face with a side whose strand runs over (or under) at
   both of its corners; that strand slides across the third crossing.
 
 R2 and R3 are regular moves; R1 changes the writhe and every application
-reports whether it was regular.
+reports whether it was regular.  ``simplify`` takes its sites from the
+same two finders as Kauffman F's reduction in ``skein``, in the same
+order: the first kink, else the first bigon.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import Diagram, _bounds_bigon, _rotate
+from .diagram import Diagram, _bigons, _kinks, _rotate
 from .errors import PatternNotFound
 
 __all__ = [
@@ -55,11 +58,7 @@ def _pass_glues(d: Diagram, i: int):
 # --------------------------------------------------------------------- R1
 
 def find_r1_sites(d: Diagram) -> list[int]:
-    sites = []
-    for i, rec in enumerate(d.crossings):
-        if any(rec[s] == rec[(s + 1) % 4] for s in range(4)):
-            sites.append(i)
-    return sites
+    return [i for i, _ in _kinks(d.crossings)]
 
 
 def reidemeister_r1_remove(d: Diagram, i: int) -> MoveResult:
@@ -106,19 +105,7 @@ def reidemeister_r1_add(d: Diagram, arc: int | None, sign: int) -> MoveResult:
 
 def find_r2_sites(d: Diagram) -> list[tuple[int, int, int, int]]:
     """(crossing, crossing, over arc, under arc) bigon patterns."""
-    sites = []
-    incid = d.incidences()
-    for x, occ in incid.items():
-        if len(occ) != 2:
-            continue
-        (p, s1), (q, s2) = occ
-        if p == q or not s1 % 2 or not s2 % 2:  # x runs over at both
-            continue
-        rec_p, rec_q = d.crossings[p], d.crossings[q]
-        for y in {rec_p[0], rec_p[2]} & {rec_q[0], rec_q[2]}:
-            if y != x and _bounds_bigon(rec_p, rec_q, x, y):
-                sites.append((p, q, x, y))
-    return sites
+    return list(_bigons(d.crossings))
 
 
 def reidemeister_r2_remove(d: Diagram, site: tuple[int, int, int, int]) -> MoveResult:
@@ -264,17 +251,17 @@ def apply_reidemeister(d: Diagram, move: str, site) -> MoveResult:
 
 
 def simplify(d: Diagram) -> tuple[Diagram, list[str]]:
-    """Remove kinks and bigons until none remain; returns the move log."""
+    """Remove the first kink, else the first bigon (``diagram._kinks``
+    and ``_bigons``, the rule of Kauffman F's reduction), until neither
+    is left; returns the move log."""
     log = []
     while True:
-        r1 = find_r1_sites(d)
-        if r1:
-            d = reidemeister_r1_remove(d, r1[0]).diagram
-            log.append("R1-")
-            continue
-        r2 = find_r2_sites(d)
-        if r2:
-            d = reidemeister_r2_remove(d, r2[0]).diagram
-            log.append("R2-")
-            continue
-        return d, log
+        kink = next(_kinks(d.crossings), None)
+        if kink is not None:
+            d, move, _ = reidemeister_r1_remove(d, kink[0])
+        else:
+            bigon = next(_bigons(d.crossings), None)
+            if bigon is None:
+                return d, log
+            d, move, _ = reidemeister_r2_remove(d, bigon)
+        log.append(move)

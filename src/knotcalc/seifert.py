@@ -169,12 +169,13 @@ def _seifert_form(d: Diagram) -> SeifertMatrix:
     if not d.crossings:
         return SeifertMatrix((), ())
     faces = d.faces()
-    # a walk along a dart arrives at slot s of crossing i and turns into
-    # the corner between slots s and s + 1
-    corner = {}
-    for fi, face in enumerate(faces):
-        for arc, along in face:
-            corner[d.head_of(arc) if along else d.tail_of(arc)] = fi
+    face_of = {dart: fi for fi, face in enumerate(faces) for dart in face}
+    # the walk along the dart that arrives at slot s of crossing i, the
+    # arc's head exactly when s is 0 or the over-strand's entry, turns
+    # into the corner between slots s and s + 1
+    corner = {(i, s): face_of[rec[s], s == 0 or s == o]
+              for i, (rec, o) in enumerate(zip(d.crossings, d.over_in))
+              for s in range(4)}
     # regions cut out by the circles: the smoothing opens corners 1 and 3
     # of a positive crossing into each other, 0 and 2 of a negative one
     parent = list(range(len(faces)))
@@ -190,7 +191,7 @@ def _seifert_form(d: Diagram) -> SeifertMatrix:
         parent[find(corner[(i, s)])] = find(corner[(i, s + 2)])
     # the Seifert tree: regions joined across the circles, rooted at the
     # region of face 0, taken as the outside; each disk lies away from it
-    sides = {a: (find(corner[d.head_of(a)]), find(corner[d.tail_of(a)]))
+    sides = {a: (find(face_of[a, True]), find(face_of[a, False]))
              for a in d.arcs}
     adjacent: dict[int, set[int]] = {}
     for right, left in sides.values():

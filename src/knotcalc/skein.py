@@ -42,12 +42,13 @@ exponential, and serves as the oracle for the sweep.
 
 The states that F's reductions work on are bare tuples of PD records
 (under diagonal in slots 0 and 2); free circles never live inside
-states, they are counted as they appear.  Kink and bigon removal erase
-records and join the arcs across their slots with ``diagram._glue``,
-whose first-wins rule names a joined arc after the first arc of its
-pair.  An empty state stands for the last circle of its piece, so it
-contributes one circle factor less than the circles closed while
-reaching it.
+states, they are counted as they appear.  Kinks and bigons are found
+by ``diagram._kinks`` and ``_bigons``, the finders of ``moves.simplify``;
+their removal erases records and joins the arcs across their slots with
+``diagram._glue``, whose first-wins rule names a joined arc after the
+first arc of its pair.  An empty state stands for the last circle of its
+piece, so it contributes one circle factor less than the circles closed
+while reaching it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .chords import A_STEP, CIRCLE, ONE, chord_sweep, times, unpack
-from .diagram import (Diagram, _bounds_bigon, _glue, _occurrences,
+from .diagram import (Diagram, _bigons, _glue, _kinks, _occurrences,
                       _split_pieces)
 from .errors import BadSite, ResourceLimit, TooLarge
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
@@ -175,49 +176,24 @@ def _erase(state: tuple, removed, pairs) -> tuple[tuple, int]:
     return kept, loops
 
 
-def _find_kink(state: tuple):
-    for i, (a, b, c, d) in enumerate(state):
-        if a == b or b == c or c == d or d == a:
-            return i, (0 if a == b else 1 if b == c else 2 if c == d else 3)
-    return None
-
-
-def _find_bigon(state: tuple):
-    """Two crossings joined by an over-over arc and an under-under arc
-    that bound a face, at the over arc that occurs first."""
-    first = {}  # over arc -> its first (record, slot)
-    found = None
-    for i, rec in enumerate(state):
-        for s in (1, 3):
-            x = rec[s]
-            end = first.setdefault(x, (i, s))
-            j = end[0]
-            if j != i and (found is None or end < found[0]):
-                other = state[j]
-                for y in {rec[0], rec[2]} & {other[0], other[2]}:
-                    if _bounds_bigon(other, rec, x, y):
-                        found = end, j, i
-                        break
-    return found and found[1:]
-
-
 def _reduce(state: tuple, loops: int,
             memo: SkeinMemo) -> tuple[tuple, int, int]:
-    """Remove the first kink, else the first bigon, until neither is
-    left; return the state, the circles closed plus ``loops``, and the
-    kinks with their loop at an even slot less those at an odd slot."""
+    """Remove the first kink, else the first bigon (``diagram._kinks``
+    and ``_bigons``), until neither is left; return the state, the
+    circles closed plus ``loops``, and the kinks with their loop at an
+    even slot less those at an odd slot."""
     curl = 0
     while state:
-        kink = _find_kink(state)
+        kink = next(_kinks(state), None)
         if kink is not None:
             state, closed = _erase(state, kink[:1], _THROUGH)
             curl += 1 if kink[1] % 2 == 0 else -1
             memo.kinks += 1
         else:
-            bigon = _find_bigon(state)
+            bigon = next(_bigons(state), None)
             if bigon is None:
                 break
-            state, closed = _erase(state, bigon, _THROUGH)
+            state, closed = _erase(state, bigon[:2], _THROUGH)
             memo.bigons += 1
         loops += closed
     return state, loops, curl
@@ -286,23 +262,23 @@ def _sweep_order(records) -> list[int]:
     return order
 
 
-def _sweep_states(records) -> dict[int, int]:
+def _sweep_states(records) -> tuple[int, int, int]:
     """The state sum of A^(#A - #B) delta^circles over all smoothings, as
-    {exponent of A: coefficient}.
+    ``(lo, p, width)``: ``A^lo q(A^2)`` with ``p = q(256^width)``.
 
     The records are swept in ``_sweep_order``.  After each record the
     smoothed strands of the swept records pair up the open arcs; a state
     is that matching, the open arcs' partners in ascending arc order, and
     it carries the sum of the weights of the smoothings that reach it.
 
-    A state's sum is held as ``(lo, p)``: ``A^lo q(A^2)`` with
-    ``p = q(256^width)``.  Every exponent of a state has the parity of
-    the number of records swept, so steps of A^2 lose no term, and the
-    factor ``A^(+-1) delta^loops`` of a smoothing is ``A^(+-1 - 2 loops)``
-    times ``(-1 - A^4)^loops``, one multiplication of p.  The coefficient
-    sizes of the whole sum add up to at most ``8^n``: each record doubles
-    the smoothings, and a factor's coefficient sizes add up to at most 4.
-    So ``8 * width >= 3n + 2`` bits keep every coefficient apart.
+    A state's sum is held the same way, as ``(lo, p)``.  Every exponent
+    of a state has the parity of the number of records swept, so steps
+    of A^2 lose no term, and the factor ``A^(+-1) delta^loops`` of a
+    smoothing is ``A^(+-1 - 2 loops)`` times ``(-1 - A^4)^loops``, one
+    multiplication of p.  The coefficient sizes of the whole sum add up
+    to at most ``8^n``: each record doubles the smoothings, and a
+    factor's coefficient sizes add up to at most 4.  So
+    ``8 * width >= 3n + 2`` bits keep every coefficient apart.
     """
     width = (3 * len(records) + 9) // 8
     x2 = 1 << 16 * width  # A^4, two slots up
@@ -350,7 +326,7 @@ def _sweep_states(records) -> dict[int, int]:
                         e, q, e0, q0 = e0, q0, e, q
                     nxt[new] = (e0, q0 + (q << 4 * width * (e - e0)))
         states, frontier = nxt, swept
-    return _unpack(*states[()], width)
+    return (*states[()], width)
 
 
 def _unpack(lo: int, p: int, width: int) -> dict[int, int]:
@@ -372,22 +348,6 @@ def _unpack(lo: int, p: int, width: int) -> dict[int, int]:
     return out
 
 
-def _divide_by_delta(poly: dict[int, int]) -> dict[int, int]:
-    """``poly / (-A^2 - A^-2)``, exactly: ``-A^2 poly`` divided by
-    ``1 + A^4``, from the lowest exponent up."""
-    work = {e + 2: -c for e, c in poly.items() if c}
-    lo, hi = min(work), max(work)
-    quotient = {}
-    for e in range(lo, hi - 3):
-        c = work.get(e, 0)
-        if c:
-            quotient[e] = c
-            work[e + 4] = work.get(e + 4, 0) - c
-    if any(work.get(e, 0) for e in range(hi - 3, hi + 1)):
-        raise ArithmeticError("the state sum is not a multiple of delta")
-    return quotient
-
-
 def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                      memo: SkeinMemo | None = None) -> LaurentPoly:
     """Kauffman bracket by the frontier sweep of ``_sweep_states``.  The
@@ -397,7 +357,16 @@ def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
         memo.bind("bracket")
     if d.n_crossings == 0:
         return _DELTA ** (d.n_components - 1)
-    reduced = _divide_by_delta(_sweep_states(d.crossings))
+    lo, p, width = _sweep_states(d.crossings)
+    # delta = -A^-2 (1 + A^4), and A^4 is two slots up.  The coefficients
+    # of the quotient and the remainder by 1 + A^4 are partial sums of
+    # the state sum's, so they too stay below half a slot: the integer
+    # division leaves no remainder exactly when the polynomial one does,
+    # and its quotient is the packed polynomial quotient.
+    quotient, rest = divmod(p, 1 + (1 << 16 * width))
+    if rest:
+        raise ArithmeticError("the state sum is not a multiple of delta")
+    reduced = _unpack(lo + 2, -quotient, width)
     bracket = LaurentPoly({-e: c for e, c in reduced.items()})
     return _DELTA ** d.free_loops * bracket if d.free_loops else bracket
 

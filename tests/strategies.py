@@ -33,3 +33,21 @@ def knot_braid_words(max_letters):
                 letters += (i,)
         return BraidWord(word.strands, letters)
     return braid_words(max_letters).map(knotted)
+
+
+@st.composite
+def planted_pair_words(draw, max_letters=8, strands=(3, 4, 5), max_pairs=3):
+    """``braid_words(max_letters, strands)`` with 1 to ``max_pairs`` pairs
+    s_j^e s_j^f planted next to a letter s_g, |j - g| <= 1.  A pair of
+    opposite signs makes an R2 bigon and one of equal signs a twisted
+    pair, so both are common in the closures."""
+    word = draw(braid_words(max_letters, strands))
+    letters = list(word.letters)
+    for _ in range(draw(st.integers(1, max_pairs))):
+        k = draw(st.integers(0, len(letters) - 1))
+        g = abs(letters[k])
+        j = draw(st.integers(max(1, g - 1), min(word.strands - 1, g + 1)))
+        e, f = draw(st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))))
+        at = k + draw(st.integers(0, 1))
+        letters[at:at] = [e * j, f * j]
+    return BraidWord(word.strands, tuple(letters))

@@ -94,6 +94,26 @@ class TestParsing:
         assert type(exc.value) is error
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("records, over_in, error, message", [
+        ([(1, 2, 2, 1)], [5], DiagramSyntaxError, "bad over_in slot 5"),
+        ([(1, 2, 2, 1)], [3, 1], DiagramSyntaxError,
+         "over_in length mismatch"),
+        ([(1, 2, 3, 4), (4, 3, 2, 1)], [3, 3], InconsistentOrientation,
+         "arc 4 entered twice"),
+        # arc 2 leaves records 0 and 1; the arc entered twice, 5 or 6,
+        # would only be met at record 2
+        ([(1, 2, 3, 4), (5, 1, 2, 6), (3, 4, 5, 6)], [3, 3, 3],
+         InconsistentOrientation, "arc 2 left twice"),
+    ], ids=["bad-slot", "length", "entered-twice", "left-twice"])
+    def test_validate_errors(self, records, over_in, error, message):
+        # with no arc entered or left twice, the 2n head ends and the 2n
+        # tail ends each cover all 2n arcs, so no other orientation
+        # error is left to find
+        with pytest.raises(error) as exc:
+            Diagram(records, over_in)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
     def test_roundtrip(self):
         d = pd_parse(SIX_ONE)
         assert pd_parse(d.pd_text()) == d

@@ -19,12 +19,12 @@ from knotcalc.moves import (
 from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
 from knotcalc.seifert import (alexander_from_seifert, determinant,
                               seifert_circles, seifert_matrix, signature)
-from knotcalc.skein import conway, jones_memoized, kauffman_F
+from knotcalc.skein import SkeinMemo, conway, jones_memoized, kauffman_F
 from knotcalc.table import diagram as table_diagram
 from knotcalc.table import table_names
 
 from canonical import canonical_key
-from strategies import braid_words, knot_braid_words
+from strategies import braid_words, knot_braid_words, planted_pair_words
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 KINKED = "X[1,2,2,1]"  # one-crossing unknot
@@ -109,7 +109,8 @@ class TestR2:
             assert reidemeister_r2_remove(d, site).diagram.writhe() == d.writhe()
 
     @settings(max_examples=60, deadline=None)
-    @given(braid_words(10, strands=(3, 4, 5, 6)))
+    @given(st.one_of(braid_words(10, strands=(3, 4, 5, 6)),
+                     planted_pair_words()))
     def test_sites_are_the_bigon_faces(self, word):
         # independent oracle: walk the faces of the projection and keep
         # each two-sided one whose arcs run over at both corners and
@@ -190,6 +191,22 @@ class TestSimplify:
         out, log = simplify(poked)
         assert canonical_key(out) == canonical_key(d)
         assert log == ["R2-"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(braid_words(10, strands=(3, 4, 5)),
+                     planted_pair_words()))
+    def test_same_moves_as_kauffman_reduction(self, word):
+        # simplify and Kauffman F's reduction take their sites from one
+        # finder in one order, so they remove as many kinks and bigons
+        # and leave as many crossings
+        d = trace_closure(braid_to_tangle(word))
+        out, log = simplify(d)
+        memo = SkeinMemo()
+        kauffman_F(d, max(32, d.n_crossings), memo)
+        assert log.count("R1-") == memo.kinks
+        assert log.count("R2-") == memo.bigons
+        assert [len(key) for key in memo.table] == ([out.n_crossings]
+                                                    if out.crossings else [])
 
 
 class TestDispatcher:

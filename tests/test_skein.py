@@ -89,6 +89,16 @@ class TestBracket:
         assert _unpack(lo, p, width) == {
             lo + 2 * j: c for j, c in enumerate(coefficients) if c}
 
+    @pytest.mark.parametrize("p", [1, 1 + (1 << 8), 1 - (1 << 8), 1 << 16,
+                                   3 + (2 << 16)],
+                             ids=["1", "1+A^2", "1-A^2", "A^4", "3+2A^4"])
+    def test_non_multiple_of_delta_raises(self, monkeypatch, p):
+        # a packed state sum at width 1, one byte per power of A^2, that
+        # 1 + A^4 does not divide
+        monkeypatch.setattr(skein, "_sweep_states", lambda records: (0, p, 1))
+        with pytest.raises(ArithmeticError, match="not a multiple of delta"):
+            bracket_memoized(pd_parse(TREFOIL))
+
 
 class TestJones:
     def test_unknot(self):
