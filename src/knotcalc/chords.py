@@ -13,13 +13,31 @@ Kauffman polynomial at the crossing of c1 and c2.
 
 ``chord_sweep`` attaches the crossings one at a time.  The next is the
 one holding the most frontier arcs, then the one with the longest block
-of them in a row; its ends enter after that block, its over chord (slots
-1-3) just above its under chord (slots 0-2).  A cap on two neighbouring
-positions that carry one arc joins their chords, closing a circle
-(``(a + a^-1) z^-1 - 1``, the last one 1) or a curl (``a^+-1``).  So the
-sweep gives the regular-isotopy invariant L with ``L(unknot) = 1``,
-``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) + L(soo))`` of one
+of them in a row (``_next_block``).  It enters in three steps:
+
+* a cup, when its block has one position p: a chord on two new
+  positions p + 1, p + 2, which crosses nothing;
+* the crossing, on positions p and p + 1 (``_cross``): the chord at p
+  goes on to p + 1 and the chord at p + 1 on to p, over or under by the
+  record's slots.  This is one generator of the Birman-Wenzl algebra
+  acting on the diagram.  One chord makes a curl (``a^+-1``).  Two chords
+  keep their heights and exchange those ends, which is a layered diagram
+  when the upper one runs over, and otherwise takes one layer swap;
+* the caps (``_caps``): two neighbouring positions that carry one arc
+  are joined, closing a circle (``(a + a^-1) z^-1 - 1``, the last one 1)
+  or a curl (``a^+-1``).  The caps are listed in the positions before the
+  first one, and the positions left are renumbered once, at the end.
+
+So the sweep gives the regular-isotopy invariant L with ``L(unknot) =
+1``, ``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) + L(soo))`` of one
 connected piece of PD records.
+
+A record's step is its cup, its position p, which strand runs over and
+its caps.  A step's expansion of a normal diagram depends on nothing
+else, so the sweep keeps each one in a dict, keyed by the step, for
+every later diagram that meets the same step; each state's polynomial is
+multiplied in afterwards.  Periodic braids such as T(3, n) meet most of
+their steps again.
 
 Polynomials are dicts {packed exponent: int coefficient} with a^i z^j
 packed as ``i * A_STEP + j``, so a monomial factor adds its packed
@@ -91,10 +109,11 @@ def _normal(layers: tuple, table: dict) -> dict:
     return {tuple(done): ONE}
 
 
-def _cap(layers: tuple, q: int, q2: int, renum: list, table: dict) -> dict:
+def _cap(layers: tuple, q: int, q2: int, table: dict) -> dict:
     """The expansion {chord diagram: polynomial} of ``layers`` capped at
-    the frontier positions q and q2, q2 next after q counterclockwise;
-    the other positions p are renumbered ``renum[p]``.
+    the frontier positions q and q2, q2 next after q counterclockwise
+    among the positions in ``layers``; the other positions keep their
+    numbers.
 
     The chords at q and q2 are brought to adjacent layers, and joined:
     one chord closes a circle, and two crossing ones a curl, ``a`` when
@@ -106,8 +125,7 @@ def _cap(layers: tuple, q: int, q2: int, renum: list, table: dict) -> dict:
     c1, c2 = i1 & ~1, i2 & ~1  # where their chords start
     if c1 == c2:
         kept = layers[:c1] + layers[c1 + 2:]
-        return {tuple(map(renum.__getitem__, kept)):
-                CIRCLE if kept else ONE}
+        return {kept: CIRCLE if kept else ONE}
     lo, hi = (c1, c2) if c1 < c2 else (c2, c1)
     ul, ur, dl, dr = layers[lo], layers[lo + 1], layers[hi], layers[hi + 1]
     mid = lo + 2
@@ -133,7 +151,7 @@ def _cap(layers: tuple, q: int, q2: int, renum: list, table: dict) -> dict:
                 parts = (layers[:j], layers[j:j + 2], layers[hi:hi + 2],
                          layers[j + 2:hi] + layers[hi + 2:])
             got = table[memo_key] = _skein_swap(
-                *parts, table, lambda ls, t: _cap(ls, q, q2, renum, t))
+                *parts, table, lambda ls, t: _cap(ls, q, q2, t))
             return got
         mid += 2 * split
     x, y = layers[i1 ^ 1], layers[i2 ^ 1]
@@ -142,7 +160,34 @@ def _cap(layers: tuple, q: int, q2: int, renum: list, table: dict) -> dict:
     factor = ONE
     if (ul < dl < ur) != (ul < dr < ur):
         factor = _P_A if c2 == lo else _P_A_INV
-    return {tuple(map(renum.__getitem__, kept)): factor}
+    return {kept: factor}
+
+
+def _cross(layers: tuple, p: int, a_over: bool, table: dict) -> dict:
+    """The expansion {chord diagram: polynomial} of the normal diagram
+    ``layers`` with a crossing attached on its frontier positions p and
+    p + 1: the chord A at p goes on to p + 1, and the chord B at p + 1
+    on to p, A over B when ``a_over``.
+
+    One chord makes a curl.  Two chords keep their heights and exchange
+    their ends at p and p + 1; if the upper one runs over, that is a
+    layered diagram, and otherwise it is the other side of the skein
+    relation ``L(X) = -L(X switched) + z (L(D) + L(Doo))`` of the new
+    crossing, where D is ``layers`` and Doo caps A to B at p and p + 1
+    and adds the chord (p, p + 1)."""
+    i, j = layers.index(p), layers.index(p + 1)
+    if i ^ j == 1:
+        return {layers: _P_A if a_over else _P_A_INV}
+    swapped = list(layers)
+    swapped[i], swapped[j] = p + 1, p
+    swapped = tuple(swapped)
+    if (i < j) == a_over:
+        return {swapped: ONE}
+    terms = {swapped: {0: -1}, layers: _P_Z}
+    for capped, poly in _cap(layers, p, p + 1, table).items():
+        at = 2 * bisect_left(capped[::2], p)
+        terms[capped[:at] + (p, p + 1) + capped[at:]] = times(_P_Z, poly)
+    return terms
 
 
 def _add_product(acc: dict, key, poly: dict, factor: dict) -> bool:
@@ -169,10 +214,13 @@ def _drop_zeros(acc: dict, keys: set) -> dict:
     return acc
 
 
-def _caps(frontier: list) -> list[tuple[int, int, list]]:
+def _caps(frontier: list) -> tuple[tuple, list[int]]:
     """Cap every two neighbouring frontier positions (the last and the
     first are neighbours) that carry one arc, and remove them; return the
-    caps as (q, q2, renumbering)."""
+    caps as (q, q2) in the positions before the first cap, and the new
+    position of each position left."""
+    renum = [0] * len(frontier)
+    at = list(range(len(frontier)))  # each position's number before
     caps = []
     while len(frontier) > 1:
         n = len(frontier)
@@ -182,52 +230,54 @@ def _caps(frontier: list) -> list[tuple[int, int, list]]:
         else:
             break
         q2 = (q + 1) % n
-        caps.append((q, q2, [p - (p > q) - (p > q2) for p in range(n)]))
-        del frontier[max(q, q2)]
-        del frontier[min(q, q2)]
-    return caps
+        caps.append((at[q], at[q2]))
+        for k in (max(q, q2), min(q, q2)):
+            del frontier[k], at[k]
+    for new, old in enumerate(at):
+        renum[old] = new
+    return tuple(caps), renum
 
 
-def _attach(states: dict, m: int, u: int, caps: list, table: dict) -> dict:
-    """The states with a crossing's four ends inserted at frontier
-    positions m..m+3, counterclockwise from its slot u, and then capped
-    by ``caps``.  The crossing is its over chord (slots 1-3) just above
-    its under chord (slots 0-2); the two cross no other chord, so they
-    go where their left ends sort them.  Each state runs through the caps
-    unsorted and is sorted to normal diagrams at the end."""
-    at = [m + (s - u) % 4 for s in range(4)]
-    crossing = tuple(sorted(at[1::2])) + tuple(sorted(at[0::2]))
-    moved = [p if p < m else p + 4 for p in range(len(next(iter(states))))]
+def _step(layers: tuple, cup: bool, p: int, a_over: bool, caps: tuple,
+          renum: list, table: dict) -> dict:
+    """The expansion {normal diagram: polynomial} of the normal diagram
+    ``layers`` when a record is attached: a cup on new positions p + 1,
+    p + 2 if ``cup``, the crossing on p, p + 1 (``_cross``), then
+    ``caps`` in that order, and the positions left renumbered by
+    ``renum``.  The diagrams run through the caps unsorted and are sorted
+    at the end."""
+    if cup:  # it crosses nothing, so it goes where its left end sorts it
+        layers = tuple(e + 2 if e > p else e for e in layers)
+        at = 2 * bisect_left(layers[::2], p + 1)
+        layers = layers[:at] + (p + 1, p + 2) + layers[at:]
+    terms = _cross(layers, p, a_over, table)
+    for q, q2 in caps:
+        if len(terms) == 1:  # nothing to collect
+            ((layers, factor),) = terms.items()
+            terms = _cap(layers, q, q2, table)
+            if factor is not ONE:
+                terms = {new: times(more, factor)
+                         for new, more in terms.items()}
+            continue
+        capped: dict = {}
+        merged = set()
+        for layers, factor in terms.items():
+            for new, more in _cap(layers, q, q2, table).items():
+                if _add_product(capped, new, more, factor):
+                    merged.add(new)
+        terms = _drop_zeros(capped, merged)
     out: dict = {}
     dirty = set()
-    for key, poly in states.items():
-        j = 2 * bisect_left(key[::2], m)
-        key = tuple(map(moved.__getitem__, key))
-        terms = {key[:j] + crossing + key[j:]: ONE}
-        for q, q2, renum in caps:
-            if len(terms) == 1:  # nothing to collect
-                ((layers, factor),) = terms.items()
-                terms = _cap(layers, q, q2, renum, table)
-                if factor is not ONE:
-                    terms = {new: times(more, factor)
-                             for new, more in terms.items()}
-                continue
-            capped: dict = {}
-            merged = set()
-            for layers, factor in terms.items():
-                for new, more in _cap(layers, q, q2, renum, table).items():
-                    if _add_product(capped, new, more, factor):
-                        merged.add(new)
-            terms = _drop_zeros(capped, merged)
-        for layers, factor in terms.items():
-            lefts = layers[::2]
-            if list(lefts) == sorted(lefts):
-                if _add_product(out, layers, poly, factor):
-                    dirty.add(layers)
-                continue
-            for normal, more in _normal(layers, table).items():
-                if _add_product(out, normal, poly, times(factor, more)):
-                    dirty.add(normal)
+    for layers, factor in terms.items():
+        layers = tuple(map(renum.__getitem__, layers))
+        lefts = layers[::2]
+        if list(lefts) == sorted(lefts):
+            if _add_product(out, layers, factor, ONE):
+                dirty.add(layers)
+            continue
+        for normal, more in _normal(layers, table).items():
+            if _add_product(out, normal, more, factor):
+                dirty.add(normal)
     return _drop_zeros(out, dirty)
 
 
@@ -244,11 +294,10 @@ def times(p: dict, q: dict) -> dict:
 
 
 def _next_block(records, left: list[int], frontier: list) -> tuple:
-    """The next record to attach, the frontier position m its ends enter
-    at and the slot u they enter from.  It is the record holding the
-    most frontier arcs, then with the longest block of slots t, t-1, ...,
-    t-k+1 whose arcs sit at frontier positions p, ..., p+k-1, the lower
-    index on ties; its ends enter at m = p + k from slot u = t - k + 1."""
+    """The next record i to attach, and its block: the frontier
+    positions p, ..., p+k-1 that hold its slots t, t-1, ..., t-k+1.  It
+    is the record holding the most frontier arcs, then with the longest
+    block, the lower index on ties."""
     where = {a: p for p, a in enumerate(frontier)}
     n = len(frontier)
     best = None
@@ -265,26 +314,57 @@ def _next_block(records, left: list[int], frontier: list) -> tuple:
             if best is None or (held, k) > best[0]:
                 best = (held, k), i, p, t
     (_, k), i, p, t = best
-    return i, p + k, (t - k + 1) % 4
+    return i, p, k, t
 
 
-def chord_sweep(records) -> dict:
+def chord_sweep(records, counts) -> dict:
     """L of one connected piece of reduced records, packed.
 
-    The sweep starts with record 0, its frontier the record's four arcs,
-    and attaches the record of ``_next_block`` right after its block of
-    frontier positions; the caps then glue the block's arcs from the
-    inside out, and any other two neighbours that carry one arc.  The
-    table holds this call's expansions of layer swaps."""
+    The sweep starts with record 0, its frontier the record's four arcs.
+    Each next record, from ``_next_block``, enters at its block's first
+    two positions p, p + 1, after a cup when the block has one position,
+    and then the caps close what they can (``_step``).  A step's
+    expansion of a normal diagram depends only on the step and the
+    diagram, so each one is kept, keyed by the step, for the diagrams
+    that meet the same step again.  ``table`` holds this call's layer
+    swaps.  The sweep adds to ``counts`` (a ``SkeinMemo``) the records
+    swept and the step expansions reused, and raises its widest frontier
+    (a record's ends in, before the caps) and most states held to this
+    call's."""
     table: dict = {}
+    steps: dict = {}
     frontier = list(records[0])
     states = _CROSSING
+    widest, most, reused = 4, len(states), 0
     left = list(range(1, len(records)))
     while left:
-        i, m, u = _next_block(records, left, frontier)
+        i, p, k, t = _next_block(records, left, frontier)
         left.remove(i)
-        frontier[m:m] = [records[i][(u + j) % 4] for j in range(4)]
-        states = _attach(states, m, u, _caps(frontier), table)
+        rec = records[i]
+        cup = k == 1
+        # p, p + 1 (and p + 2 after a cup) carry slots t + 1, t + 2, ...
+        frontier[p:p + 2 - cup] = [rec[(t + j) % 4] for j in range(1, 3 + cup)]
+        widest = max(widest, len(frontier))
+        caps, renum = _caps(frontier)
+        step = (cup, p, t % 2 == 1, caps)
+        known = steps.setdefault(step, {})
+        out: dict = {}
+        dirty = set()
+        for key, poly in states.items():
+            got = known.get(key)
+            if got is None:
+                got = known[key] = _step(key, *step, renum, table)
+            else:
+                reused += 1
+            for new, more in got.items():
+                if _add_product(out, new, poly, more):
+                    dirty.add(new)
+        states = _drop_zeros(out, dirty)
+        most = max(most, len(states))
+    counts.swept += len(records)
+    counts.widest = max(counts.widest, widest)
+    counts.most_states = max(counts.most_states, most)
+    counts.reused += reused
     return states.get((), {})
 
 

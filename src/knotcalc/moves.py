@@ -253,15 +253,19 @@ def apply_reidemeister(d: Diagram, move: str, site) -> MoveResult:
 def simplify(d: Diagram) -> tuple[Diagram, list[str]]:
     """Remove the first kink, else the first bigon (``diagram._kinks``
     and ``_bigons``, the rule of Kauffman F's reduction), until neither
-    is left; returns the move log."""
+    is left; returns the move log.  The finders' sites need no second
+    check, so the moves rewire the diagram directly."""
     log = []
     while True:
         kink = next(_kinks(d.crossings), None)
         if kink is not None:
-            d, move, _ = reidemeister_r1_remove(d, kink[0])
-        else:
-            bigon = next(_bigons(d.crossings), None)
-            if bigon is None:
-                return d, log
-            d, move, _ = reidemeister_r2_remove(d, bigon)
-        log.append(move)
+            i = kink[0]
+            d = d.rewire({i}, _pass_glues(d, i))
+            log.append("R1-")
+            continue
+        bigon = next(_bigons(d.crossings), None)
+        if bigon is None:
+            return d, log
+        p, q = bigon[:2]
+        d = d.rewire({p, q}, _pass_glues(d, p) + _pass_glues(d, q))
+        log.append("R2-")

@@ -17,7 +17,12 @@ A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and ``c~d``, and
 
 Kauffman F comes from a second frontier sweep, ``chords.chord_sweep``,
 whose states are layered chord diagrams in the Kauffman skein of a disk
-(see ``chords``).  It gives the regular-isotopy invariant L with
+(see ``chords``).  Each crossing enters as one generator step, which
+exchanges two neighbouring chord ends with at most one layer swap, and
+the caps then close what they can; a step's expansion of a diagram is
+kept for the later diagrams of the call that meet the same step.  The
+memo counts the records swept, the widest frontier, the most states held
+and the step expansions reused.  It gives the regular-isotopy invariant L with
 ``L(unknot) = 1``, ``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) +
 L(soo))``, and ``F = a^{-w} L``.  Kinks and bigons are removed first, and
 only the reduced diagram is keyed in the memo, by its records each taken
@@ -111,6 +116,10 @@ class SkeinMemo:
         self.misses = 0
         self.kinks = 0
         self.bigons = 0
+        self.swept = 0
+        self.widest = 0
+        self.most_states = 0
+        self.reused = 0
         self.engine = None
 
     def bind(self, engine: str):
@@ -136,7 +145,9 @@ class SkeinMemo:
     def stats(self) -> dict:
         return {"entries": len(self.table), "hits": self.hits,
                 "misses": self.misses, "kinks": self.kinks,
-                "bigons": self.bigons}
+                "bigons": self.bigons, "swept": self.swept,
+                "widest": self.widest, "most_states": self.most_states,
+                "reused": self.reused}
 
 
 def engine_memos() -> dict[str, SkeinMemo]:
@@ -408,9 +419,9 @@ def _kauffman_L(state: tuple, loops: int, memo: SkeinMemo) -> dict:
         if value is None:  # one circle factor per extra piece
             pieces = [[state[i] for i in members]
                       for members in _split_pieces(state)]
-            value = chord_sweep(pieces[0])
+            value = chord_sweep(pieces[0], memo)
             for piece in pieces[1:]:
-                value = times(times(value, CIRCLE), chord_sweep(piece))
+                value = times(times(value, CIRCLE), chord_sweep(piece, memo))
             memo.put(key, value)
     for _ in range(loops):
         value = times(value, CIRCLE)

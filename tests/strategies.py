@@ -51,3 +51,24 @@ def planted_pair_words(draw, max_letters=8, strands=(3, 4, 5), max_pairs=3):
         at = k + draw(st.integers(0, 1))
         letters[at:at] = [e * j, f * j]
     return BraidWord(word.strands, tuple(letters))
+
+
+@st.composite
+def twisted_pair_words(draw, max_letters=8, strands=(3, 4, 5, 6)):
+    """Words on n strands whose closure holds a twisted pair: strand
+    position j is met by one letter s_(j-1)^e, one s_j^e of the same sign
+    e and no other letter.  The two arcs at position j then join those
+    two records, one running over at both and the other under at both,
+    and strands on either side of them keep them from bounding a face."""
+    n = draw(st.sampled_from(strands))
+    j = draw(st.integers(2, n - 1))
+    others = [g for g in range(1, n) if g not in (j - 1, j)]
+    letters = []
+    if others:
+        letter = st.tuples(st.sampled_from(others), st.sampled_from((1, -1)))
+        letters = [g * e for g, e in draw(st.lists(letter,
+                                                   max_size=max_letters))]
+    e = draw(st.sampled_from((1, -1)))
+    for g in (j - 1, j):
+        letters.insert(draw(st.integers(0, len(letters))), e * g)
+    return BraidWord(n, tuple(letters))

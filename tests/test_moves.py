@@ -24,7 +24,8 @@ from knotcalc.table import diagram as table_diagram
 from knotcalc.table import table_names
 
 from canonical import canonical_key
-from strategies import braid_words, knot_braid_words, planted_pair_words
+from strategies import (braid_words, knot_braid_words, planted_pair_words,
+                        twisted_pair_words)
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 KINKED = "X[1,2,2,1]"  # one-crossing unknot
@@ -110,7 +111,7 @@ class TestR2:
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(braid_words(10, strands=(3, 4, 5, 6)),
-                     planted_pair_words()))
+                     planted_pair_words(), twisted_pair_words()))
     def test_sites_are_the_bigon_faces(self, word):
         # independent oracle: walk the faces of the projection and keep
         # each two-sided one whose arcs run over at both corners and

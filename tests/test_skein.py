@@ -141,7 +141,8 @@ class TestJones:
         assert first == second
         assert memo.engine == "bracket"
         assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
-                                "kinks": 0, "bigons": 0}
+                                "kinks": 0, "bigons": 0, "swept": 0,
+                                "widest": 0, "most_states": 0, "reused": 0}
 
     def test_memo_serves_one_engine(self):
         # bracket and F states share one key space but not one ring
@@ -252,6 +253,21 @@ class TestKauffmanOracle:
     def test_unknot(self):
         assert unpack(_kauffman_L((), 1, SkeinMemo())) == TwoVarPoly.one()
 
+    @settings(max_examples=150, deadline=None)
+    @given(braid_words(10, strands=(3, 4, 5, 6)), st.data())
+    def test_any_record_first(self, word, data):
+        # the sweep starts at the first record, so rotating the records
+        # changes every block, cup and layer swap of the sweep
+        d = trace_closure(braid_to_tangle(word))
+        n = d.n_crossings
+        want = kauffman_F(d)
+        turns = data.draw(st.lists(st.integers(1, n - 1), min_size=1,
+                                   max_size=4, unique=True))
+        for r in turns:
+            turned = Diagram(d.crossings[r:] + d.crossings[:r],
+                             d.over_in[r:] + d.over_in[:r], d.free_loops)
+            assert kauffman_F(turned) == want
+
     @pytest.mark.parametrize("p, q", sorted(TORUS_F))
     def test_torus_closures(self, p, q):
         d = trace_closure(braid_to_tangle(BraidWord(p, tuple(range(1, p)) * q)))
@@ -317,8 +333,10 @@ class TestMemoClasses:
         memo = SkeinMemo()
         for _ in range(2):
             kauffman_F(d, memo=memo)
+        # T(3,5) is swept once, its 10 records on at most 6 positions
         assert memo.stats() == {"entries": 1, "hits": 1, "misses": 1,
-                                "kinks": 0, "bigons": 0}
+                                "kinks": 0, "bigons": 0, "swept": 10,
+                                "widest": 6, "most_states": 15, "reused": 32}
 
     def test_curled_unknot_reduces_to_nothing(self):
         d = reidemeister_r1_add(Diagram.unknot(), None, 1).diagram
@@ -327,7 +345,8 @@ class TestMemoClasses:
         memo = SkeinMemo()
         assert kauffman_F(d, memo=memo) == TwoVarPoly.one()
         assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
-                                "kinks": 5, "bigons": 0}
+                                "kinks": 5, "bigons": 0, "swept": 0,
+                                "widest": 0, "most_states": 0, "reused": 0}
 
 
 class TestConway:

@@ -30,7 +30,8 @@ def test_chain_passes(report):
 def test_chain_owns_one_memo_per_engine(report):
     assert report["memo"] == {
         "kauffman": {"entries": 1, "hits": 0, "misses": 1,
-                     "kinks": 0, "bigons": 0},
+                     "kinks": 0, "bigons": 0, "swept": 6, "widest": 6,
+                     "most_states": 3, "reused": 3},
     }
     assert stevedore_chain_report()["memo"] == report["memo"]
 
