@@ -49,15 +49,15 @@ from fractions import Fraction
 from . import table as table_mod
 from .cable import cable2, king_verify, make_hat
 from .diagram import Diagram, pd_parse
-from .errors import KnotError, ResourceLimit, TooLarge
+from .errors import KnotError, ResourceLimit
 from .polyring import LaurentPoly
 from .presentations import (PlatPresentation, braid_parse, braid_to_tangle,
                             spine_boundary_knot, trace_closure)
 from .seifert import (alexander_from_seifert, determinant, is_monic,
                       seifert_circles, seifert_matrix, seifert_surface_genus,
                       signature)
-from .skein import (DEFAULT_ENGINE_CAP, SkeinMemo, conway, engine_memos,
-                    jones_memoized, kauffman_F)
+from .skein import (DEFAULT_ENGINE_CAP, SkeinMemo, conway, jones_memoized,
+                    kauffman_F)
 from .verification import stevedore_chain_report
 
 EXIT_OK = 0
@@ -69,10 +69,6 @@ INVARIANT_NAMES = ("jones", "alexander", "conway", "kauffman",
                    "determinant", "signature", "surface_genus", "fibered")
 LINK_INVARIANTS = ("jones", "conway", "kauffman")
 CABLE_CHECKS = ("writhe-formula", "hat", "king")
-
-
-def _memo_stats(memos: dict[str, SkeinMemo]) -> dict:
-    return {engine: m.stats() for engine, m in memos.items()}
 
 
 def _load_input(text_or_path: str) -> Diagram:
@@ -143,7 +139,7 @@ def cmd_invariants(args) -> int:
                         f"choose from {', '.join(INVARIANT_NAMES)}")
     values = {}
     timing = {}
-    memos = engine_memos()
+    memo = SkeinMemo()
     need_seifert = {"alexander", "determinant", "signature", "fibered"} & set(which)
     smatrix = delta = None
     if need_seifert:
@@ -165,8 +161,7 @@ def cmd_invariants(args) -> int:
             nabla = conway(diagram, args.max_crossings)
             values[name] = nabla.to_str("z")
         elif name == "kauffman":
-            values[name] = str(kauffman_F(diagram, args.max_crossings,
-                                          memos["kauffman"]))
+            values[name] = str(kauffman_F(diagram, args.max_crossings, memo))
         elif name == "determinant":
             values[name] = determinant(smatrix)
         elif name == "signature":
@@ -183,7 +178,7 @@ def cmd_invariants(args) -> int:
             "invariants": values,
         },
         "timing": timing,
-        "memo": _memo_stats(memos),
+        "memo": {"kauffman": memo.stats()},
     }
     if smatrix is not None:
         report["seifert"] = {
@@ -237,7 +232,7 @@ def cmd_cable(args) -> int:
     cab = cable2(base, args.framing)
     checks = {}
     timing = {"cable": round(time.perf_counter() - t0, 6)}
-    memos = engine_memos()
+    memo = SkeinMemo()
     if "writhe-formula" in wanted:
         lhs = cab.diagram.writhe()
         rhs = 4 * base.writhe() + 2 * (args.framing - base.writhe())
@@ -258,7 +253,7 @@ def cmd_cable(args) -> int:
                          "lhs": str(v_hat), "rhs": str(expected)}
     if "king" in wanted:
         t0 = time.perf_counter()
-        f_poly = kauffman_F(base, args.max_crossings, memos["kauffman"])
+        f_poly = kauffman_F(base, args.max_crossings, memo)
         timing["kauffman_F"] = round(time.perf_counter() - t0, 6)
         checks["king"] = {"pass": king_verify(f_poly, v_tilde, args.framing),
                           "lhs": f"F: {f_poly}",
@@ -271,8 +266,8 @@ def cmd_cable(args) -> int:
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks.values()),
     }
-    _emit({"payload": payload, "timing": timing, "memo": _memo_stats(memos)},
-          args.format)
+    _emit({"payload": payload, "timing": timing,
+           "memo": {"kauffman": memo.stats()}}, args.format)
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFY
 
 
@@ -322,7 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TooLarge, ResourceLimit) as e:
+    except ResourceLimit as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except (KnotError, OSError, json.JSONDecodeError, KeyError) as e:

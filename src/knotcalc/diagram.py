@@ -23,7 +23,12 @@ on it; by default these are every record's slot 0, the PD convention.  A
 circle with no listed end, such as one that passes only over, starts at its
 least record: at slot 3 when the circle holds that record's over pass, at
 slot 0 otherwise.  A listed end that the walk leaves by raises
-``InconsistentOrientation``.
+``InconsistentOrientation``.  The walk is also the one orientation check:
+a ``Diagram`` built directly from records and ``over_in`` slots is walked
+from every record's entering ends, slot 0 and the over-strand's slot,
+which agree exactly when the walk returns the same records and slots.
+``_validated=True`` marks tuples that a walk already produced, and the
+constructor stores them as given.
 
 Reidemeister I and II sites are found here, by one rule for both
 engines that remove them, ``moves.simplify`` and Kauffman F's reduction
@@ -61,19 +66,33 @@ class Diagram:
     ``crossings[i]`` is the i-th PD record with slot 0 the incoming
     under-strand; ``over_in[i]`` is 3 when the over-strand enters at slot 3
     (positive crossing) and 1 otherwise (negative crossing).
+
+    Built directly, the diagram is checked by ``from_pd``'s walk from
+    the ends ``(i, 0)`` and ``(i, over_in[i])`` of every record, after
+    each slot is checked to be 1 or 3.  With ``_validated=True`` the
+    constructor stores the tuples it is given: records and slots that a
+    walk produced, or that an operation made from them and keeps
+    consistent.
     """
 
     __slots__ = ("crossings", "over_in", "free_loops", "_cache")
 
     def __init__(self, crossings, over_in, free_loops=0, _validated=False):
-        crossings = tuple(tuple(int(x) for x in c) for c in crossings)
-        over_in = tuple(int(s) for s in over_in)
+        if not _validated:
+            if len(over_in) != len(crossings):
+                raise DiagramSyntaxError("over_in length mismatch")
+            for s in over_in:
+                if s not in (1, 3):
+                    raise DiagramSyntaxError(f"bad over_in slot {s}")
+            walked = Diagram.from_pd(crossings, free_loops, [
+                end for i, o in enumerate(over_in)
+                for end in ((i, 0), (i, o))])
+            crossings, over_in = walked.crossings, walked.over_in
+            free_loops = walked.free_loops
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "over_in", over_in)
-        object.__setattr__(self, "free_loops", int(free_loops))
+        object.__setattr__(self, "free_loops", free_loops)
         object.__setattr__(self, "_cache", {})
-        if not _validated:
-            self._validate()
 
     def __setattr__(self, *args):
         raise AttributeError("Diagram is immutable")
@@ -135,41 +154,12 @@ class Diagram:
         if not recs and not free_loops:
             raise DiagramSyntaxError(
                 "empty diagram: no crossings and no free loops")
-        return cls(normalized, over_in, free_loops, _validated=True)
+        return cls(tuple(normalized), tuple(over_in), int(free_loops),
+                   _validated=True)
 
     @classmethod
     def unknot(cls, circles: int = 1) -> "Diagram":
         return cls((), (), circles)
-
-    def _validate(self):
-        if self.free_loops < 0:
-            raise DiagramSyntaxError("negative free loop count")
-        if len(self.over_in) != len(self.crossings):
-            raise DiagramSyntaxError("over_in length mismatch")
-        for s in self.over_in:
-            if s not in (1, 3):
-                raise DiagramSyntaxError(f"bad over_in slot {s}")
-        if not self.crossings and not self.free_loops:
-            raise DiagramSyntaxError(
-                "empty diagram: no crossings and no free loops")
-        _check_occurrences(self.crossings)
-        # successor structure must decompose into cycles: guaranteed when
-        # every arc is entered once and left once.  No arc entered or left
-        # twice means the 2n head ends and the 2n tail ends each cover all
-        # 2n arcs.
-        heads: dict[int, int] = {}
-        tails: dict[int, int] = {}
-        for i, rec in enumerate(self.crossings):
-            for s in (0, self.over_in[i]):
-                a = rec[s]
-                if a in heads:
-                    raise InconsistentOrientation(f"arc {a} entered twice")
-                heads[a] = i
-            for s in (2, (self.over_in[i] + 2) % 4):
-                a = rec[s]
-                if a in tails:
-                    raise InconsistentOrientation(f"arc {a} left twice")
-                tails[a] = i
 
     # -------------------------------------------------------------- inspection
 
@@ -261,14 +251,10 @@ class Diagram:
 
     def mirror(self) -> "Diagram":
         """Switch every crossing's over/under strand."""
-        new_recs = []
-        new_over = []
-        for i, rec in enumerate(self.crossings):
-            o = self.over_in[i]
-            new_recs.append(_rotate(rec, o))
-            # the old under-in lands at slot (0 - o) mod 4 and is the new over-in
-            new_over.append((0 - o) % 4)
-        return Diagram(new_recs, new_over, self.free_loops, _validated=True)
+        # the old under-in lands at slot (0 - o) mod 4 and is the new over-in
+        return Diagram(tuple(map(_rotate, self.crossings, self.over_in)),
+                       tuple((0 - o) % 4 for o in self.over_in),
+                       self.free_loops, _validated=True)
 
     def switch_crossing(self, i: int) -> "Diagram":
         """Mirror a single crossing (used by skein engines)."""
@@ -277,7 +263,8 @@ class Diagram:
         o = over[i]
         recs[i] = _rotate(recs[i], o)
         over[i] = (0 - o) % 4
-        return Diagram(recs, over, self.free_loops, _validated=True)
+        return Diagram(tuple(recs), tuple(over), self.free_loops,
+                       _validated=True)
 
     def reverse_component(self, c: int) -> "Diagram":
         comps = self.components
@@ -296,20 +283,19 @@ class Diagram:
             if over_in_comp:
                 o = (o + 2) % 4
             recs[i], over[i] = rec, o
-        return Diagram(recs, over, self.free_loops, _validated=True)
+        return Diagram(tuple(recs), tuple(over), self.free_loops,
+                       _validated=True)
 
     def disjoint_union(self, other: "Diagram") -> "Diagram":
         offset = max(self.arcs, default=0)
-        recs = list(self.crossings)
-        for rec in other.crossings:
-            recs.append(tuple(a + offset for a in rec))
-        return Diagram(recs, self.over_in + other.over_in,
+        recs = tuple(tuple(a + offset for a in rec) for rec in other.crossings)
+        return Diagram(self.crossings + recs, self.over_in + other.over_in,
                        self.free_loops + other.free_loops, _validated=True)
 
     def relabeled(self) -> "Diagram":
         """Same diagram with arcs renumbered densely from 1."""
         mapping = {a: k + 1 for k, a in enumerate(sorted(self.arcs))}
-        recs = [tuple(mapping[a] for a in rec) for rec in self.crossings]
+        recs = tuple(tuple(mapping[a] for a in rec) for rec in self.crossings)
         return Diagram(recs, self.over_in, self.free_loops, _validated=True)
 
     def add_free_loops(self, k: int) -> "Diagram":
@@ -559,30 +545,14 @@ def _occurrences(records) -> dict[int, list[tuple[int, int]]]:
 
 def _split_pieces(records) -> list[list[int]]:
     """Record indices of each connected piece (records sharing an arc are
-    joined), ordered by their first index."""
-    n = len(records)
-    if n <= 1:
-        return [[0]] if n else []
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    first_home: dict[int, int] = {}
-    for i, rec in enumerate(records):
-        for a in rec:
-            j = first_home.setdefault(a, i)
-            if j != i:
-                rj, ri = find(j), find(i)
-                if rj != ri:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    joined by ``_glue``), ordered by their first index."""
+    home: dict[int, int] = {}
+    _, rename, _ = _glue((), [(home.setdefault(a, i), i)
+                              for i, rec in enumerate(records) for a in rec])
+    pieces: dict[int, list[int]] = {}
+    for i in range(len(records)):
+        pieces.setdefault(rename.get(i, i), []).append(i)
+    return list(pieces.values())
 
 
 def _check_occurrences(recs) -> dict[int, list[tuple[int, int]]]:

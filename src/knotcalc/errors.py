@@ -65,12 +65,9 @@ class DisconnectedBoundary(KnotError):
 
 # ---------------------------------------------------------------------- skein
 
-class TooLarge(KnotError):
-    """Crossing count exceeds the state-sum oracle cap."""
-
-
 class ResourceLimit(KnotError):
-    """Crossing count exceeds the configured cap of a polynomial engine."""
+    """Crossing count exceeds the cap of a polynomial engine or of the
+    state-sum oracle."""
 
 
 # -------------------------------------------------------------------- seifert

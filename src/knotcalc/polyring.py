@@ -492,9 +492,6 @@ class TwoVarPoly:
     def terms(self) -> dict[tuple[int, int], int]:
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     # ------------------------------------------------------------- arithmetic
 
     def __add__(self, other):
@@ -625,15 +622,13 @@ def two_var_substitute(
     poly: TwoVarPoly,
     a_image: LaurentPoly,
     z_image: LaurentPoly,
-    require_real: bool = False,
 ) -> LaurentPoly:
     """Apply the ring morphism ``a -> a_image, z -> z_image`` to ``poly``.
 
     Negative ``a`` or ``z`` exponents require the corresponding image to be
-    a monomial unit of the Laurent ring.  With ``require_real`` the result
-    must have purely real coefficients (they are asserted and the polynomial
-    returned unchanged), which is how the Jones-from-F substitution
-    ``a -> i t^-2, z -> i(t - t^-1)`` is used on knots.
+    a monomial unit of the Laurent ring.  The Jones-from-F substitution
+    ``a -> i t^-2, z -> i(t - t^-1)`` gives a knot a result with real
+    coefficients, which ``real_part_strict`` asserts.
     """
     a_inv = z_inv = None
     if any(a < 0 for a, _ in poly._terms):
@@ -664,6 +659,4 @@ def two_var_substitute(
     for (ae, ze), c in sorted(poly._terms.items()):
         term = power(a_powers, a_image, a_inv, ae) * power(z_powers, z_image, z_inv, ze)
         total = total + term * c
-    if require_real:
-        total = total.real_part_strict()
     return total

@@ -63,9 +63,6 @@ class BraidWord(NamedTuple):
     strands: int
     letters: tuple[int, ...]
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
-
     def permutation(self) -> list[int]:
         """perm[k] = bottom position of the strand entering at top k."""
         pos = list(range(self.strands))  # pos[position] = strand id

@@ -58,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .diagram import Diagram, _ints, _orbits
+from .diagram import Diagram, _glue, _ints, _orbits
 from .errors import DimensionMismatch, MultiComponent
 from .polyring import LaurentPoly
 
@@ -178,27 +178,25 @@ def _seifert_form(d: Diagram) -> SeifertMatrix:
               for s in range(4)}
     # regions cut out by the circles: the smoothing opens corners 1 and 3
     # of a positive crossing into each other, 0 and 2 of a negative one
-    parent = list(range(len(faces)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    pairs = []
     for i in range(d.n_crossings):
         s = 1 if d.sign(i) == 1 else 0
-        parent[find(corner[(i, s)])] = find(corner[(i, s + 2)])
+        pairs.append((corner[(i, s)], corner[(i, s + 2)]))
+    _, rename, _ = _glue((), pairs)
+
+    def region_of(f):
+        return rename.get(f, f)
+
     # the Seifert tree: regions joined across the circles, rooted at the
     # region of face 0, taken as the outside; each disk lies away from it
-    sides = {a: (find(face_of[a, True]), find(face_of[a, False]))
+    sides = {a: (region_of(face_of[a, True]), region_of(face_of[a, False]))
              for a in d.arcs}
     adjacent: dict[int, set[int]] = {}
     for right, left in sides.values():
         adjacent.setdefault(right, set()).add(left)
         adjacent.setdefault(left, set()).add(right)
-    depth = {find(0): 0}
-    queue = [find(0)]
+    depth = {region_of(0): 0}
+    queue = [region_of(0)]
     for x in queue:
         for y in adjacent[x]:
             if y not in depth:
@@ -213,7 +211,7 @@ def _seifert_form(d: Diagram) -> SeifertMatrix:
     index: dict[int, int] = {}
     seen = set()
     for fi in range(len(faces)):
-        region = find(fi)
+        region = region_of(fi)
         if region in seen:
             index[fi] = len(index)
         seen.add(region)

@@ -10,10 +10,9 @@ once and multiplied by ``delta`` per free loop.  The cost grows with the
 number of matchings, which the number of open arcs bounds, not with the
 number of crossings.  A state's polynomial is packed into one integer
 (Kronecker substitution), so a smoothing costs a few integer operations,
-not one per term.  The sweep keys nothing: the bracket engine only binds
-a memo it is given.  Conventions: ``<unknot> = 1``, the
-A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and ``c~d``, and
-``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
+not one per term.  The sweep keys nothing and leaves a memo it is given
+empty.  Conventions: ``<unknot> = 1``, the A-smoothing of ``(a,b,c,d)``
+joins ``a~b`` and ``c~d``, and ``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
 
 Kauffman F comes from a second frontier sweep, ``chords.chord_sweep``,
 whose states are layered chord diagrams in the Kauffman skein of a disk
@@ -64,7 +63,7 @@ from operator import itemgetter
 from .chords import A_STEP, CIRCLE, ONE, chord_sweep, times, unpack
 from .diagram import (Diagram, _bigons, _glue, _kinks, _occurrences,
                       _split_pieces)
-from .errors import BadSite, ResourceLimit, TooLarge
+from .errors import BadSite, ResourceLimit
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
 from .moves import simplify as _simplify_diagram
 from .polyring import LaurentPoly, TwoVarPoly, _difference_power
@@ -72,7 +71,6 @@ from .seifert import _det_poly, _seifert_form
 
 __all__ = [
     "SkeinMemo",
-    "engine_memos",
     "bracket_state_sum",
     "bracket_memoized",
     "jones",
@@ -93,21 +91,18 @@ _DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
 
 
 class SkeinMemo:
-    """Write-once table from diagram keys to the polynomial values of one
-    engine, and counts of the kinks and bigons the engine removed (only
-    what is left is keyed, so they never enter the table).  Kauffman F
-    keys the reduced diagram it is called on, its PD records each taken
-    up to a half-turn (``_half_turn_key``), so a mirror or a relabeling
-    of a diagram is a new key.  The bracket sweep and the Conway
-    determinants key nothing: they bind the memo and leave it empty.
+    """Write-once table from diagram keys to Kauffman F's packed values,
+    and counts of the kinks and bigons F removed (only what is left is
+    keyed, so they never enter the table).  F keys the reduced diagram
+    it is called on, its PD records each taken up to a half-turn
+    (``_half_turn_key``), so a mirror or a relabeling of a diagram is a
+    new key.  The bracket sweep and the Conway determinants key nothing
+    and leave a memo they are given empty.
 
-    An engine called without a memo uses a fresh one for that call, so
-    values are reused across calls only through a memo the caller owns
-    and passes to each of them.  The first engine that uses a memo owns
-    it: the engines' keys overlap while their values live in different
-    rings, so handing the memo to another engine raises ``ValueError``.
-    Writing a second, different value under one key raises
-    ``AssertionError``.
+    F called without a memo uses a fresh one for that call, so values
+    are reused across calls only through a memo the caller owns and
+    passes to each of them.  Writing a second, different value under one
+    key raises ``AssertionError``.
     """
 
     def __init__(self):
@@ -120,14 +115,6 @@ class SkeinMemo:
         self.widest = 0
         self.most_states = 0
         self.reused = 0
-        self.engine = None
-
-    def bind(self, engine: str):
-        if self.engine is None:
-            self.engine = engine
-        elif self.engine != engine:
-            raise ValueError(f"this memo holds {self.engine} values and "
-                             f"cannot serve the {engine} engine")
 
     def get(self, key):
         value = self.table.get(key)
@@ -148,12 +135,6 @@ class SkeinMemo:
                 "bigons": self.bigons, "swept": self.swept,
                 "widest": self.widest, "most_states": self.most_states,
                 "reused": self.reused}
-
-
-def engine_memos() -> dict[str, SkeinMemo]:
-    """One fresh memo per engine that keys states, for a caller whose
-    engine calls share them: Kauffman F is the only one."""
-    return {"kauffman": SkeinMemo()}
 
 
 def _check_cap(d: Diagram, max_crossings: int):
@@ -218,7 +199,8 @@ def bracket_state_sum(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> La
     """Kauffman bracket by full state enumeration (the oracle path)."""
     n = d.n_crossings
     if n > max_crossings:
-        raise TooLarge(f"{n} crossings exceeds the state-sum cap {max_crossings}")
+        raise ResourceLimit(
+            f"{n} crossings exceeds the state-sum cap {max_crossings}")
     if n == 0:
         return _DELTA ** (d.n_components - 1)
     arcs = sorted(d.arcs)
@@ -362,10 +344,8 @@ def _unpack(lo: int, p: int, width: int) -> dict[int, int]:
 def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                      memo: SkeinMemo | None = None) -> LaurentPoly:
     """Kauffman bracket by the frontier sweep of ``_sweep_states``.  The
-    sweep keys no states: a memo is only bound to the bracket engine."""
+    sweep keys no states, so it leaves ``memo`` empty."""
     _check_cap(d, max_crossings)
-    if memo is not None:
-        memo.bind("bracket")
     if d.n_crossings == 0:
         return _DELTA ** (d.n_components - 1)
     lo, p, width = _sweep_states(d.crossings)
@@ -398,7 +378,8 @@ def jones(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> LaurentPoly:
 
 def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                    memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Jones polynomial from the frontier-sweep bracket."""
+    """Jones polynomial from the frontier-sweep bracket, which leaves
+    ``memo`` empty."""
     return _normalize_bracket(d, bracket_memoized(d, max_crossings, memo))
 
 
@@ -435,7 +416,6 @@ def kauffman_F(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
     a memo, the call uses a fresh one."""
     _check_cap(d, max_crossings)
     memo = memo if memo is not None else SkeinMemo()
-    memo.bind("kauffman")
     return unpack(_kauffman_L(d.crossings, d.free_loops, memo), -d.writhe())
 
 
@@ -499,11 +479,9 @@ def conway(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
     from its Seifert form S of size n = c - s + 1, as x^-n det(x^2 S - S^T)
     with x = t^1/2; both are turned into polynomials in z = x - x^-1 by
     ``_conway_from_x``.  A link with free loops, or whose projection
-    falls into several pieces, is split and gets 0.  Nothing is keyed: a
-    memo is only bound to the Conway engine."""
+    falls into several pieces, is split and gets 0.  Nothing is keyed,
+    so ``memo`` is left empty."""
     _check_cap(d, max_crossings)
-    if memo is not None:
-        memo.bind("conway")
     if not d.crossings:
         return LaurentPoly.one() if d.free_loops == 1 else LaurentPoly.zero()
     if d.n_components == 1:
@@ -551,7 +529,7 @@ def verify_jones_skein(d: Diagram, site: int,
                        max_crossings: int = DEFAULT_ENGINE_CAP,
                        memo: SkeinMemo | None = None) -> bool:
     """Check ``t^-1 V(L+) - t V(L-) + (t^-1/2 - t^1/2) V(L0) = 0`` exactly;
-    the three Jones calls bind ``memo`` (see ``bracket_memoized``)."""
+    the three Jones calls leave ``memo`` empty (see ``bracket_memoized``)."""
     plus, minus, zero = skein_triple(d, site)
     lhs = (LaurentPoly.t_pow(-1) * jones_memoized(plus, max_crossings, memo)
            - LaurentPoly.t_pow(1) * jones_memoized(minus, max_crossings, memo)

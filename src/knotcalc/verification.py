@@ -25,8 +25,8 @@ from .cable import cable2, jprime_chain, king_substitution, king_verify, make_ha
 from .polyring import LaurentPoly, TwoVarPoly
 from .seifert import (alexander_from_seifert, is_monic, normalize_alexander,
                       seifert_matrix)
-from .skein import (DEFAULT_ENGINE_CAP, alexander_from_conway, conway,
-                    engine_memos, jones_memoized, kauffman_F)
+from .skein import (DEFAULT_ENGINE_CAP, SkeinMemo, alexander_from_conway,
+                    conway, jones_memoized, kauffman_F)
 from .table import diagram
 
 __all__ = [
@@ -92,7 +92,7 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
     """
     steps = []
     timings = {}
-    memos = engine_memos()
+    memo = SkeinMemo()
 
     def step(name, passed, lhs, rhs, note=None):
         row = {"name": name, "pass": bool(passed),
@@ -131,7 +131,7 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
 
     computed_f = f_poly if f_poly is not None else clocked(
         "kauffman_F",
-        lambda: kauffman_F(d61, max_crossings, memos["kauffman"]))
+        lambda: kauffman_F(d61, max_crossings, memo))
     step("kauffman-F", computed_f == KAUFFMAN_61_CORRECTED,
          computed_f, KAUFFMAN_61_CORRECTED,
          note=("printed source has +4a^2 in the z^2 coefficient; the "
@@ -189,5 +189,5 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
             "all_pass": all(s["pass"] for s in steps),
         },
         "timing": timings,
-        "memo": {engine: m.stats() for engine, m in memos.items()},
+        "memo": {"kauffman": memo.stats()},
     }

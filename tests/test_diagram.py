@@ -15,7 +15,7 @@ from knotcalc.errors import (
     SameComponent,
     UnknownComponent,
 )
-from knotcalc.presentations import braid_to_tangle, trace_closure
+from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
 from knotcalc.table import diagram as table_diagram
 from knotcalc.table import table_names
 
@@ -98,17 +98,20 @@ class TestParsing:
         ([(1, 2, 2, 1)], [5], DiagramSyntaxError, "bad over_in slot 5"),
         ([(1, 2, 2, 1)], [3, 1], DiagramSyntaxError,
          "over_in length mismatch"),
+        # arc 4 is entered at record 0 slot 3 and at record 1 slot 0: the
+        # walk from record 0 slot 3 leaves record 1 by slot 0
         ([(1, 2, 3, 4), (4, 3, 2, 1)], [3, 3], InconsistentOrientation,
-         "arc 4 entered twice"),
-        # arc 2 leaves records 0 and 1; the arc entered twice, 5 or 6,
-        # would only be met at record 2
+         "record 1 slot 0 is listed as entering, "
+         "but the strand walked from an earlier end leaves there"),
+        # arc 2 leaves records 0 and 1: the walk from record 0 slot 0
+        # runs through records 2 and 1 and leaves record 0 by slot 3
         ([(1, 2, 3, 4), (5, 1, 2, 6), (3, 4, 5, 6)], [3, 3, 3],
-         InconsistentOrientation, "arc 2 left twice"),
+         InconsistentOrientation, "record 0 slot 3 is listed as entering, "
+         "but the strand walked from an earlier end leaves there"),
     ], ids=["bad-slot", "length", "entered-twice", "left-twice"])
     def test_validate_errors(self, records, over_in, error, message):
-        # with no arc entered or left twice, the 2n head ends and the 2n
-        # tail ends each cover all 2n arcs, so no other orientation
-        # error is left to find
+        # a direct build is walked from its records' entering ends,
+        # slot 0 and the over-strand's slot
         with pytest.raises(error) as exc:
             Diagram(records, over_in)
         assert type(exc.value) is error
@@ -182,6 +185,31 @@ class TestOrientation:
         assert Diagram.from_pd(d.crossings, d.free_loops) == d
 
 
+def rebuilds_and_rejects_flips(d):
+    """A direct build of d's own parts is d, and turning any one record's
+    over-strand around leaves an arc entered at both ends."""
+    assert Diagram(d.crossings, d.over_in, d.free_loops) == d
+    for i, o in enumerate(d.over_in):
+        flipped = d.over_in[:i] + (4 - o,) + d.over_in[i + 1:]
+        with pytest.raises(InconsistentOrientation):
+            Diagram(d.crossings, flipped, d.free_loops)
+
+
+class TestConstructor:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(table_names())), st.integers(-2, 2))
+    def test_table_cable_and_hat(self, table_diagrams, name, framing):
+        d = table_diagrams[name]
+        cable = cable2(d, framing)
+        for e in (d, cable.diagram, make_hat(cable).diagram):
+            rebuilds_and_rejects_flips(e)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(knot_braid_words(9), braid_words()))
+    def test_braid_closure(self, word):
+        rebuilds_and_rejects_flips(trace_closure(braid_to_tangle(word)))
+
+
 class TestWrithe:
     def test_unknot(self):
         assert Diagram.unknot().writhe() == 0
@@ -249,6 +277,33 @@ class TestUnion:
         assert u.n_crossings == 7
         assert u.n_components == 2
         assert u.writhe() == d1.writhe() + d2.writhe()
+
+
+class TestSplitPieces:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.one_of(knot_braid_words(6), st.just(BraidWord(1, ()))),
+                    min_size=1, max_size=3),
+           st.randoms(use_true_random=False))
+    def test_pieces_of_shuffled_closures(self, words, rng):
+        # each knot closure with crossings is one piece; the crossing-free
+        # closure of the empty braid adds none
+        closures = [trace_closure(braid_to_tangle(w)) for w in words]
+        u = closures[0]
+        for d in closures[1:]:
+            u = u.disjoint_union(d)
+        order = list(range(u.n_crossings))
+        rng.shuffle(order)
+        records = [u.crossings[k] for k in order]
+        pieces = _split_pieces(records)
+        assert sorted(i for p in pieces for i in p) == sorted(order)
+        arcs = [{a for i in p for a in records[i]} for p in pieces]
+        assert sum(map(len, arcs)) == len(set().union(*arcs))
+        assert all(p == sorted(p) for p in pieces)
+        assert [p[0] for p in pieces] == sorted(p[0] for p in pieces)
+        shuffled = Diagram(records, [u.over_in[k] for k in order],
+                           u.free_loops)
+        assert shuffled.connected_pieces() == sum(
+            1 for d in closures if d.crossings)
 
 
 class TestGlue:

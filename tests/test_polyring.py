@@ -144,7 +144,7 @@ class TestSubstitution:
     def test_residual_imaginary_flagged(self):
         f = TwoVarPoly.a_pow(1)
         with pytest.raises(ResidualImaginaryPart):
-            two_var_substitute(f, self.A_IMG, self.Z_IMG, require_real=True)
+            two_var_substitute(f, self.A_IMG, self.Z_IMG).real_part_strict()
 
     def test_morphism_randomized(self):
         rng = random.Random(3)

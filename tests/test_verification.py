@@ -91,7 +91,7 @@ KING_Z = (LaurentPoly.t_pow(1) - LaurentPoly.t_pow(-1)) * GaussInt.I
 
 def king_by_laurent_powers(f_poly):
     """The King substitution through Gaussian-integer Laurent powers."""
-    return two_var_substitute(f_poly, KING_A, KING_Z, require_real=True)
+    return two_var_substitute(f_poly, KING_A, KING_Z).real_part_strict()
 
 
 def test_king_substitution_equals_laurent_route_on_the_table():
