@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .diagram import Diagram
 from .errors import (MultiComponent, NonInvertibleImage, ResidualImaginaryPart,
                      UnknownComponent)
-from .polyring import GaussInt, LaurentPoly, TwoVarPoly, _difference_power
+from .polyring import LaurentPoly, TwoVarPoly, _difference_power
 from .presentations import (BraidWord, Tangle, braid_to_tangle,
                             tangle_compose, tangle_parallel_double,
                             trace_closure)
@@ -125,10 +125,10 @@ def king_substitution(f_poly: TwoVarPoly) -> LaurentPoly:
         for e, b in _difference_power(k):
             q = 4 * (e - 2 * j)
             acc[q] = acc.get(q, 0) + b * c
-    if any(imag.values()):
-        raise ResidualImaginaryPart("nonzero imaginary coefficients in {}".format(
-            LaurentPoly({q: GaussInt(real.get(q, 0), imag.get(q, 0))
-                         for q in real.keys() | imag.keys()})))
+    residue = [f"{c}i t^{q // 4}" for q, c in sorted(imag.items()) if c]
+    if residue:
+        raise ResidualImaginaryPart(
+            f"nonzero imaginary coefficients: {', '.join(residue)}")
     return LaurentPoly(real)
 
 

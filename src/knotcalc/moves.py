@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import Diagram, _bigons, _kinks, _rotate
+from .diagram import Diagram, _bigons, _kinks, _occurrences, _rotate
 from .errors import PatternNotFound
 
 __all__ = [
@@ -174,7 +174,7 @@ class R3Site(NamedTuple):
 
 def find_r3_sites(d: Diagram) -> list[R3Site]:
     sites = []
-    incid = d.incidences()
+    incid = _occurrences(d.crossings)
     for face in d.faces():
         if len(face) != 3:
             continue
@@ -200,7 +200,7 @@ def reidemeister_r3(d: Diagram, site: R3Site) -> MoveResult:
     if site not in find_r3_sites(d):
         raise PatternNotFound(f"no R3 triangle at {site}")
     p, q, r, x, y, z = site
-    incid = d.incidences()
+    incid = _occurrences(d.crossings)
     (pp, xp), (qq, xq) = incid[x]
     if (pp, qq) != (p, q):
         xp, xq = xq, xp

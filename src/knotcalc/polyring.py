@@ -206,7 +206,7 @@ class LaurentPoly:
     equal polynomials have equal term maps.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Coefficient] | None = None):
         clean: dict[int, GaussInt] = {}
@@ -216,7 +216,6 @@ class LaurentPoly:
                 if c:
                     clean[int(q)] = c
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentPoly is immutable")
@@ -303,7 +302,6 @@ class LaurentPoly:
                     del acc[q]
         out = LaurentPoly.__new__(LaurentPoly)
         object.__setattr__(out, "_terms", acc)
-        object.__setattr__(out, "_hash", None)
         return out
 
     __radd__ = __add__
@@ -349,7 +347,6 @@ class LaurentPoly:
                         del acc[q]
         out = LaurentPoly.__new__(LaurentPoly)
         object.__setattr__(out, "_terms", acc)
-        object.__setattr__(out, "_hash", None)
         return out
 
     __rmul__ = __mul__
@@ -420,11 +417,7 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
         return bool(self._terms)
@@ -450,7 +443,7 @@ class TwoVarPoly:
     Term map: ``(a_exponent, z_exponent) -> nonzero int``.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
@@ -459,7 +452,6 @@ class TwoVarPoly:
                 if c:
                     clean[(int(key[0]), int(key[1]))] = int(c)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *args):
         raise AttributeError("TwoVarPoly is immutable")
@@ -508,7 +500,6 @@ class TwoVarPoly:
                 acc.pop(key, None)
         out = TwoVarPoly.__new__(TwoVarPoly)
         object.__setattr__(out, "_terms", acc)
-        object.__setattr__(out, "_hash", None)
         return out
 
     __radd__ = __add__
@@ -544,7 +535,6 @@ class TwoVarPoly:
                     del acc[key]
         out = TwoVarPoly.__new__(TwoVarPoly)
         object.__setattr__(out, "_terms", acc)
-        object.__setattr__(out, "_hash", None)
         return out
 
     __rmul__ = __mul__
@@ -575,11 +565,7 @@ class TwoVarPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
         return bool(self._terms)

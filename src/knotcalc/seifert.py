@@ -288,6 +288,11 @@ def _det_poly(a, b) -> list[int]:
     return poly
 
 
+def _seifert_det(s) -> list[int]:
+    """Integer coefficients of ``det(t S - S^T)``, lowest degree first."""
+    return _det_poly([[-x for x in column] for column in zip(*s)], s)
+
+
 def _sign_changes(coeffs) -> int:
     signs = [c > 0 for c in coeffs if c]
     return sum(x != y for x, y in zip(signs, signs[1:]))
@@ -303,8 +308,7 @@ def alexander_from_seifert(s) -> LaurentPoly:
     if n % 2:
         raise DimensionMismatch(
             f"a knot's Seifert matrix has even size, got {n}x{n}")
-    neg_t = [[-m[j][i] for j in range(n)] for i in range(n)]
-    return _centered({4 * k: c for k, c in enumerate(_det_poly(neg_t, m)) if c})
+    return _centered({4 * k: c for k, c in enumerate(_seifert_det(m)) if c})
 
 
 def normalize_alexander(p: LaurentPoly) -> LaurentPoly:

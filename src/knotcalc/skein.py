@@ -24,10 +24,10 @@ memo counts the records swept, the widest frontier, the most states held
 and the step expansions reused.  It gives the regular-isotopy invariant L with
 ``L(unknot) = 1``, ``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) +
 L(soo))``, and ``F = a^{-w} L``.  Kinks and bigons are removed first, and
-only the reduced diagram is keyed in the memo, by its records each taken
-up to a half-turn (``_half_turn_key``), so a memo shared by several
-calls serves a diagram met again in any orientation; each of its
-connected pieces is swept apart, one circle factor per extra piece.
+only the reduced diagram is keyed in the memo, by its PD records as they
+are, so a memo shared by several calls serves a diagram met again with
+the same records; each of its connected pieces is swept apart, one
+circle factor per extra piece.
 
 Conway comes from integer determinants, each read off by
 ``seifert._det_poly``.  A knot's Alexander polynomial is a minor of the
@@ -67,7 +67,7 @@ from .errors import BadSite, ResourceLimit
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
 from .moves import simplify as _simplify_diagram
 from .polyring import LaurentPoly, TwoVarPoly, _difference_power
-from .seifert import _det_poly, _seifert_form
+from .seifert import _det_poly, _seifert_det, _seifert_form
 
 __all__ = [
     "SkeinMemo",
@@ -94,10 +94,10 @@ class SkeinMemo:
     """Write-once table from diagram keys to Kauffman F's packed values,
     and counts of the kinks and bigons F removed (only what is left is
     keyed, so they never enter the table).  F keys the reduced diagram
-    it is called on, its PD records each taken up to a half-turn
-    (``_half_turn_key``), so a mirror or a relabeling of a diagram is a
-    new key.  The bracket sweep and the Conway determinants key nothing
-    and leave a memo they are given empty.
+    it is called on by its PD records as they are, so a reversed
+    component, a mirror or a relabeling of a diagram is a new key.  The
+    bracket sweep and the Conway determinants key nothing and leave a
+    memo they are given empty.
 
     F called without a memo uses a fresh one for that call, so values
     are reused across calls only through a memo the caller owns and
@@ -148,15 +148,6 @@ def _check_cap(d: Diagram, max_crossings: int):
 # =====================================================================
 
 _THROUGH = ((0, 2), (1, 3))  # both strands run through the crossing
-
-
-def _half_turn_key(records) -> tuple:
-    """The records, each as the lesser of itself and its half-turn: the
-    same for every orientation of one unoriented state, whose records
-    keep the under diagonal in slots 0 and 2.  Reversing a component
-    keeps every arc label and turns a record by two exactly when its
-    under strand is reversed; a mirror turns records by one."""
-    return tuple(min(r, r[2:] + r[:2]) for r in records)
 
 
 def _erase(state: tuple, removed, pairs) -> tuple[tuple, int]:
@@ -395,15 +386,14 @@ def _kauffman_L(state: tuple, loops: int, memo: SkeinMemo) -> dict:
     if not state:
         value, loops = ONE, loops - 1
     else:
-        key = _half_turn_key(state)
-        value = memo.get(key)
+        value = memo.get(state)
         if value is None:  # one circle factor per extra piece
             pieces = [[state[i] for i in members]
                       for members in _split_pieces(state)]
             value = chord_sweep(pieces[0], memo)
             for piece in pieces[1:]:
                 value = times(times(value, CIRCLE), chord_sweep(piece, memo))
-            memo.put(key, value)
+            memo.put(state, value)
     for _ in range(loops):
         value = times(value, CIRCLE)
     return {e + curl * A_STEP: c for e, c in value.items()} if curl else value
@@ -489,9 +479,8 @@ def conway(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
     if d.free_loops or d.connected_pieces() > 1:
         return LaurentPoly.zero()
     s = _seifert_form(d).matrix
-    n = len(s)
-    coeffs = _det_poly([[-s[j][i] for j in range(n)] for i in range(n)], s)
-    return _conway_from_x({2 * k - n: c for k, c in enumerate(coeffs)})
+    return _conway_from_x({2 * k - len(s): c
+                           for k, c in enumerate(_seifert_det(s))})
 
 
 def alexander_from_conway(nabla: LaurentPoly) -> LaurentPoly:
@@ -526,14 +515,12 @@ def skein_triple(d: Diagram, site: int) -> tuple[Diagram, Diagram, Diagram]:
 
 
 def verify_jones_skein(d: Diagram, site: int,
-                       max_crossings: int = DEFAULT_ENGINE_CAP,
-                       memo: SkeinMemo | None = None) -> bool:
-    """Check ``t^-1 V(L+) - t V(L-) + (t^-1/2 - t^1/2) V(L0) = 0`` exactly;
-    the three Jones calls leave ``memo`` empty (see ``bracket_memoized``)."""
+                       max_crossings: int = DEFAULT_ENGINE_CAP) -> bool:
+    """Check ``t^-1 V(L+) - t V(L-) + (t^-1/2 - t^1/2) V(L0) = 0`` exactly."""
     plus, minus, zero = skein_triple(d, site)
-    lhs = (LaurentPoly.t_pow(-1) * jones_memoized(plus, max_crossings, memo)
-           - LaurentPoly.t_pow(1) * jones_memoized(minus, max_crossings, memo)
+    lhs = (LaurentPoly.t_pow(-1) * jones_memoized(plus, max_crossings)
+           - LaurentPoly.t_pow(1) * jones_memoized(minus, max_crossings)
            + (LaurentPoly.t_pow(Fraction(-1, 2))
               - LaurentPoly.t_pow(Fraction(1, 2)))
-           * jones_memoized(zero, max_crossings, memo))
+           * jones_memoized(zero, max_crossings))
     return lhs.is_zero()

@@ -77,13 +77,10 @@ def _unit_multiple(p: LaurentPoly, q: LaurentPoly) -> bool:
     return p == shifted or p == -shifted
 
 
-def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
-                           f_poly: TwoVarPoly | None = None,
-                           v_tilde: LaurentPoly | None = None) -> dict:
+def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP) -> dict:
     """Run the nine identities in order; each step records both sides.
 
-    ``f_poly`` and ``v_tilde`` exist for fault-injection tests; by default
-    everything is computed from the bundled 6_1 diagram.  The chain owns
+    Everything is computed from the bundled 6_1 diagram.  The chain owns
     the Kauffman F memo, whose counts are reported in the ``memo``
     section.  The two Alexander routes are independent: the Seifert
     matrix on one side, Conway from the Fox matrix of the Wirtinger
@@ -129,9 +126,8 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
          f"3_1 monic: {is_monic(alex_31)}; 6_1 monic: {is_monic(alex_seifert)}",
          "3_1 monic: True; 6_1 monic: False")
 
-    computed_f = f_poly if f_poly is not None else clocked(
-        "kauffman_F",
-        lambda: kauffman_F(d61, max_crossings, memo))
+    computed_f = clocked(
+        "kauffman_F", lambda: kauffman_F(d61, max_crossings, memo))
     step("kauffman-F", computed_f == KAUFFMAN_61_CORRECTED,
          computed_f, KAUFFMAN_61_CORRECTED,
          note=("printed source has +4a^2 in the z^2 coefficient; the "
@@ -161,9 +157,8 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP,
          (f"components: 2; lk: 0; crossings: {expected_crossings}; "
           f"writhe: {expected_writhe}"))
 
-    computed_v_tilde = v_tilde if v_tilde is not None else clocked(
-        "jones_cable",
-        lambda: jones_memoized(ktilde.diagram, max_crossings))
+    computed_v_tilde = clocked(
+        "jones_cable", lambda: jones_memoized(ktilde.diagram, max_crossings))
     step("jones-cable", computed_v_tilde == JONES_CABLE_61,
          computed_v_tilde, JONES_CABLE_61)
 

@@ -5,8 +5,8 @@ depend on arc labels or record order.
 
 holds exactly when the diagrams ``d`` and ``e`` are the same up to arc
 relabeling and crossing reordering; mirrors have different keys.  No
-engine keys its memo by it (Kauffman F keys its reduced records up to a
-half-turn), so it lives with the tests that check relabelings.
+engine keys its memo by it (Kauffman F keys its reduced records as they
+are), so it lives with the tests that check relabelings.
 """
 
 from knotcalc.diagram import _occurrences, _split_pieces

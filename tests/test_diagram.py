@@ -129,6 +129,26 @@ class TestParsing:
         for a in range(1, 7):
             assert succ[a] == a % 6 + 1
 
+    @pytest.mark.parametrize("pd", [TREFOIL, FIG8, HOPF, SIX_ONE,
+                                    "X[1,1,2,2]", "X[2,1,1,2]"])
+    def test_arc_ends_follow_the_orientation(self, pd):
+        # each arc runs from an outgoing slot to an incoming one, and its
+        # successor leaves the record that it enters
+        d = pd_parse(pd)
+        succ = d.successor()
+        for a in d.arcs:
+            (hc, hs), (tc, ts) = d.head_of(a), d.tail_of(a)
+            assert d.crossings[hc][hs] == a and hs in (0, d.over_in[hc])
+            assert d.crossings[tc][ts] == a
+            assert ts in (2, (d.over_in[tc] + 2) % 4)
+            assert d.tail_of(succ[a])[0] == hc
+
+    def test_arc_ends_of_a_missing_arc(self):
+        d = pd_parse(TREFOIL)
+        for end in (d.head_of, d.tail_of):
+            with pytest.raises(UnknownComponent, match="no arc 7"):
+                end(7)
+
 
 def passes_under_everywhere(d):
     """Every strand circle of d passes under at some crossing, so slot 0

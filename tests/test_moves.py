@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotcalc.diagram import Diagram, pd_parse
+from knotcalc.diagram import Diagram, _occurrences, pd_parse
 from knotcalc.errors import PatternNotFound
 from knotcalc.moves import (
     apply_reidemeister,
@@ -117,7 +117,7 @@ class TestR2:
         # each two-sided one whose arcs run over at both corners and
         # under at both corners
         d = trace_closure(braid_to_tangle(word))
-        incid = d.incidences()
+        incid = _occurrences(d.crossings)
         bigons = set()
         for face in d.faces():
             arcs = {arc for arc, _ in face}

@@ -283,6 +283,23 @@ class TestKernelProperties:
         assert (two_var_substitute(f_poly, JONES_A, JONES_Z)
                 == jones_memoized(d) * JONES_Z ** lift)
 
+    # one memo for every example, so a key that named two different
+    # diagrams would hand one of them the other's value
+    shared_memo = SkeinMemo()
+
+    @settings(max_examples=100, deadline=None)
+    @given(braid_words(10, strands=(2, 3, 4, 5, 6)), st.integers(0, 99))
+    def test_reversing_a_component_scales_by_the_writhe(self, word, pick):
+        # F = a^-w L and L forgets orientation, so reversing component c
+        # multiplies F by a^(w - w'); a knot's writhe does not change
+        d = trace_closure(braid_to_tangle(word))
+        back = d.reverse_component(pick % len(d.components))
+        f, f_back = (kauffman_F(x, memo=self.shared_memo) for x in (d, back))
+        assert f == kauffman_F(d)
+        if d.n_components == 1:
+            assert f_back == f
+        assert f_back == f * TwoVarPoly.a_pow(d.writhe() - back.writhe())
+
     def test_twisted_pair_is_no_bigon(self):
         # records 0 and 1 share an over-over and an under-under arc, but
         # with equal slot offsets: two curls of one sign, not an R2 bigon
@@ -306,10 +323,10 @@ class TestKernelProperties:
 
 class TestMemoClasses:
     """Memo counts follow the partition of states into key classes, so
-    they move when the half-turn keys merge or split a class.  Only states
-    left after removing kinks and bigons are keyed; the removals are
-    counted apart.  Kauffman F keys only the reduced diagram it is
-    called on."""
+    they move when the keys merge or split a class.  Only states left
+    after removing kinks and bigons are keyed, by their records as they
+    are; the removals are counted apart.  Kauffman F keys only the
+    reduced diagram it is called on."""
 
     def test_kauffman_keys_one_diagram(self):
         d = trace_closure(braid_to_tangle(TORUS_3_5))

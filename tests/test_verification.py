@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotcalc import verification
 from knotcalc.cable import cable2, king_substitution, king_verify, make_hat
 from knotcalc.errors import (MultiComponent, NonInvertibleImage,
                              ResidualImaginaryPart)
@@ -36,10 +37,12 @@ def test_chain_owns_one_memo_per_engine(report):
     assert stevedore_chain_report()["memo"] == report["memo"]
 
 
-def test_printed_kauffman_polynomial_fails_exactly_its_steps():
+def test_printed_kauffman_polynomial_fails_exactly_its_steps(monkeypatch):
     # the printed +4a^2 z^2 coefficient breaks F itself, its substitution
     # and the cabling identity, and nothing computed independently of F
-    bad = stevedore_chain_report(f_poly=KAUFFMAN_61_PRINTED)
+    monkeypatch.setattr(verification, "kauffman_F",
+                        lambda *args: KAUFFMAN_61_PRINTED)
+    bad = stevedore_chain_report()
     failed = [s["name"] for s in bad["payload"]["steps"] if not s["pass"]]
     assert failed == ["kauffman-F", "substitution", "king-identity"]
     assert not bad["payload"]["all_pass"]
