@@ -21,8 +21,9 @@ diagram reported on is the boundary knot of the banded spine; a spine
 with circles besides the wedge, or a boundary of several circles, is an
 input error.
 
-The one global setting is ``--max-crossings`` (default from
-``$KNOTCALC_MAX_CROSSINGS``), the crossing cap of the polynomial engines.
+The one global setting is ``--max-crossings``, the crossing cap of the
+polynomial engines; ``cable`` checks the cable's crossing count against
+it before building a cable that an engine would refuse.
 Everything runs in one process.  ``invariants`` and ``cable`` own the
 memo of the one memoizing engine, Kauffman F, which keys the diagrams it
 is called on; it is shared by the command's own engine calls and dropped
@@ -56,8 +57,8 @@ from .presentations import (PlatPresentation, braid_parse, braid_to_tangle,
 from .seifert import (alexander_from_seifert, determinant, is_monic,
                       seifert_circles, seifert_matrix, seifert_surface_genus,
                       signature)
-from .skein import (DEFAULT_ENGINE_CAP, SkeinMemo, conway, jones_memoized,
-                    kauffman_F)
+from .skein import (DEFAULT_ENGINE_CAP, SkeinMemo, _check_cap, conway,
+                    jones_memoized, kauffman_F)
 from .verification import stevedore_chain_report
 
 EXIT_OK = 0
@@ -228,6 +229,12 @@ def cmd_cable(args) -> int:
         raise KnotError(f"unknown checks: {', '.join(bad)}; "
                         f"choose from {', '.join(CABLE_CHECKS)}")
     base = _load_input(args.input)
+    engines = {"hat", "king"} & set(wanted)
+    # count the crossings cable2 would build before building them; a link
+    # is left to cable2, which refuses it as an input error
+    if engines and base.n_components == 1:
+        _check_cap(4 * base.n_crossings
+                   + 2 * abs(args.framing - base.writhe()), args.max_crossings)
     t0 = time.perf_counter()
     cab = cable2(base, args.framing)
     checks = {}
@@ -239,7 +246,7 @@ def cmd_cable(args) -> int:
         checks["writhe-formula"] = {"pass": lhs == rhs,
                                     "lhs": str(lhs), "rhs": str(rhs)}
     v_tilde = None
-    if {"hat", "king"} & set(wanted):
+    if engines:
         t0 = time.perf_counter()
         v_tilde = jones_memoized(cab.diagram, args.max_crossings)
         timing["jones_cable"] = round(time.perf_counter() - t0, 6)
@@ -280,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
         "--max-crossings", type=int,
-        default=os.environ.get("KNOTCALC_MAX_CROSSINGS", DEFAULT_ENGINE_CAP),
+        default=DEFAULT_ENGINE_CAP,
         help="crossing cap for the polynomial engines (default: "
-             f"$KNOTCALC_MAX_CROSSINGS, else {DEFAULT_ENGINE_CAP})")
+             f"{DEFAULT_ENGINE_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="invariants of one diagram")

@@ -30,12 +30,19 @@ which agree exactly when the walk returns the same records and slots.
 ``_validated=True`` marks tuples that a walk already produced, and the
 constructor stores them as given.
 
-Reidemeister I and II sites are found here, by one rule for both
-engines that remove them, ``moves.simplify`` and Kauffman F's reduction
-in ``skein``: ``_kinks`` yields the records that hold one arc in
+Reidemeister I and II sites are found and removed here, on one path
+for every caller.  ``_kinks`` yields the records that hold one arc in
 cyclically adjacent slots, ``_bigons`` the pairs of records joined by an
-over arc and an under arc that bound a face (``_bounds_bigon``).  Both
-engines remove the first kink, else the first bigon.
+over arc and an under arc that bound a face (``_bounds_bigon``).
+``_erase`` deletes records and joins the arcs across their slot pairs
+with ``_glue``; ``_reduce`` erases the first kink, else the first bigon,
+with both strands run through, until neither is left.  Kauffman F in
+``skein`` reduces its states by ``_reduce``, and so does
+``moves.simplify``; the R1 and R2 removers of ``moves`` and the L0 of
+``skein.skein_triple`` call ``_erase``.  A diagram is rebuilt from
+erased records with the kept records' ``over_in`` slots: a walk from
+slot 0 ends alone would start a component that passes only over afresh
+at its least record, and could turn it round.
 """
 
 from __future__ import annotations
@@ -300,24 +307,6 @@ class Diagram:
         return Diagram(self.crossings, self.over_in, self.free_loops + k,
                        _validated=True)
 
-    def rewire(self, removed: set[int], glues: Iterable[tuple[int, int]]) -> "Diagram":
-        """Delete the crossings in ``removed``, splicing strands together.
-
-        Each glue pair ``(u, w)`` states that the strand entering arc u's
-        head continues into arc w; every slot of a removed crossing must be
-        covered by exactly one glue end.  ``_glue`` joins the pairs under
-        its first-wins rule, so a chain of glued arcs becomes one arc named
-        after the chain start; closed chains become free loops.
-        """
-        glues = list(glues)
-        for ends in zip(*glues):  # no arc is glued twice at one end
-            if len(set(ends)) < len(ends):
-                raise ValueError("conflicting glue pairs")
-        kept = [i for i in range(self.n_crossings) if i not in removed]
-        recs, _, loops = _glue([self.crossings[i] for i in kept], glues)
-        return Diagram(recs, [self.over_in[i] for i in kept],
-                       self.free_loops + loops, _validated=False)
-
     # ------------------------------------------------------------------ faces
 
     def head_of(self, arc: int) -> tuple[int, int]:
@@ -520,6 +509,47 @@ def _bigons(records):
             for y in {rec_p[0], rec_p[2]} & {rec_q[0], rec_q[2]}:
                 if _bounds_bigon(rec_p, rec_q, x, y):
                     yield p, q, x, y
+
+
+_THROUGH = ((0, 2), (1, 3))  # both strands run through the crossing
+
+
+def _erase(records, removed, pairs) -> tuple[tuple, int]:
+    """The records without those in ``removed``, the arcs in each slot
+    pair of ``pairs`` of every removed record joined by ``_glue``, and
+    the number of circles closed."""
+    glues = [(records[i][s1], records[i][s2])
+             for i in removed for s1, s2 in pairs]
+    kept, _, closed = _glue(
+        [rec for j, rec in enumerate(records) if j not in removed], glues)
+    return kept, closed
+
+
+def _reduce(records):
+    """Remove the first kink, else the first bigon, until neither is
+    left, erasing each with both strands run through.  Returns the
+    records left, the circles closed, the kinks with their loop at an
+    even slot less those at an odd slot, the moves made (``"R1-"`` or
+    ``"R2-"``, in order) and the indices of the records left."""
+    kept = list(range(len(records)))
+    closed = curl = 0
+    log = []
+    while records:
+        kink = next(_kinks(records), None)
+        if kink is not None:
+            removed = kink[:1]
+            curl += 1 if kink[1] % 2 == 0 else -1
+            log.append("R1-")
+        else:
+            bigon = next(_bigons(records), None)
+            if bigon is None:
+                break
+            removed = bigon[:2]
+            log.append("R2-")
+        records, loops = _erase(records, removed, _THROUGH)
+        closed += loops
+        kept = [k for j, k in enumerate(kept) if j not in removed]
+    return records, closed, curl, log, kept
 
 
 def _occurrences(records) -> dict[int, list[tuple[int, int]]]:

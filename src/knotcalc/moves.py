@@ -15,16 +15,19 @@ Site types:
   both of its corners; that strand slides across the third crossing.
 
 R2 and R3 are regular moves; R1 changes the writhe and every application
-reports whether it was regular.  ``simplify`` takes its sites from the
-same two finders as Kauffman F's reduction in ``skein``, in the same
-order: the first kink, else the first bigon.
+reports whether it was regular.  Removal has one path, in ``diagram``:
+the removers erase their crossings with ``_erase``, both strands run
+through, and ``simplify`` is ``_reduce``, the reduction of Kauffman F.
+Each rebuilds the diagram from the kept records with their ``over_in``
+slots, so every component keeps its direction.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import Diagram, _bigons, _kinks, _occurrences, _rotate
+from .diagram import (Diagram, _THROUGH, _bigons, _erase, _kinks,
+                      _occurrences, _reduce, _rotate)
 from .errors import PatternNotFound
 
 __all__ = [
@@ -48,11 +51,12 @@ class MoveResult(NamedTuple):
     regular: bool
 
 
-def _pass_glues(d: Diagram, i: int):
-    """Glue pairs that erase crossing i, letting both strands run through."""
-    rec = d.crossings[i]
-    o = d.over_in[i]
-    return [(rec[0], rec[2]), (rec[o], rec[(o + 2) % 4])]
+def _erased(d: Diagram, removed: tuple[int, ...]) -> Diagram:
+    """D without the crossings ``removed``, both strands run through each
+    (``diagram._erase``), walked from the kept records' slots."""
+    records, closed = _erase(d.crossings, removed, _THROUGH)
+    return Diagram(records, [o for j, o in enumerate(d.over_in)
+                             if j not in removed], d.free_loops + closed)
 
 
 # --------------------------------------------------------------------- R1
@@ -64,8 +68,7 @@ def find_r1_sites(d: Diagram) -> list[int]:
 def reidemeister_r1_remove(d: Diagram, i: int) -> MoveResult:
     if not (0 <= i < d.n_crossings) or i not in find_r1_sites(d):
         raise PatternNotFound(f"crossing {i} is not a kink")
-    out = d.rewire({i}, _pass_glues(d, i))
-    return MoveResult(out, "R1-", False)
+    return MoveResult(_erased(d, (i,)), "R1-", False)
 
 
 def reidemeister_r1_add(d: Diagram, arc: int | None, sign: int) -> MoveResult:
@@ -112,9 +115,7 @@ def reidemeister_r2_remove(d: Diagram, site: tuple[int, int, int, int]) -> MoveR
     sites = find_r2_sites(d)
     if site not in sites and (site[1], site[0], site[2], site[3]) not in sites:
         raise PatternNotFound(f"no R2 bigon at {site}")
-    p, q = site[0], site[1]
-    out = d.rewire({p, q}, _pass_glues(d, p) + _pass_glues(d, q))
-    return MoveResult(out, "R2-", True)
+    return MoveResult(_erased(d, site[:2]), "R2-", True)
 
 
 def reidemeister_r2_add(d: Diagram, dart_x: tuple[int, bool],
@@ -251,21 +252,9 @@ def apply_reidemeister(d: Diagram, move: str, site) -> MoveResult:
 
 
 def simplify(d: Diagram) -> tuple[Diagram, list[str]]:
-    """Remove the first kink, else the first bigon (``diagram._kinks``
-    and ``_bigons``, the rule of Kauffman F's reduction), until neither
-    is left; returns the move log.  The finders' sites need no second
-    check, so the moves rewire the diagram directly."""
-    log = []
-    while True:
-        kink = next(_kinks(d.crossings), None)
-        if kink is not None:
-            i = kink[0]
-            d = d.rewire({i}, _pass_glues(d, i))
-            log.append("R1-")
-            continue
-        bigon = next(_bigons(d.crossings), None)
-        if bigon is None:
-            return d, log
-        p, q = bigon[:2]
-        d = d.rewire({p, q}, _pass_glues(d, p) + _pass_glues(d, q))
-        log.append("R2-")
+    """Remove the first kink, else the first bigon, until neither is
+    left, by ``diagram._reduce``, the reduction of Kauffman F; returns
+    the move log."""
+    records, closed, _, log, kept = _reduce(d.crossings)
+    return Diagram(records, [d.over_in[i] for i in kept],
+                   d.free_loops + closed), log

@@ -46,9 +46,10 @@ exponential, and serves as the oracle for the sweep.
 
 The states that F's reductions work on are bare tuples of PD records
 (under diagonal in slots 0 and 2); free circles never live inside
-states, they are counted as they appear.  Kinks and bigons are found
-by ``diagram._kinks`` and ``_bigons``, the finders of ``moves.simplify``;
-their removal erases records and joins the arcs across their slots with
+states, they are counted as they appear.  Kinks and bigons are removed
+by ``diagram._reduce``, the reduction that ``moves.simplify`` runs, and
+F counts them from its move log.  It erases records with
+``diagram._erase``, which joins the arcs across their slots with
 ``diagram._glue``, whose first-wins rule names a joined arc after the
 first arc of its pair.  An empty state stands for the last circle of its
 piece, so it contributes one circle factor less than the circles closed
@@ -61,7 +62,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .chords import A_STEP, CIRCLE, ONE, chord_sweep, times, unpack
-from .diagram import (Diagram, _bigons, _glue, _kinks, _occurrences,
+from .diagram import (Diagram, _erase, _glue, _occurrences, _reduce,
                       _split_pieces)
 from .errors import BadSite, ResourceLimit
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
@@ -137,49 +138,10 @@ class SkeinMemo:
                 "reused": self.reused}
 
 
-def _check_cap(d: Diagram, max_crossings: int):
-    if d.n_crossings > max_crossings:
+def _check_cap(n_crossings: int, max_crossings: int):
+    if n_crossings > max_crossings:
         raise ResourceLimit(
-            f"{d.n_crossings} crossings exceeds the engine cap {max_crossings}")
-
-
-# =====================================================================
-# unoriented states
-# =====================================================================
-
-_THROUGH = ((0, 2), (1, 3))  # both strands run through the crossing
-
-
-def _erase(state: tuple, removed, pairs) -> tuple[tuple, int]:
-    """The state without the records ``removed``, each glued across its
-    slot ``pairs``, and the number of circles closed."""
-    glues = [(state[i][s1], state[i][s2]) for i in removed for s1, s2 in pairs]
-    kept, _, loops = _glue(
-        [rec for j, rec in enumerate(state) if j not in removed], glues)
-    return kept, loops
-
-
-def _reduce(state: tuple, loops: int,
-            memo: SkeinMemo) -> tuple[tuple, int, int]:
-    """Remove the first kink, else the first bigon (``diagram._kinks``
-    and ``_bigons``), until neither is left; return the state, the
-    circles closed plus ``loops``, and the kinks with their loop at an
-    even slot less those at an odd slot."""
-    curl = 0
-    while state:
-        kink = next(_kinks(state), None)
-        if kink is not None:
-            state, closed = _erase(state, kink[:1], _THROUGH)
-            curl += 1 if kink[1] % 2 == 0 else -1
-            memo.kinks += 1
-        else:
-            bigon = next(_bigons(state), None)
-            if bigon is None:
-                break
-            state, closed = _erase(state, bigon[:2], _THROUGH)
-            memo.bigons += 1
-        loops += closed
-    return state, loops, curl
+            f"{n_crossings} crossings exceeds the engine cap {max_crossings}")
 
 
 # =====================================================================
@@ -336,7 +298,7 @@ def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                      memo: SkeinMemo | None = None) -> LaurentPoly:
     """Kauffman bracket by the frontier sweep of ``_sweep_states``.  The
     sweep keys no states, so it leaves ``memo`` empty."""
-    _check_cap(d, max_crossings)
+    _check_cap(d.n_crossings, max_crossings)
     if d.n_crossings == 0:
         return _DELTA ** (d.n_components - 1)
     lo, p, width = _sweep_states(d.crossings)
@@ -382,7 +344,10 @@ def _kauffman_L(state: tuple, loops: int, memo: SkeinMemo) -> dict:
     """L, packed, of a state of PD records times ``loops`` closed circles
     (an empty state stands for the last circle).  Kinks and bigons are
     removed first; the reduced state is keyed and its pieces swept."""
-    state, loops, curl = _reduce(state, loops, memo)
+    state, closed, curl, log, _ = _reduce(state)
+    memo.kinks += log.count("R1-")
+    memo.bigons += log.count("R2-")
+    loops += closed
     if not state:
         value, loops = ONE, loops - 1
     else:
@@ -404,7 +369,7 @@ def kauffman_F(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
     """Two-variable Kauffman polynomial ``F = a^{-w} L``, L from the chord
     sweep; the orientation of D enters only through the writhe.  Without
     a memo, the call uses a fresh one."""
-    _check_cap(d, max_crossings)
+    _check_cap(d.n_crossings, max_crossings)
     memo = memo if memo is not None else SkeinMemo()
     return unpack(_kauffman_L(d.crossings, d.free_loops, memo), -d.writhe())
 
@@ -471,7 +436,7 @@ def conway(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
     ``_conway_from_x``.  A link with free loops, or whose projection
     falls into several pieces, is split and gets 0.  Nothing is keyed,
     so ``memo`` is left empty."""
-    _check_cap(d, max_crossings)
+    _check_cap(d.n_crossings, max_crossings)
     if not d.crossings:
         return LaurentPoly.one() if d.free_loops == 1 else LaurentPoly.zero()
     if d.n_components == 1:
@@ -508,9 +473,10 @@ def skein_triple(d: Diagram, site: int) -> tuple[Diagram, Diagram, Diagram]:
         raise BadSite(f"no crossing {site}")
     plus = d if d.sign(site) == 1 else d.switch_crossing(site)
     minus = d if d.sign(site) == -1 else d.switch_crossing(site)
-    rec = d.crossings[site]
     o = d.over_in[site]
-    zero = d.rewire({site}, [(rec[0], rec[(o + 2) % 4]), (rec[o], rec[2])])
+    records, closed = _erase(d.crossings, (site,), ((0, (o + 2) % 4), (o, 2)))
+    zero = Diagram(records, d.over_in[:site] + d.over_in[site + 1:],
+                   d.free_loops + closed)
     return plus, minus, zero
 
 

@@ -1,5 +1,6 @@
 """Hypothesis strategies shared by the test modules."""
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from knotcalc.presentations import BraidWord
@@ -72,3 +73,32 @@ def twisted_pair_words(draw, max_letters=8, strands=(3, 4, 5, 6)):
     for g in (j - 1, j):
         letters.insert(draw(st.integers(0, len(letters))), e * g)
     return BraidWord(n, tuple(letters))
+
+
+@st.composite
+def over_strand_words(draw, max_letters=10, strands=(3, 4, 5)):
+    """Words whose closure is a link with a component that is never the
+    under strand.  A cycle of the braid permutation is drawn, and every
+    letter that meets one of its strands gets the sign that puts that
+    strand over: a positive letter carries the strand moving left over,
+    a negative one the strand moving right.  Words with a letter that
+    meets two strands of the cycle, or none, are rejected."""
+    word = draw(braid_words(max_letters, strands))
+    perm = word.permutation()
+    k = draw(st.integers(0, word.strands - 1))
+    cycle, j = {k}, perm[k]
+    while j != k:
+        cycle.add(j)
+        j = perm[j]
+    pos = list(range(word.strands))  # strand at each position
+    letters = []
+    met = False
+    for letter in word.letters:
+        i = abs(letter) - 1
+        left, right = pos[i] in cycle, pos[i + 1] in cycle
+        assume(not (left and right))
+        met = met or left or right
+        letters.append(-(i + 1) if left else i + 1 if right else letter)
+        pos[i], pos[i + 1] = pos[i + 1], pos[i]
+    assume(met)
+    return BraidWord(word.strands, tuple(letters))

@@ -79,17 +79,43 @@ def test_knot_only_invariant_on_a_link_exits_2(capsys):
     assert "MultiComponent" in capsys.readouterr().err
 
 
-def test_bad_crossing_cap_in_environment_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("KNOTCALC_MAX_CROSSINGS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["invariants", "3_1", "--which", "jones"])
-    assert exc.value.code == cli.EXIT_INPUT
-    assert "--max-crossings" in capsys.readouterr().err
-
-
-def test_crossing_cap_from_environment(monkeypatch, capsys):
+def test_crossing_cap_ignores_the_environment(monkeypatch, capsys):
+    # --max-crossings is the one way to set the cap
     monkeypatch.setenv("KNOTCALC_MAX_CROSSINGS", "2")
-    assert cli.main(["invariants", "3_1", "--which", "jones"]) == cli.EXIT_RESOURCE
+    assert cli.main(["invariants", "3_1", "--which", "jones"]) == cli.EXIT_OK
+
+
+def test_oversize_cable_is_refused_before_it_is_built(monkeypatch, capsys):
+    # a cable of 2 * 10^9 crossings could not be built; its size is known
+    # from the base knot, 4c + 2|f - w|
+    def unbuilt(*args):
+        raise AssertionError("cable2 called")
+
+    monkeypatch.setattr(cli, "cable2", unbuilt)
+    argv = ["cable", "3_1", "--framing", "1000000000"]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    base = entry("3_1").diagram()
+    n = 4 * base.n_crossings + 2 * abs(10 ** 9 - base.writhe())
+    assert (f"ResourceLimit: {n} crossings exceeds the engine cap 32"
+            in capsys.readouterr().err)
+
+
+def test_cable_of_a_link_is_an_input_error_at_any_framing(capsys):
+    argv = ["cable", "s1 s1", "--framing", "1000000000"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "MultiComponent" in capsys.readouterr().err
+
+
+def test_table_list(table, capsys):
+    assert cli.main(["--format", "json", "table", "list"]) == cli.EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["payload"]["entries"]
+    assert len(rows) == len(table) == 35
+    for row, e in zip(rows, table):
+        assert row == {"name": e.name, "crossings": e.pd.count("X["),
+                       "jones": e.jones, "alexander": e.alexander,
+                       "determinant": e.determinant,
+                       "signature": e.signature, "genus": e.genus,
+                       "fibered": e.fibered}
 
 
 def test_unknown_cable_check_exits_2(capsys):

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knotcalc import skein
 from knotcalc.cable import cable2, make_hat
-from knotcalc.diagram import (Diagram, _glue, _occurrences, _split_pieces,
-                              pd_parse)
+from knotcalc.diagram import (Diagram, _erase, _glue, _occurrences,
+                              _split_pieces, pd_parse)
 from knotcalc.errors import (
     DanglingArc,
     DiagramSyntaxError,
@@ -353,10 +352,6 @@ class TestGlue:
         assert rename == {2: 1, 3: 1}
         assert closed == 1
 
-    def test_rewire_rejects_conflicting_glues(self):
-        with pytest.raises(ValueError, match="conflicting"):
-            pd_parse(TREFOIL).rewire({0}, [(1, 2), (1, 5)])
-
 
 def faces_by_min_walk(d):
     """The faces of d, each walked from the least dart not yet used."""
@@ -460,7 +455,7 @@ def smoothed_state(d, rng):
     state = d.crossings
     for _ in range(rng.randrange(len(state))):
         smoothing = rng.choice((((0, 1), (2, 3)), ((0, 3), (1, 2))))  # A, B
-        state, _ = skein._erase(state, (rng.randrange(len(state)),), smoothing)
+        state, _ = _erase(state, (rng.randrange(len(state)),), smoothing)
     return state
 
 

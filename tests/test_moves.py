@@ -19,13 +19,14 @@ from knotcalc.moves import (
 from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
 from knotcalc.seifert import (alexander_from_seifert, determinant,
                               seifert_circles, seifert_matrix, signature)
-from knotcalc.skein import SkeinMemo, conway, jones_memoized, kauffman_F
+from knotcalc.skein import (SkeinMemo, conway, jones_memoized, kauffman_F,
+                            skein_triple)
 from knotcalc.table import diagram as table_diagram
 from knotcalc.table import table_names
 
 from canonical import canonical_key
-from strategies import (braid_words, knot_braid_words, planted_pair_words,
-                        twisted_pair_words)
+from strategies import (braid_words, knot_braid_words, over_strand_words,
+                        planted_pair_words, twisted_pair_words)
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 KINKED = "X[1,2,2,1]"  # one-crossing unknot
@@ -197,9 +198,9 @@ class TestSimplify:
     @given(st.one_of(braid_words(10, strands=(3, 4, 5)),
                      planted_pair_words()))
     def test_same_moves_as_kauffman_reduction(self, word):
-        # simplify and Kauffman F's reduction take their sites from one
-        # finder in one order, so they remove as many kinks and bigons
-        # and leave as many crossings
+        # simplify is Kauffman F's reduction, diagram._reduce, with the
+        # kept records' over_in slots, so both remove as many kinks and
+        # bigons and leave as many crossings
         d = trace_closure(braid_to_tangle(word))
         out, log = simplify(d)
         memo = SkeinMemo()
@@ -208,6 +209,43 @@ class TestSimplify:
         assert log.count("R2-") == memo.bigons
         assert [len(key) for key in memo.table] == ([out.n_crossings]
                                                     if out.crossings else [])
+
+
+class TestOverStrandLinks:
+    """Links with a component that is never the under strand.  No record
+    holds it in slot 0, so after a removal only the kept records'
+    ``over_in`` slots say which way it runs; a walk from slot 0 ends
+    alone would pick its direction afresh."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(over_strand_words(), st.data())
+    def test_removals_keep_every_direction(self, word, data):
+        d = trace_closure(braid_to_tangle(word))
+
+        def kept_signs(removed):
+            return tuple(s for i, s in enumerate(d.signs) if i not in removed)
+
+        arc = data.draw(st.sampled_from(sorted(d.arcs)))
+        curled = reidemeister_r1_add(d, arc, data.draw(st.sampled_from((1, -1))))
+        back = reidemeister_r1_remove(curled.diagram, d.n_crossings).diagram
+        assert canonical_key(back) == canonical_key(d)
+        # removals keep the record order, so each kept record its sign
+        for site in find_r2_sites(d):
+            out = reidemeister_r2_remove(d, site).diagram
+            assert out.signs == kept_signs(site[:2])
+        for i in range(d.n_crossings):
+            assert skein_triple(d, i)[2].signs == kept_signs((i,))
+        # simplify makes the moves of the public removers, in their order
+        e, moves = d, []
+        while find_r1_sites(e) or find_r2_sites(e):
+            kinks = find_r1_sites(e)
+            res = (reidemeister_r1_remove(e, kinks[0]) if kinks
+                   else reidemeister_r2_remove(e, find_r2_sites(e)[0]))
+            e = res.diagram
+            moves.append(res.move)
+        out, log = simplify(d)
+        assert log == moves
+        assert canonical_key(out) == canonical_key(e)
 
 
 class TestDispatcher:

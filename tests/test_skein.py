@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from knotcalc import seifert, skein
 from knotcalc.chords import unpack
-from knotcalc.diagram import Diagram, _rotate, pd_parse
+from knotcalc.diagram import Diagram, _erase, _rotate, pd_parse
 from knotcalc.errors import BadSite, ResourceLimit
 from knotcalc.moves import reidemeister_r1_add
 from knotcalc.polyring import GaussInt, LaurentPoly, TwoVarPoly, two_var_substitute
@@ -16,7 +16,6 @@ from knotcalc.presentations import (BraidWord, braid_parse, braid_to_tangle,
 from knotcalc.seifert import normalize_alexander
 from knotcalc.skein import (
     SkeinMemo,
-    _erase,
     _kauffman_L,
     _unpack,
     alexander_from_conway,
@@ -385,9 +384,9 @@ class TestConway:
     @settings(max_examples=150, deadline=None)
     @given(braid_words(10, strands=(3, 4, 5, 6)), st.integers(0, 99))
     def test_skein_relation_and_mirror_on_closures(self, word, site):
-        # skein_triple builds L+, L- and L0 with Diagram.rewire; when L+-
-        # is a knot, L0 is a link, so the Fox route of the knots meets the
-        # Seifert route of the link.  The mirror image has del(-z)
+        # skein_triple erases the site for L0 with diagram._erase; when
+        # L+- is a knot, L0 is a link, so the Fox route of the knots meets
+        # the Seifert route of the link.  The mirror image has del(-z)
         d = trace_closure(braid_to_tangle(word))
         plus, minus, zero = skein_triple(d, site % d.n_crossings)
         assert conway(plus) - conway(minus) == t(1) * conway(zero)
