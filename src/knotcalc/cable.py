@@ -49,10 +49,9 @@ _T = LaurentPoly.t_pow
 
 class CableLink(NamedTuple):
     """A 2-cable diagram: component 0 is K, component 1 is K* (or -K*
-    after ``make_hat``)."""
+    after ``make_hat``); ``linking()`` reads lk(K, K*) off the diagram."""
 
     diagram: Diagram
-    framing: int               # lk(K, K*) at construction time
 
     def linking(self) -> int:
         return self.diagram.linking_number(0, 1)
@@ -82,7 +81,7 @@ def cable2(base: Diagram, framing: int = 0) -> CableLink:
     letters = (1 if twists > 0 else -1,) * (2 * abs(twists))
     out = CableLink(trace_closure(tangle_compose(
         tangle_parallel_double(strand),
-        braid_to_tangle(BraidWord(2, letters)))), framing)
+        braid_to_tangle(BraidWord(2, letters)))))
     if out.diagram.n_components != 2:
         raise AssertionError("cable must have exactly two components")
     if out.linking() != framing:
@@ -99,7 +98,7 @@ def make_hat(cable: CableLink) -> CableLink:
         raise UnknownComponent("make_hat needs the 2-component cable")
     if not d.crossings:
         return cable
-    return CableLink(d.reverse_component(1), cable.framing)
+    return CableLink(d.reverse_component(1))
 
 
 def king_substitution(f_poly: TwoVarPoly) -> LaurentPoly:

@@ -23,7 +23,9 @@ input error.
 
 The one global setting is ``--max-crossings``, the crossing cap of the
 polynomial engines; ``cable`` checks the cable's crossing count against
-it before building a cable that an engine would refuse.
+it before building a cable that an engine would refuse, and a braid, as
+text or in plat JSON, on more than twice the cap plus 2 strands is
+refused before its closure is built.
 Everything runs in one process.  ``invariants`` and ``cable`` own the
 memo of the one memoizing engine, Kauffman F, which keys the diagrams it
 is called on; it is shared by the command's own engine calls and dropped
@@ -52,8 +54,9 @@ from .cable import cable2, king_verify, make_hat
 from .diagram import Diagram, pd_parse
 from .errors import KnotError, ResourceLimit
 from .polyring import LaurentPoly
-from .presentations import (PlatPresentation, braid_parse, braid_to_tangle,
-                            spine_boundary_knot, trace_closure)
+from .presentations import (PlatPresentation, _check_strands, braid_parse,
+                            braid_to_tangle, spine_boundary_knot,
+                            trace_closure)
 from .seifert import (alexander_from_seifert, determinant, is_monic,
                       seifert_circles, seifert_matrix, seifert_surface_genus,
                       signature)
@@ -72,8 +75,10 @@ LINK_INVARIANTS = ("jones", "conway", "kauffman")
 CABLE_CHECKS = ("writhe-formula", "hat", "king")
 
 
-def _load_input(text_or_path: str) -> Diagram:
-    """Table name, file path, or literal input text."""
+def _load_input(text_or_path: str, max_crossings: int) -> Diagram:
+    """Table name, file path, or literal input text.  A braid, as text or
+    in plat JSON, on more strands than ``max_crossings`` bounds is refused
+    before its closure is built."""
     try:
         return table_mod.entry(text_or_path).diagram()
     except KeyError:
@@ -89,11 +94,14 @@ def _load_input(text_or_path: str) -> Diagram:
     if text.startswith("{"):
         data = json.loads(text)
         if "genus" in data:
-            return spine_boundary_knot(PlatPresentation.from_json(text))
+            return spine_boundary_knot(
+                PlatPresentation.from_json(text, max_crossings))
         return Diagram.from_json(text)
     if text.split()[0].startswith(("X", "O")):
         return pd_parse(text)
-    return trace_closure(braid_to_tangle(braid_parse(text)))
+    braid = braid_parse(text)
+    _check_strands(braid.strands, max_crossings)
+    return trace_closure(braid_to_tangle(braid))
 
 
 def _emit(report: dict, fmt: str):
@@ -128,7 +136,7 @@ def _emit_text(payload, stream, indent=""):
 
 
 def cmd_invariants(args) -> int:
-    diagram = _load_input(args.input)
+    diagram = _load_input(args.input, args.max_crossings)
     if args.which in (None, "all"):
         which = [w for w in INVARIANT_NAMES
                  if diagram.n_components == 1 or w in LINK_INVARIANTS]
@@ -228,7 +236,7 @@ def cmd_cable(args) -> int:
     if bad:
         raise KnotError(f"unknown checks: {', '.join(bad)}; "
                         f"choose from {', '.join(CABLE_CHECKS)}")
-    base = _load_input(args.input)
+    base = _load_input(args.input, args.max_crossings)
     engines = {"hat", "king"} & set(wanted)
     # count the crossings cable2 would build before building them; a link
     # is left to cable2, which refuses it as an input error

@@ -84,10 +84,10 @@ class Diagram:
 
     # ``_cache`` keeps the tables that one pass of each benchmark workload
     # (seed 901) looked up again: ``components`` (392 hits of 440 lookups
-    # on cable-sweep) and ``arc_comp`` (4,376 of 4,416 there), which every
-    # cable's linking-number check reads once per crossing, and ``faces``
-    # (37 of 109 on table-verify), walked for planarity and read again by
-    # the Seifert form.  Arcs, successors and arc ends are rebuilt.
+    # on cable-sweep) and ``faces`` (37 of 109 on table-verify), walked
+    # for planarity and read again by the Seifert form.  Arcs, successors
+    # and arc ends are rebuilt, and ``linking_number`` reads the component
+    # of each crossing's strands from a dict it builds per call.
     __slots__ = ("crossings", "over_in", "free_loops", "_cache")
 
     def __init__(self, crossings, over_in, free_loops=0, _validated=False):
@@ -217,22 +217,10 @@ class Diagram:
         return len(self.components) + self.free_loops
 
     def component_of(self, arc: int) -> int:
-        got = self._cache.get("arc_comp")
-        if got is None:
-            got = {}
-            for ci, comp in enumerate(self.components):
-                for a in comp:
-                    got[a] = ci
-            self._cache["arc_comp"] = got
-        try:
-            return got[arc]
-        except KeyError:
-            raise UnknownComponent(f"no arc {arc} in diagram") from None
-
-    def crossing_components(self, i: int) -> tuple[int, int]:
-        """(under strand component, over strand component) of crossing i."""
-        rec = self.crossings[i]
-        return self.component_of(rec[0]), self.component_of(rec[self.over_in[i]])
+        for ci, comp in enumerate(self.components):
+            if arc in comp:
+                return ci
+        raise UnknownComponent(f"no arc {arc} in diagram")
 
     def linking_number(self, c1: int, c2: int) -> int:
         if c1 == c2:
@@ -242,11 +230,11 @@ class Diagram:
         n = len(self.components)
         if c1 >= n or c2 >= n:
             return 0  # crossing-free circles link nothing
+        comp = {a: ci for ci, arcs in enumerate(self.components) for a in arcs}
         pair = {c1, c2}
         total = 0
-        for i in range(self.n_crossings):
-            u, o = self.crossing_components(i)
-            if {u, o} == pair:
+        for i, (rec, o) in enumerate(zip(self.crossings, self.over_in)):
+            if {comp[rec[0]], comp[rec[o]]} == pair:
                 total += self.sign(i)
         if total % 2:
             raise InconsistentOrientation("odd inter-component crossing sum")

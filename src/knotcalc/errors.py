@@ -67,7 +67,7 @@ class DisconnectedBoundary(KnotError):
 
 class ResourceLimit(KnotError):
     """Crossing count exceeds the cap of a polynomial engine or of the
-    state-sum oracle."""
+    state-sum oracle, or a braid's strand count the bound it sets."""
 
 
 # -------------------------------------------------------------------- seifert

@@ -40,7 +40,6 @@ __all__ = [
     "reidemeister_r2_remove",
     "reidemeister_r2_add",
     "reidemeister_r3",
-    "apply_reidemeister",
     "simplify",
 ]
 
@@ -230,25 +229,6 @@ def reidemeister_r3(d: Diagram, site: R3Site) -> MoveResult:
         recs[ci] = list(_rotate(tuple(recs[ci]), 2))
     return MoveResult(Diagram(recs, over, d.free_loops, _validated=False),
                       "R3", True)
-
-
-# ------------------------------------------------------------------ front end
-
-def apply_reidemeister(d: Diagram, move: str, site) -> MoveResult:
-    """Apply a named move; the result records whether it was regular."""
-    move = move.upper()
-    if move in ("R1-", "R1 REMOVE"):
-        return reidemeister_r1_remove(d, site)
-    if move in ("R1+", "R1 ADD"):
-        arc, sign = site
-        return reidemeister_r1_add(d, arc, sign)
-    if move in ("R2-", "R2", "R2 REMOVE"):
-        return reidemeister_r2_remove(d, site)
-    if move in ("R2+", "R2 ADD"):
-        return reidemeister_r2_add(d, *site)
-    if move == "R3":
-        return reidemeister_r3(d, site)
-    raise PatternNotFound(f"unknown move {move!r}")
 
 
 def simplify(d: Diagram) -> tuple[Diagram, list[str]]:

@@ -80,20 +80,11 @@ class GaussInt:
     def __neg__(self):
         return GaussInt(-self.re, -self.im)
 
-    def conjugate(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def unit_inverse(self) -> "GaussInt":
-        """Inverse of a unit (one of 1, -1, i, -i)."""
-        if not self.is_unit():
+        """Inverse of a unit (one of 1, -1, i, -i): its conjugate."""
+        if self.re * self.re + self.im * self.im != 1:
             raise NonInvertibleImage(f"{self} is not a unit in Z[i]")
-        return self.conjugate()
+        return GaussInt(self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -265,9 +256,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_real(self) -> bool:
-        return all(c.im == 0 for c in self._terms.values())
-
     def min_exponent(self) -> Fraction:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
@@ -372,15 +360,9 @@ class LaurentPoly:
         """Substitute ``t -> t^-1`` (negate every exponent)."""
         return LaurentPoly({-q: c for q, c in self._terms.items()})
 
-    def is_monomial_unit(self) -> bool:
-        if len(self._terms) != 1:
-            return False
-        (_, c), = self._terms.items()
-        return c.is_unit()
-
     def unit_inverse(self) -> "LaurentPoly":
         """Inverse of a monomial whose coefficient is a unit of Z[i]."""
-        if not self.is_monomial_unit():
+        if len(self._terms) != 1:
             raise NonInvertibleImage(
                 f"{self} is not invertible in the Laurent ring")
         (q, c), = self._terms.items()
@@ -388,7 +370,7 @@ class LaurentPoly:
 
     def real_part_strict(self) -> "LaurentPoly":
         """Assert every coefficient is real and return the polynomial."""
-        if not self.is_real():
+        if any(c.im for c in self._terms.values()):
             raise ResidualImaginaryPart(
                 f"nonzero imaginary coefficients in {self}")
         return self
@@ -616,17 +598,17 @@ def two_var_substitute(
     ``a -> i t^-2, z -> i(t - t^-1)`` gives a knot a result with real
     coefficients, which ``real_part_strict`` asserts.
     """
-    a_inv = z_inv = None
-    if any(a < 0 for a, _ in poly._terms):
-        if not a_image.is_monomial_unit():
-            raise NonInvertibleImage(
-                "negative a-exponents need an invertible a-image")
-        a_inv = a_image.unit_inverse()
-    if any(z < 0 for _, z in poly._terms):
-        if not z_image.is_monomial_unit():
-            raise NonInvertibleImage(
-                "negative z-exponents need an invertible z-image")
-        z_inv = z_image.unit_inverse()
+    def invert(image, var, negative):
+        if not negative:
+            return None
+        try:
+            return image.unit_inverse()
+        except NonInvertibleImage:
+            raise NonInvertibleImage(f"negative {var}-exponents need an "
+                                     f"invertible {var}-image") from None
+
+    a_inv = invert(a_image, "a", any(a < 0 for a, _ in poly._terms))
+    z_inv = invert(z_image, "z", any(z < 0 for _, z in poly._terms))
 
     # cache powers; exponent ranges are tiny in practice
     a_powers: dict[int, LaurentPoly] = {0: LaurentPoly.one()}

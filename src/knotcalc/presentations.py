@@ -32,6 +32,7 @@ from .errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
     ExtraComponents,
+    ResourceLimit,
     StrandMismatch,
 )
 
@@ -101,6 +102,17 @@ def braid_parse(text: str, strands: int | None = None) -> BraidWord:
             raise DiagramSyntaxError(
                 f"generator s{abs(x)} needs more than {strands} strands")
     return BraidWord(strands, tuple(letters))
+
+
+def _check_strands(strands: int, max_crossings: int):
+    """Refuse more than ``2 * max_crossings + 2`` strands before anything
+    proportional to the strand count is built: each crossing touches two
+    strands, and every other strand closes to a free loop, which Jones
+    and F pay for one at a time."""
+    if strands > 2 * max_crossings + 2:
+        raise ResourceLimit(
+            f"{strands} strands exceeds {2 * max_crossings + 2}, twice the "
+            f"engine cap {max_crossings} plus 2")
 
 
 # =====================================================================
@@ -371,7 +383,11 @@ class PlatPresentation(NamedTuple):
         })
 
     @classmethod
-    def from_json(cls, text: str) -> "PlatPresentation":
+    def from_json(cls, text: str, max_crossings: int | None = None
+                  ) -> "PlatPresentation":
+        """Parse plat JSON; given ``max_crossings``, a braid on more
+        strands than ``_check_strands`` allows is refused before anything
+        of its size is built."""
         try:
             data = json.loads(text)
             genus, extra = data["genus"], data.get("extra", 0)
@@ -384,15 +400,18 @@ class PlatPresentation(NamedTuple):
             raise DiagramSyntaxError(
                 f"bad plat JSON: mode {data['mode']!r}; caps and cups "
                 "pair adjacent strands")
-        if "curls" not in data and _ints([genus, extra]):
+        if not (_ints([genus, extra, braid.strands]) and (
+                "curls" not in data or isinstance(curls, list)
+                and _ints(curls))):
+            raise DiagramSyntaxError("bad plat JSON: genus, extra, strands "
+                                     "and curls must be integers")
+        if max_crossings is not None:
+            _check_strands(braid.strands, max_crossings)
+        if "curls" not in data:
             if braid.strands != 2 * (2 * genus + extra):
                 # fail before 2 * genus default curls are built
                 validate_plat(cls(genus, extra, braid, ()))
             curls = [0] * (2 * genus)
-        if not (_ints([genus, extra]) and isinstance(curls, list)
-                and _ints(curls)):
-            raise DiagramSyntaxError(
-                "bad plat JSON: genus, extra and curls must be integers")
         return validate_plat(cls(genus, extra, braid, tuple(curls)))
 
 

@@ -77,16 +77,11 @@ __all__ = [
 
 
 class SeifertMatrix(NamedTuple):
-    """Integer Seifert matrix with its homology basis descriptors.
-
-    Each basis entry is a face of the diagram, as ``Diagram.faces()``
-    gives it (a cycle of darts), standing for the loop around that face
-    on the Seifert surface; entries added by ``elementary_enlarge`` are
-    the empty tuple.
-    """
+    """Integer Seifert matrix on the face-loop basis that the module
+    docstring describes, rows in the order of ``Diagram.faces()``;
+    ``elementary_enlarge`` borders it by two rows and columns."""
 
     matrix: tuple[tuple[int, ...], ...]
-    basis: tuple[tuple[tuple[int, bool], ...], ...]
 
     @property
     def size(self) -> int:
@@ -167,7 +162,7 @@ def _seifert_form(d: Diagram) -> SeifertMatrix:
     loops whose projection is connected, links included: then the
     surface is connected and the c - s + 1 face loops are a basis."""
     if not d.crossings:
-        return SeifertMatrix((), ())
+        return SeifertMatrix(())
     faces = d.faces()
     face_of = {dart: fi for fi, face in enumerate(faces) for dart in face}
     # the walk along the dart that arrives at slot s of crossing i, the
@@ -234,8 +229,7 @@ def _seifert_form(d: Diagram) -> SeifertMatrix:
             for g, y in v:
                 if f in index and g in index:
                     m[index[f]][index[g]] += x * y
-    return SeifertMatrix(tuple(tuple(row) for row in m),
-                         tuple(faces[fi] for fi in index))
+    return SeifertMatrix(tuple(tuple(row) for row in m))
 
 
 # =====================================================================
@@ -397,5 +391,4 @@ def elementary_enlarge(s, mode: str, x: Sequence[int]) -> SeifertMatrix:
         for j in range(n):
             big[n][j] = x[j]
         big[n + 1][n] = 1
-    basis = s.basis if isinstance(s, SeifertMatrix) else ((),) * n
-    return SeifertMatrix(tuple(tuple(row) for row in big), basis + ((), ()))
+    return SeifertMatrix(tuple(tuple(row) for row in big))

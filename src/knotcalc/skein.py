@@ -480,13 +480,12 @@ def skein_triple(d: Diagram, site: int) -> tuple[Diagram, Diagram, Diagram]:
     return plus, minus, zero
 
 
-def verify_jones_skein(d: Diagram, site: int,
-                       max_crossings: int = DEFAULT_ENGINE_CAP) -> bool:
+def verify_jones_skein(d: Diagram, site: int) -> bool:
     """Check ``t^-1 V(L+) - t V(L-) + (t^-1/2 - t^1/2) V(L0) = 0`` exactly."""
     plus, minus, zero = skein_triple(d, site)
-    lhs = (LaurentPoly.t_pow(-1) * jones_memoized(plus, max_crossings)
-           - LaurentPoly.t_pow(1) * jones_memoized(minus, max_crossings)
+    lhs = (LaurentPoly.t_pow(-1) * jones_memoized(plus)
+           - LaurentPoly.t_pow(1) * jones_memoized(minus)
            + (LaurentPoly.t_pow(Fraction(-1, 2))
               - LaurentPoly.t_pow(Fraction(1, 2)))
-           * jones_memoized(zero, max_crossings))
+           * jones_memoized(zero))
     return lhs.is_zero()

@@ -68,15 +68,6 @@ JONES_JPRIME = -_T(-10) * LaurentPoly.from_terms(
      (5, 1), (2, -1), (1, 2), (0, -1)])
 
 
-def _unit_multiple(p: LaurentPoly, q: LaurentPoly) -> bool:
-    """p == +- t^k q exactly, for some integer multiple of 1/4 in k."""
-    if p.is_zero() or q.is_zero():
-        return p == q
-    shift = p.min_exponent() - q.min_exponent()
-    shifted = q.shift(shift)
-    return p == shifted or p == -shifted
-
-
 def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP) -> dict:
     """Run the nine identities in order; each step records both sides.
 
@@ -114,9 +105,7 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP) -> dict:
         "alexander_conway",
         lambda: normalize_alexander(
             alexander_from_conway(conway(d61, max_crossings))))
-    step("alexander-both-paths",
-         alex_seifert == ALEXANDER_61 and _unit_multiple(alex_conway,
-                                                         ALEXANDER_61),
+    step("alexander-both-paths", alex_seifert == ALEXANDER_61 == alex_conway,
          f"seifert: {alex_seifert}; conway: {alex_conway}",
          ALEXANDER_61)
 

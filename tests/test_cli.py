@@ -1,6 +1,8 @@
 """Exit codes of the command-line front end."""
 
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -100,6 +102,45 @@ def test_oversize_cable_is_refused_before_it_is_built(monkeypatch, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("text, which, strands", [
+    ("s30000000", "conway", 30000001),
+    ("s100000", "jones", 100001),
+    ('{"genus": 5000000, "braid": "", "strands": 20000000}', "conway",
+     20000000),
+])
+def test_oversize_strand_count_is_refused_before_allocating(
+        text, which, strands, capsys):
+    # a few bytes name millions of strands: the closure, or the plat's
+    # default curls and permutation, would grow with them, and every
+    # strand beyond 2 * 32 + 2 would close to a free loop
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli.main(["invariants", text, "--which", which])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_RESOURCE
+    assert time.perf_counter() - t0 < 1
+    assert peak < 2**20
+    assert (f"ResourceLimit: {strands} strands exceeds 66"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text, strands", [
+    ("s65", 66), ("s66", 67), ("s1 s70", 71),
+    ('{"genus": 1, "extra": 32, "braid": "", "strands": 68}', 68),
+])
+def test_strand_bound_follows_the_cap(text, strands, capsys):
+    # n strands need a cap of at least (n - 2) / 2: at the default 32,
+    # 66 strands are allowed and s1 s70, on 71, is refused
+    least = (strands - 1) // 2
+    for cap, refused in ((least - 1, True), (least, False)):
+        argv = ["--max-crossings", str(cap), "invariants", text,
+                "--which", "conway"]
+        assert (cli.main(argv) == cli.EXIT_RESOURCE) == refused
+
+
 def test_cable_of_a_link_is_an_input_error_at_any_framing(capsys):
     argv = ["cable", "s1 s1", "--framing", "1000000000"]
     assert cli.main(argv) == cli.EXIT_INPUT
@@ -155,6 +196,7 @@ def test_empty_json_diagram_exits_2(capsys):
     '{"crossings": [[1, 1, 2, 2]], "free_loops": 1.5}',
     '{"genus": 1, "braid": "", "strands": 4, "curls": [1.5, 0]}',
     '{"genus": 1.0, "braid": "", "strands": 4}',
+    '{"genus": 1, "braid": "", "strands": 4.0}',
     '{"genus": 1, "extra": true, "braid": "", "strands": 4}',
     '{"genus": 1, "braid": "s2", "strands": 4, "mode": "standard"}',
 ])

@@ -144,7 +144,7 @@ class TestParsing:
 
     def test_arc_ends_of_a_missing_arc(self):
         d = pd_parse(TREFOIL)
-        for end in (d.head_of, d.tail_of):
+        for end in (d.head_of, d.tail_of, d.component_of):
             with pytest.raises(UnknownComponent, match="no arc 7"):
                 end(7)
 

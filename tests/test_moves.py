@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from knotcalc.diagram import Diagram, _occurrences, pd_parse
 from knotcalc.errors import PatternNotFound
 from knotcalc.moves import (
-    apply_reidemeister,
     find_r1_sites,
     find_r2_sites,
     find_r3_sites,
@@ -246,17 +245,6 @@ class TestOverStrandLinks:
         out, log = simplify(d)
         assert log == moves
         assert canonical_key(out) == canonical_key(e)
-
-
-class TestDispatcher:
-    def test_apply_reidemeister(self):
-        d = pd_parse(KINKED)
-        res = apply_reidemeister(d, "R1-", 0)
-        assert res.diagram.n_crossings == 0
-        res2 = apply_reidemeister(res.diagram, "R1+", (None, 1))
-        assert res2.diagram.writhe() == 1
-        with pytest.raises(PatternNotFound):
-            apply_reidemeister(d, "R9", 0)
 
 
 SMALL_KNOTS = [n for n in table_names() if int(n.split("_")[0]) <= 7]

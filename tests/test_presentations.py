@@ -4,7 +4,6 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from knotcalc.diagram import Diagram, pd_parse
 from knotcalc.errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,

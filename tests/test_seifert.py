@@ -220,7 +220,7 @@ class TestSEquivalenceInvariance:
             assert signature(moved) == base[2]
 
     def test_enlargement_empty(self):
-        grown = elementary_enlarge(SeifertMatrix((), ()), "row", [])
+        grown = elementary_enlarge(SeifertMatrix(()), "row", [])
         assert grown.size == 2
         assert alexander_from_seifert(grown) == 1
 
