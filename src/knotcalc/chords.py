@@ -39,20 +39,20 @@ every later diagram that meets the same step; each state's polynomial is
 multiplied in afterwards.  Periodic braids such as T(3, n) meet most of
 their steps again.
 
-Polynomials are dicts {packed exponent: int coefficient} with a^i z^j
-packed as ``i * A_STEP + j``, so a monomial factor adds its packed
-exponent to every key; ``unpack`` turns one into a ``TwoVarPoly``.
+Polynomials are term maps {key: int coefficient} of ``TwoVarPoly``,
+whose packing ``polyring`` owns: a^i z^j is keyed ``i * A_STEP + j``, so
+a monomial factor adds its key to every key, and ``polyring.times``
+multiplies two maps.  ``unpack`` wraps one as a ``TwoVarPoly``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from .polyring import TwoVarPoly
+from .polyring import A_STEP, TwoVarPoly, times
 
-__all__ = ["A_STEP", "ONE", "CIRCLE", "times", "chord_sweep", "unpack"]
+__all__ = ["ONE", "CIRCLE", "chord_sweep", "unpack"]
 
-A_STEP = 1 << 20
 ONE = {0: 1}
 _P_Z = {1: 1}
 _P_A = {A_STEP: 1}
@@ -281,18 +281,6 @@ def _step(layers: tuple, cup: bool, p: int, a_over: bool, caps: tuple,
     return _drop_zeros(out, dirty)
 
 
-def times(p: dict, q: dict) -> dict:
-    """The product, with no zero coefficient."""
-    if len(p) == 1:
-        ((e1, c1),) = p.items()
-        return {e1 + e2: c1 * c2 for e2, c2 in q.items()}
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
 def _next_block(records, left: list[int], frontier: list) -> tuple:
     """The next record i to attach, and its block: the frontier
     positions p, ..., p+k-1 that hold its slots t, t-1, ..., t-k+1.  It
@@ -370,9 +358,5 @@ def chord_sweep(records, counts) -> dict:
 
 def unpack(poly: dict, a_shift: int = 0) -> TwoVarPoly:
     """The packed polynomial times a^a_shift."""
-    half = A_STEP // 2
-    terms = {}
-    for e, c in poly.items():
-        j = (e + half) % A_STEP - half
-        terms[((e - j) // A_STEP + a_shift, j)] = c
-    return TwoVarPoly(terms)
+    shift = a_shift * A_STEP
+    return TwoVarPoly._of({e + shift: c for e, c in poly.items()})

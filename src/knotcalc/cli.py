@@ -22,10 +22,11 @@ with circles besides the wedge, or a boundary of several circles, is an
 input error.
 
 The one global setting is ``--max-crossings``, the crossing cap of the
-polynomial engines; ``cable`` checks the cable's crossing count against
-it before building a cable that an engine would refuse, and a braid, as
-text or in plat JSON, on more than twice the cap plus 2 strands is
-refused before its closure is built.
+polynomial engines.  ``cable`` checks the cable's crossing count against
+it before it builds the cable, whatever the checks.  A braid, as text or
+in plat JSON, on more than twice the cap plus 2 strands is refused before
+its closure is built, and Jones and Kauffman F refuse a diagram with more
+than twice the cap plus 2 free loops.
 Everything runs in one process.  ``invariants`` and ``cable`` own the
 memo of the one memoizing engine, Kauffman F, which keys the diagrams it
 is called on; it is shared by the command's own engine calls and dropped
@@ -237,12 +238,12 @@ def cmd_cable(args) -> int:
         raise KnotError(f"unknown checks: {', '.join(bad)}; "
                         f"choose from {', '.join(CABLE_CHECKS)}")
     base = _load_input(args.input, args.max_crossings)
-    engines = {"hat", "king"} & set(wanted)
-    # count the crossings cable2 would build before building them; a link
-    # is left to cable2, which refuses it as an input error
-    if engines and base.n_components == 1:
+    # count the crossings cable2 would build before building them, whatever
+    # the checks; a link is left to cable2, which refuses it as an input error
+    if base.n_components == 1:
         _check_cap(4 * base.n_crossings
                    + 2 * abs(args.framing - base.writhe()), args.max_crossings)
+    engines = {"hat", "king"} & set(wanted)
     t0 = time.perf_counter()
     cab = cable2(base, args.framing)
     checks = {}
@@ -296,8 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-crossings", type=int,
         default=DEFAULT_ENGINE_CAP,
-        help="crossing cap for the polynomial engines (default: "
-             f"{DEFAULT_ENGINE_CAP})")
+        help="crossing cap for the polynomial engines and for the cable "
+             "that 'cable' builds, checked before it is built; Jones and "
+             "Kauffman F also refuse more than twice the cap plus 2 free "
+             f"loops (default: {DEFAULT_ENGINE_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="invariants of one diagram")

@@ -67,7 +67,9 @@ class DisconnectedBoundary(KnotError):
 
 class ResourceLimit(KnotError):
     """Crossing count exceeds the cap of a polynomial engine or of the
-    state-sum oracle, or a braid's strand count the bound it sets."""
+    state-sum oracle, or a braid's strand count or a diagram's free loops
+    (for Jones and Kauffman F) the bound of twice the cap plus 2.  A
+    cable is sized against the cap before it is built."""
 
 
 # -------------------------------------------------------------------- seifert

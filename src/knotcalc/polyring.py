@@ -10,8 +10,14 @@ Two rings live here:
 
 * ``TwoVarPoly`` -- two variables ``a, z`` with integer coefficients and
   integer exponents, the home of the two-variable Kauffman polynomial.
+  The term ``a^i z^j`` is keyed ``i * A_STEP + j`` with ``A_STEP = 2^20``,
+  which holds ``-2^19 <= j < 2^19``; so a monomial factor adds its key to
+  every key, and the chord sweep of ``chords`` computes in these keys.
 
-Everything is immutable and exact; no floating point is used anywhere.
+Both rings hold a map from int keys to nonzero coefficients and share one
+set of operations on it, ``_Poly``: ``+``, ``-``, ``*`` (by ``times``),
+``**``, ``==``, hashing, truth and immutability.  Everything is exact; no
+floating point is used anywhere.
 
 Canonical string grammar (used by golden files and the CLI):
 terms are sorted by ascending exponent and joined with `` + `` / `` - ``;
@@ -30,11 +36,15 @@ from typing import Iterable, Mapping, Union
 from .errors import FractionalExponent, NonInvertibleImage, ResidualImaginaryPart
 
 __all__ = [
+    "A_STEP",
     "GaussInt",
     "LaurentPoly",
     "TwoVarPoly",
+    "times",
     "two_var_substitute",
 ]
+
+A_STEP = 1 << 20
 
 
 class GaussInt:
@@ -189,7 +199,133 @@ def _join_terms(parts: list[tuple[str, str]]) -> str:
     return text
 
 
-class LaurentPoly:
+def times(p: dict, q: dict) -> dict:
+    """The product of two term maps, with no zero coefficient."""
+    if len(p) > len(q):
+        p, q = q, p
+    if len(p) == 1:  # the coefficients form a domain: nothing cancels
+        ((e1, c1),) = p.items()
+        return {e1 + e2: c1 * c2 for e2, c2 in q.items()}
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c1 * c2
+            else:
+                s = prev + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+class _Poly:
+    """The ring operations of both rings, over ``_terms``, a map from int
+    keys (adding under multiplication) to nonzero coefficients.  A ring
+    sets ``_SCALAR``, the coefficient type it takes as a constant, and
+    ``_coeff``, which makes one a coefficient.  It binds ``+`` and ``*``
+    in its own class dict: ``perfbench``'s tracer wraps a class's own
+    bindings only."""
+
+    __slots__ = ("_terms",)
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """The polynomial of a term map with no zero coefficient."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._of({})
+
+    @classmethod
+    def one(cls):
+        return cls._of({0: cls._coeff(1)})
+
+    def _lift(self, other):
+        """``other`` in this ring (a scalar as a constant), or None."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, self._SCALAR):
+            return self._of({0: self._coeff(other)} if other else {})
+        return None
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        if not self._terms:
+            return other
+        if not other._terms:
+            return self
+        acc = dict(self._terms)
+        for q, c in other._terms.items():
+            prev = acc.get(q)
+            if prev is None:
+                acc[q] = c
+            else:
+                s = prev + c
+                if s:
+                    acc[q] = s
+                else:
+                    del acc[q]
+        return self._of(acc)
+
+    def __neg__(self):
+        return self._of({q: -c for q, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self._of(times(self._terms, other._terms))
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.unit_inverse() ** (-k)
+        out = self.one()
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class LaurentPoly(_Poly):
     """Laurent polynomial in ``t^(1/4)`` over the Gaussian integers.
 
     The term map sends the exponent, counted in quarter units of ``t``,
@@ -197,7 +333,11 @@ class LaurentPoly:
     equal polynomials have equal term maps.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _SCALAR = (int, GaussInt)
+    _coeff = staticmethod(GaussInt.coerce)
+    __add__ = __radd__ = _Poly.__add__
+    __mul__ = __rmul__ = _Poly.__mul__
 
     def __init__(self, terms: Mapping[int, Coefficient] | None = None):
         clean: dict[int, GaussInt] = {}
@@ -208,18 +348,7 @@ class LaurentPoly:
                     clean[int(q)] = c
         object.__setattr__(self, "_terms", clean)
 
-    def __setattr__(self, *args):
-        raise AttributeError("LaurentPoly is immutable")
-
     # ------------------------------------------------------------ constructors
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return _ONE
 
     @classmethod
     def const(cls, c: Coefficient) -> "LaurentPoly":
@@ -268,89 +397,6 @@ class LaurentPoly:
 
     # ------------------------------------------------------------- arithmetic
 
-    def __add__(self, other):
-        if isinstance(other, (int, GaussInt)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        acc = dict(self._terms)
-        for q, c in other._terms.items():
-            prev = acc.get(q)
-            if prev is None:
-                acc[q] = c
-            else:
-                s = prev + c
-                if s:
-                    acc[q] = s
-                else:
-                    del acc[q]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", acc)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly({q: -c for q, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, GaussInt)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, GaussInt)):
-            c = GaussInt.coerce(other)
-            if not c:
-                return _ZERO
-            return LaurentPoly({q: v * c for q, v in self._terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return _ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict[int, GaussInt] = {}
-        for qa, ca in a.items():
-            for qb, cb in b.items():
-                q = qa + qb
-                prev = acc.get(q)
-                if prev is None:
-                    acc[q] = ca * cb
-                else:
-                    s = prev + ca * cb
-                    if s:
-                        acc[q] = s
-                    else:
-                        del acc[q]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", acc)
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            return self.unit_inverse() ** (-k)
-        out = _ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def shift(self, exponent: ExponentLike) -> "LaurentPoly":
         """Multiply by ``t**exponent``."""
         d = _quarters(exponent)
@@ -391,22 +437,6 @@ class LaurentPoly:
 
     # -------------------------------------------------------------- protocol
 
-    def __eq__(self, other):
-        if isinstance(other, (int, GaussInt)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __repr__(self):
-        return f"LaurentPoly({self})"
-
     def to_str(self, var: str = "t") -> str:
         items = [(_exp_str(var, q), c) for q, c in sorted(self._terms.items())]
         return _join_terms(_scalar_term_strings(items))
@@ -415,38 +445,31 @@ class LaurentPoly:
         return self.to_str("t")
 
 
-_ZERO = LaurentPoly()
-_ONE = LaurentPoly({0: 1})
-
-
-class TwoVarPoly:
+class TwoVarPoly(_Poly):
     """Laurent polynomial in ``a`` and ``z`` with integer coefficients.
 
-    Term map: ``(a_exponent, z_exponent) -> nonzero int``.
+    Built from, and read as, a map ``(a_exponent, z_exponent) -> int``;
+    it holds ``a^i z^j`` under the packed key ``i * A_STEP + j``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _SCALAR = int
+    _coeff = int
+    __add__ = __radd__ = _Poly.__add__
+    __mul__ = __rmul__ = _Poly.__mul__
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        clean: dict[tuple[int, int], int] = {}
+        clean: dict[int, int] = {}
         if terms:
-            for key, c in terms.items():
+            for (a, z), c in terms.items():
+                if not -A_STEP // 2 <= z < A_STEP // 2:
+                    raise ValueError(f"z^{z} is outside the packed range "
+                                     "-2^19 <= j < 2^19 of a TwoVarPoly")
                 if c:
-                    clean[(int(key[0]), int(key[1]))] = int(c)
+                    clean[int(a) * A_STEP + int(z)] = int(c)
         object.__setattr__(self, "_terms", clean)
 
-    def __setattr__(self, *args):
-        raise AttributeError("TwoVarPoly is immutable")
-
     # ------------------------------------------------------------ constructors
-
-    @classmethod
-    def zero(cls) -> "TwoVarPoly":
-        return _TV_ZERO
-
-    @classmethod
-    def one(cls) -> "TwoVarPoly":
-        return _TV_ONE
 
     @classmethod
     def term(cls, a_exp: int, z_exp: int, coeff: int = 1) -> "TwoVarPoly":
@@ -464,102 +487,24 @@ class TwoVarPoly:
 
     @property
     def terms(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
-
-    # ------------------------------------------------------------- arithmetic
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = TwoVarPoly({(0, 0): other})
-        if not isinstance(other, TwoVarPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            s = acc.get(key, 0) + c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-        out = TwoVarPoly.__new__(TwoVarPoly)
-        object.__setattr__(out, "_terms", acc)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TwoVarPoly({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = TwoVarPoly({(0, 0): other})
-        if not isinstance(other, TwoVarPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return _TV_ZERO
-            return TwoVarPoly({k: c * other for k, c in self._terms.items()})
-        if not isinstance(other, TwoVarPoly):
-            return NotImplemented
-        acc: dict[tuple[int, int], int] = {}
-        for (pa, pz), c1 in self._terms.items():
-            for (qa, qz), c2 in other._terms.items():
-                key = (pa + qa, pz + qz)
-                s = acc.get(key, 0) + c1 * c2
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-        out = TwoVarPoly.__new__(TwoVarPoly)
-        object.__setattr__(out, "_terms", acc)
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "TwoVarPoly":
-        if k < 0:
-            raise ValueError("negative powers of a TwoVarPoly are not defined")
-        out = _TV_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        """The term map ``(a_exponent, z_exponent) -> int``."""
+        out = {}
+        for e, c in self._terms.items():
+            a, z = divmod(e + A_STEP // 2, A_STEP)
+            out[(a, z - A_STEP // 2)] = c
         return out
 
     def mirror_a(self) -> "TwoVarPoly":
         """Substitute ``a -> a^-1`` (the mirror-image rule for F)."""
-        return TwoVarPoly({(-a, z): c for (a, z), c in self._terms.items()})
+        return TwoVarPoly({(-a, z): c for (a, z), c in self.terms.items()})
 
     # -------------------------------------------------------------- protocol
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = TwoVarPoly({(0, 0): other})
-        if not isinstance(other, TwoVarPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __repr__(self):
-        return f"TwoVarPoly({self})"
 
     def __str__(self):
         if not self._terms:
             return "0"
         by_z: dict[int, dict[int, GaussInt]] = {}
-        for (a, z), c in self._terms.items():
+        for (a, z), c in self.terms.items():
             by_z.setdefault(z, {})[a] = GaussInt(c)
         parts = []
         for z in sorted(by_z):
@@ -572,18 +517,10 @@ class TwoVarPoly:
                 continue
             if len(rendered) == 1:
                 sign, body = rendered[0]
-                if body == "1":
-                    body = zs
-                else:
-                    body = f"{body}{zs}"
-                parts.append((sign, body))
+                parts.append((sign, zs if body == "1" else f"{body}{zs}"))
             else:
                 parts.append(("+", f"({_join_terms(rendered)}){zs}"))
         return _join_terms(parts)
-
-
-_TV_ZERO = TwoVarPoly()
-_TV_ONE = TwoVarPoly({(0, 0): 1})
 
 
 def two_var_substitute(
@@ -598,33 +535,14 @@ def two_var_substitute(
     ``a -> i t^-2, z -> i(t - t^-1)`` gives a knot a result with real
     coefficients, which ``real_part_strict`` asserts.
     """
-    def invert(image, var, negative):
-        if not negative:
-            return None
+    def power(image, var, k):
         try:
-            return image.unit_inverse()
+            return image ** k
         except NonInvertibleImage:
             raise NonInvertibleImage(f"negative {var}-exponents need an "
                                      f"invertible {var}-image") from None
 
-    a_inv = invert(a_image, "a", any(a < 0 for a, _ in poly._terms))
-    z_inv = invert(z_image, "z", any(z < 0 for _, z in poly._terms))
-
-    # cache powers; exponent ranges are tiny in practice
-    a_powers: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
-    z_powers: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
-
-    def power(cache, base, inverse, k):
-        if k in cache:
-            return cache[k]
-        if k > 0:
-            cache[k] = power(cache, base, inverse, k - 1) * base
-        else:
-            cache[k] = power(cache, base, inverse, k + 1) * inverse
-        return cache[k]
-
     total = LaurentPoly.zero()
-    for (ae, ze), c in sorted(poly._terms.items()):
-        term = power(a_powers, a_image, a_inv, ae) * power(z_powers, z_image, z_inv, ze)
-        total = total + term * c
+    for (ae, ze), c in sorted(poly.terms.items()):
+        total = total + power(a_image, "a", ae) * power(z_image, "z", ze) * c
     return total

@@ -61,13 +61,13 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import itemgetter
 
-from .chords import A_STEP, CIRCLE, ONE, chord_sweep, times, unpack
+from .chords import CIRCLE, ONE, chord_sweep, unpack
 from .diagram import (Diagram, _erase, _glue, _occurrences, _reduce,
                       _split_pieces)
 from .errors import BadSite, ResourceLimit
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
 from .moves import simplify as _simplify_diagram
-from .polyring import LaurentPoly, TwoVarPoly, _difference_power
+from .polyring import A_STEP, LaurentPoly, TwoVarPoly, _difference_power, times
 from .seifert import _det_poly, _seifert_det, _seifert_form
 
 __all__ = [
@@ -138,10 +138,17 @@ class SkeinMemo:
                 "reused": self.reused}
 
 
-def _check_cap(n_crossings: int, max_crossings: int):
+def _check_cap(n_crossings: int, max_crossings: int, free_loops: int = 0):
+    """Refuse more crossings than the cap, or more free loops than twice
+    the cap plus 2, the bound of ``presentations._check_strands``: the
+    bracket sweep and F pay for each free loop."""
     if n_crossings > max_crossings:
         raise ResourceLimit(
             f"{n_crossings} crossings exceeds the engine cap {max_crossings}")
+    if free_loops > 2 * max_crossings + 2:
+        raise ResourceLimit(
+            f"{free_loops} free loops exceeds {2 * max_crossings + 2}, twice "
+            f"the engine cap {max_crossings} plus 2")
 
 
 # =====================================================================
@@ -298,7 +305,7 @@ def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                      memo: SkeinMemo | None = None) -> LaurentPoly:
     """Kauffman bracket by the frontier sweep of ``_sweep_states``.  The
     sweep keys no states, so it leaves ``memo`` empty."""
-    _check_cap(d.n_crossings, max_crossings)
+    _check_cap(d.n_crossings, max_crossings, d.free_loops)
     if d.n_crossings == 0:
         return _DELTA ** (d.n_components - 1)
     lo, p, width = _sweep_states(d.crossings)
@@ -369,7 +376,7 @@ def kauffman_F(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
     """Two-variable Kauffman polynomial ``F = a^{-w} L``, L from the chord
     sweep; the orientation of D enters only through the writhe.  Without
     a memo, the call uses a fresh one."""
-    _check_cap(d.n_crossings, max_crossings)
+    _check_cap(d.n_crossings, max_crossings, d.free_loops)
     memo = memo if memo is not None else SkeinMemo()
     return unpack(_kauffman_L(d.crossings, d.free_loops, memo), -d.writhe())
 

@@ -87,14 +87,18 @@ def test_crossing_cap_ignores_the_environment(monkeypatch, capsys):
     assert cli.main(["invariants", "3_1", "--which", "jones"]) == cli.EXIT_OK
 
 
-def test_oversize_cable_is_refused_before_it_is_built(monkeypatch, capsys):
+@pytest.mark.parametrize("checks", [[], ["--checks", "writhe-formula"]],
+                         ids=["default-checks", "writhe-formula"])
+def test_oversize_cable_is_refused_before_it_is_built(checks, monkeypatch,
+                                                       capsys):
     # a cable of 2 * 10^9 crossings could not be built; its size is known
-    # from the base knot, 4c + 2|f - w|
+    # from the base knot, 4c + 2|f - w|, and is checked even when no
+    # engine runs on the cable
     def unbuilt(*args):
         raise AssertionError("cable2 called")
 
     monkeypatch.setattr(cli, "cable2", unbuilt)
-    argv = ["cable", "3_1", "--framing", "1000000000"]
+    argv = ["cable", "3_1", "--framing", "1000000000"] + checks
     assert cli.main(argv) == cli.EXIT_RESOURCE
     base = entry("3_1").diagram()
     n = 4 * base.n_crossings + 2 * abs(10 ** 9 - base.writhe())
@@ -107,12 +111,17 @@ def test_oversize_cable_is_refused_before_it_is_built(monkeypatch, capsys):
     ("s100000", "jones", 100001),
     ('{"genus": 5000000, "braid": "", "strands": 20000000}', "conway",
      20000000),
+    ('{"crossings": [], "free_loops": 100000}', "jones", 100000),
+    pytest.param(" ".join(["O"] * 3000), "kauffman", 3000,
+                 id="3000 O terms-kauffman-3000"),
 ])
 def test_oversize_strand_count_is_refused_before_allocating(
         text, which, strands, capsys):
     # a few bytes name millions of strands: the closure, or the plat's
     # default curls and permutation, would grow with them, and every
-    # strand beyond 2 * 32 + 2 would close to a free loop
+    # strand beyond 2 * 32 + 2 would close to a free loop.  Free loops
+    # given as such meet the same bound in Jones and F, which pay for
+    # each one
     t0 = time.perf_counter()
     tracemalloc.start()
     try:
@@ -123,7 +132,9 @@ def test_oversize_strand_count_is_refused_before_allocating(
     assert code == cli.EXIT_RESOURCE
     assert time.perf_counter() - t0 < 1
     assert peak < 2**20
-    assert (f"ResourceLimit: {strands} strands exceeds 66"
+    noun = ("free loops" if text.startswith(("O", '{"crossings"'))
+            else "strands")
+    assert (f"ResourceLimit: {strands} {noun} exceeds 66"
             in capsys.readouterr().err)
 
 
@@ -139,6 +150,16 @@ def test_strand_bound_follows_the_cap(text, strands, capsys):
         argv = ["--max-crossings", str(cap), "invariants", text,
                 "--which", "conway"]
         assert (cli.main(argv) == cli.EXIT_RESOURCE) == refused
+
+
+@pytest.mark.parametrize("which", ["jones", "kauffman"])
+def test_free_loop_bound_follows_the_cap(which, capsys):
+    # 66 loops, the bound at the default cap, still give Jones and F;
+    # Conway of free loops is 0 at once and is not capped
+    loops = '{{"crossings": [], "free_loops": {}}}'.format
+    assert cli.main(["invariants", loops(66), "--which", which]) == cli.EXIT_OK
+    assert cli.main(["invariants", loops(67), "--which", which]) == cli.EXIT_RESOURCE
+    assert cli.main(["invariants", loops(67), "--which", "conway"]) == cli.EXIT_OK
 
 
 def test_cable_of_a_link_is_an_input_error_at_any_framing(capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knotcalc.errors import FractionalExponent, NonInvertibleImage, ResidualImaginaryPart
 from knotcalc.polyring import (
@@ -98,6 +100,77 @@ class TestRingAxioms:
             assert (p + q) * r == p * r + q * r
             assert p * q == q * p
             assert (p + (-p)).terms == {}
+
+
+def reference(p, q, key_add, c_add, c_mul, zero):
+    """p + q and p * q of two term maps, term by term, zeros dropped."""
+    total, product = {}, {}
+    for k, c in [*p.items(), *q.items()]:
+        total[k] = c_add(total.get(k, zero), c)
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = key_add(k1, k2)
+            product[k] = c_add(product.get(k, zero), c_mul(c1, c2))
+    return ({k: c for k, c in total.items() if c != zero},
+            {k: c for k, c in product.items() if c != zero})
+
+
+def gauss_reference(p, q):
+    # Gaussian integers as (re, im) pairs
+    return reference(p, q, lambda a, b: a + b,
+                     lambda x, y: (x[0] + y[0], x[1] + y[1]),
+                     lambda x, y: (x[0] * y[0] - x[1] * y[1],
+                                   x[0] * y[1] + x[1] * y[0]), (0, 0))
+
+
+def twovar_reference(p, q):
+    return reference(p, q, lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                     lambda x, y: x + y, lambda x, y: x * y, 0)
+
+
+GAUSS_TERMS = st.dictionaries(
+    st.integers(-12, 12), st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    max_size=6)
+Z_EDGE = st.one_of(st.integers(-4, 4), st.sampled_from([-2**19, 2**19 - 1]))
+
+
+def twovar_terms(z):
+    return st.dictionaries(st.tuples(st.integers(-4, 4), z),
+                           st.integers(-5, 5), max_size=6)
+
+
+class TestAgainstReference:
+    """Sums, differences and products against term-by-term references
+    computed from the term maps, not from the rings' own operations."""
+
+    @given(GAUSS_TERMS, GAUSS_TERMS)
+    def test_laurent(self, p, q):
+        P, Q = (LaurentPoly({k: GaussInt(*c) for k, c in m.items()})
+                for m in (p, q))
+        pairs = lambda poly: {k: (c.re, c.im) for k, c in poly.terms.items()}
+        total, product = gauss_reference(p, q)
+        assert pairs(P + Q) == total
+        assert pairs(P * Q) == product
+        minus_q = {k: (-c[0], -c[1]) for k, c in q.items()}
+        assert pairs(P - Q) == gauss_reference(p, minus_q)[0]
+
+    @given(twovar_terms(Z_EDGE), twovar_terms(Z_EDGE),
+           twovar_terms(st.integers(-4, 4)), twovar_terms(st.integers(-4, 4)),
+           twovar_terms(st.just(0)))
+    def test_twovar(self, p, q, r, r2, s):
+        # s and the small r, r2 keep every product's z in the packed range
+        P, Q, R, R2, S = map(TwoVarPoly, (p, q, r, r2, s))
+        assert (P + Q).terms == twovar_reference(p, q)[0]
+        assert (P - Q).terms == twovar_reference(
+            p, {k: -c for k, c in q.items()})[0]
+        assert (P * S).terms == twovar_reference(p, s)[1]
+        assert (R * R2).terms == twovar_reference(r, r2)[1]
+
+    def test_z_outside_the_packed_range(self):
+        assert TwoVarPoly({(3, -2**19): 1}).terms == {(3, -2**19): 1}
+        for z in (2**19, -2**19 - 1):
+            with pytest.raises(ValueError):
+                TwoVarPoly({(0, z): 1})
 
 
 class TestEval:
