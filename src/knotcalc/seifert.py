@@ -41,14 +41,14 @@ disk that covers it, and where two loops swap lanes on a disk.  On each
 arc the loop of the face off the disk side runs nearer the circle.  The
 total work is linear in c after ``Diagram.faces()``.
 
-Derived quantities rest on one exact integer determinant, Bareiss
-fraction-free elimination (``_int_det``).  The Alexander polynomial
-``det(t^1/2 S - t^-1/2 S^T)``, normalized symmetric with positive leading
-coefficient, is read off one integer determinant of ``t S - S^T`` at a
-t past every coefficient's bound (``_det_poly``); the determinant is
-``|det(S + S^T)|``; the signature of ``Q = S + S^T`` is read off the
-characteristic polynomial ``det(t I - Q)``, found the same way, by
-Descartes' rule of signs, exact because its roots are all real.  Also
+Derived quantities rest on one Bareiss fraction-free elimination
+(``_bareiss``), which leaves a row alone while its pivot-column entry is
+0 (``_int_det``).  The Alexander polynomial ``det(t^1/2 S - t^-1/2
+S^T)``, normalized symmetric with positive leading coefficient, is read
+off one integer determinant of ``t S - S^T`` at a t past every
+coefficient's bound (``_det_poly``); the determinant is ``|det(S +
+S^T)|``; the signature of ``Q = S + S^T`` is its inertia, read off the
+pivots of the same elimination run by congruences (``signature``).  Also
 here: the monicity test (the fiberedness obstruction) and Trotter's
 elementary enlargements.
 """
@@ -237,26 +237,56 @@ def _seifert_form(d: Diagram) -> SeifertMatrix:
 # =====================================================================
 
 def _int_det(m) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination:
-    every division is exact, and a zero pivot is replaced by swapping in
-    a lower row."""
-    a = [list(row) for row in m]
+    """Exact integer determinant, the last pivot of ``_bareiss``.  Bareiss
+    would only multiply a row that is 0 in the pivot column by ``p_k /
+    p_{k-1}``, and these factors telescope, so such a row is left alone:
+    ``last[r]`` keeps the pivot it was last divided by, its next update is
+    ``(p x - f y) // last[r]``, and as pivot it is first made ``x prev //
+    last[r]``."""
+    pivots = _bareiss([list(row) for row in m])
+    return pivots[-1] if len(pivots) > len(m) else 0
+
+
+def _bareiss(a, symmetric=False) -> list[int]:
+    """Pivots ``[1, p_1, ..., p_m]`` of eliminating ``a`` in place, m < n if
+    no pivot is left; ``p_k`` is the k-th leading minor of ``a`` as pivoted
+    (a row swap negates one row), by congruences if ``symmetric``."""
     n = len(a)
-    sign, prev = 1, 1
+    last, pivots = [1] * n, [1]
     for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
+        prev = pivots[-1]
+        hit = (k, k) if a[k][k] else next(
+            ((r, r) for r in range(k + 1, n) if a[r][r if symmetric else k]),
+            None)
+        if symmetric and hit is None:
+            hit = next(((r, c) for r in range(k, n) for c in range(k, n)
+                        if a[r][c]), None)
+        if hit is None:
+            break
+        piv, c = hit
+        for r in (piv, c):
+            if last[r] != prev:
+                a[r][k:] = [x * prev // last[r] for x in a[r][k:]]
+                last[r] = prev
+        if c != piv:  # the congruence step of ``signature``
+            a[piv][k:] = [x + y for x, y in zip(a[piv][k:], a[c][k:])]
+            for row in a[k:]:
+                row[piv] += row[c]
+        if symmetric:
+            for row in a[k:]:
+                row[k], row[piv] = row[piv], row[k]
+        elif piv != k:
+            a[k] = [-x for x in a[k]]
+        a[k], a[piv], last[k], last[piv] = a[piv], a[k], last[piv], last[k]
         p, top = a[k][k], a[k][k + 1:]
         for r in range(k + 1, n):
             f = a[r][k]
-            a[r][k + 1:] = [(p * x - f * y) // prev
-                            for x, y in zip(a[r][k + 1:], top)]
-        prev = p
-    return sign * prev
+            if f:
+                d, last[r] = last[r], p
+                a[r][k + 1:] = [(p * x - f * y) // d
+                                for x, y in zip(a[r][k + 1:], top)]
+        pivots.append(p)
+    return pivots
 
 
 def _det_poly(a, b) -> list[int]:
@@ -285,11 +315,6 @@ def _det_poly(a, b) -> list[int]:
 def _seifert_det(s) -> list[int]:
     """Integer coefficients of ``det(t S - S^T)``, lowest degree first."""
     return _det_poly([[-x for x in column] for column in zip(*s)], s)
-
-
-def _sign_changes(coeffs) -> int:
-    signs = [c > 0 for c in coeffs if c]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def alexander_from_seifert(s) -> LaurentPoly:
@@ -344,16 +369,13 @@ def determinant(s) -> int:
 
 
 def signature(s) -> int:
-    """Signature of ``Q = S + S^T``: positive minus negative roots of
-    ``det(t I - Q)``, counted by Descartes' rule of signs, which is exact
-    because the characteristic polynomial of a symmetric matrix has only
-    real roots."""
-    q = _form(s)
-    n = len(q)
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs = _det_poly([[-x for x in row] for row in q], ident)
-    mirrored = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
-    return _sign_changes(coeffs) - _sign_changes(mirrored)
+    """Signature of ``Q = S + S^T`` by Sylvester's law of inertia: each
+    pivot of the symmetric ``_bareiss`` adds the sign of ``p_k / p_{k-1}``.
+    A pivot is a nonzero diagonal entry, its row and column moved together;
+    if the trailing diagonal is 0 but some ``a[r][c]`` is not, row and column
+    c are first added to row and column r, giving ``a[r][r] = 2 a[r][c]``."""
+    pivots = _bareiss(_form(s), symmetric=True)
+    return sum(1 if x * y > 0 else -1 for x, y in zip(pivots, pivots[1:]))
 
 
 def is_monic(delta: LaurentPoly) -> bool:

@@ -1,7 +1,8 @@
-"""Every name a module exports exists, and every name a module imports
-is used."""
+"""Every name a module exports exists, every name a module imports is
+used, and every private module-level function has a reader."""
 
 import ast
+from collections import Counter
 import importlib
 import pkgutil
 from pathlib import Path
@@ -53,3 +54,31 @@ def test_no_unused_imports():
     paths = sorted((ROOT / "src").rglob("*.py")) + sorted(
         (ROOT / "tests").rglob("*.py"))
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def _names_read(tree) -> list[str]:
+    """Names, attributes and imported names that ``tree`` refers to."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name)
+    return out
+
+
+def test_every_private_helper_has_a_reader():
+    # a module-level ``def _name`` in src/knotcalc must be referred to by
+    # name somewhere in src/ outside its own body
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src").rglob("*.py"))}
+    read = Counter(n for tree in trees.values() for n in _names_read(tree))
+    dead = [f"{p.relative_to(ROOT).as_posix()}:{node.lineno} {node.name}"
+            for p, tree in trees.items() if "knotcalc" in p.parts
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and read[node.name] == _names_read(node).count(node.name)]
+    assert dead == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from knotcalc.diagram import Diagram, pd_parse
 from knotcalc.errors import DimensionMismatch, MultiComponent
@@ -21,6 +22,7 @@ from knotcalc.seifert import (
     signature,
     _det_poly,
     _int_det,
+    _seifert_form,
 )
 from knotcalc.skein import alexander_from_conway, conway
 from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
@@ -283,6 +285,51 @@ def half_form(q):
              for j in range(n)] for i in range(n)]
 
 
+def fraction_det(m):
+    """Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def sparse_matrix(rng, n, width=None):
+    """Mostly zero entries; with ``width``, only those within the band
+    |i - j| <= width, so row r stays 0 in the pivot column for the
+    first r - width steps and then becomes active."""
+    return [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9)))
+             if width is None or abs(i - j) <= width else 0
+             for j in range(n)] for i in range(n)]
+
+
+def stale_pivot_matrix(rng, n):
+    """Row k is 0 in its first k + 1 columns, so step k finds no pivot on
+    the diagonal; row k + 1 is 0 in its first k columns, so it sits idle
+    through steps 0..k-1 and is swapped in stale.  The leading k x k block
+    has a determinant other than +-1, so a row left stale is wrong."""
+    while True:
+        k = rng.randrange(1, n - 2)
+        m = sparse_matrix(rng, n)
+        for i in range(k):
+            m[i][:k] = [rng.randint(-4, 4) for _ in range(k)]
+        if abs(fraction_det([row[:k] for row in m[:k]])) > 1:
+            break
+    m[k][:k + 1] = [0] * (k + 1)
+    m[k + 1][:k + 1] = [0] * k + [rng.choice((-3, -2, 2, 3))]
+    return m
+
+
 class TestExactDeterminant:
     def test_int_det_matches_leibniz(self):
         rng = random.Random(41)
@@ -294,17 +341,142 @@ class TestExactDeterminant:
                 m[rng.randrange(n)] = list(m[rng.randrange(n)])
             assert _int_det(m) == leibniz_det(m), m
 
+    @pytest.mark.parametrize("shape", ["sparse", "banded", "stale-pivot"])
+    def test_int_det_matches_fractions(self, shape):
+        rng = random.Random(f"skip-{shape}")
+        for _ in range(150):
+            n = rng.randrange(7, 17)
+            if shape == "sparse":
+                m = sparse_matrix(rng, n)
+            elif shape == "banded":
+                m = sparse_matrix(rng, n, width=rng.randrange(1, 4))
+            else:
+                m = stale_pivot_matrix(rng, n)
+            assert _int_det(m) == fraction_det(m), m
+
+    def test_int_det_of_singular_matrices(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            n = rng.randrange(7, 17)
+            m = sparse_matrix(rng, n, width=rng.choice((None, 1, 2)))
+            i, j, r = rng.sample(range(n), 3)
+            c = rng.choice((-2, -1, 1, 2))
+            m[r] = [x + c * y for x, y in zip(m[i], m[j])]
+            if rng.random() < 0.5:  # the dependent row is met last
+                m[r], m[-1] = m[-1], m[r]
+            assert fraction_det(m) == 0
+            assert _int_det(m) == 0, m
+            assert _int_det([list(col) for col in zip(*m)]) == 0, m
+
     def test_signature_sylvester(self):
-        # Q = P^T D P is congruent to D, so its inertia is D's
+        # Q = P^T D P is congruent to D, so its inertia is D's.  D's
+        # hyperbolic blocks [[0, 1], [1, 0]], zero blocks and +-T, T the
+        # 3 x 3 form of zero diagonal and ones elsewhere (inertia 1 positive,
+        # 2 negative), leave a trailing diagonal of zeros once the +-2
+        # entries are pivots, which only the congruence step gets past
         rng = random.Random(43)
-        for _ in range(60):
-            n = rng.randrange(1, 7)
-            diag = [rng.choice((-2, 0, 2)) for _ in range(n)]
-            d = [[diag[i] if i == j else 0 for j in range(n)]
-                 for i in range(n)]
-            q = congruent(d, random_unimodular(rng, n))
-            expected = diag.count(2) - diag.count(-2)
-            assert signature(half_form(q)) == expected, (diag, q)
+        blocks = {"2": ([[2]], 1), "-2": ([[-2]], -1), "zero": ([[0]], 0),
+                  "hyperbolic": ([[0, 1], [1, 0]], 0),
+                  "T": ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], -1),
+                  "-T": ([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]], 1)}
+        for _ in range(200):
+            n = rng.randrange(1, 11)
+            d = [[0] * n for _ in range(n)]
+            i = expected = 0
+            while i < n:
+                block, sig = blocks[rng.choice(list(blocks))]
+                if i + len(block) > n:
+                    continue
+                for r, row in enumerate(block):
+                    d[i + r][i:i + len(row)] = row
+                i, expected = i + len(block), expected + sig
+            order = rng.sample(range(n), n)
+            shuffle = [[int(order[i] == j) for j in range(n)]
+                       for i in range(n)]
+            for p in (shuffle, random_unimodular(rng, n)):
+                q = congruent(d, p)
+                assert signature(half_form(q)) == expected, (d, q)
+
+
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def charpoly_signature(s):
+    """Positive minus negative roots of ``det(t I - Q)``, ``Q = S + S^T``,
+    by Descartes' rule of signs, exact as the roots are all real."""
+    n = len(s)
+    q = [[s[i][j] + s[j][i] for j in range(n)] for i in range(n)]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs = _det_poly([[-x for x in row] for row in q], ident)
+    mirrored = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
+    return sign_changes(coeffs) - sign_changes(mirrored)
+
+
+@st.composite
+def even_forms(draw, max_size=9):
+    """Half ``S`` of a random symmetric ``Q`` with even diagonal, entries
+    mostly 0; half of the forms have a zero diagonal, so that the
+    congruence step runs."""
+    n = draw(st.integers(0, max_size))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    diagonal = st.just(0) if draw(st.booleans()) else entry
+    return [[draw(entry if i < j else diagonal) if i <= j else 0
+             for j in range(n)] for i in range(n)]
+
+
+class TestSignatureAgainstCharpoly:
+    @settings(max_examples=150, deadline=None)
+    @given(even_forms())
+    def test_random_forms(self, s):
+        assert signature(s) == charpoly_signature(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(12, strands=(3, 4, 5)))
+    def test_braid_closures(self, word):
+        d = trace_closure(braid_to_tangle(word))
+        assume(not d.free_loops and d.connected_pieces() == 1)
+        s = _seifert_form(d).matrix
+        assert signature(s) == charpoly_signature(s)
+
+
+def torus_alexander(q):
+    """(t^3q - 1)(t - 1) / ((t^3 - 1)(t^q - 1)), centered at t^0."""
+    num = [0] * (3 * q + 2)
+    for e, c in ((3 * q + 1, 1), (3 * q, -1), (1, -1), (0, 1)):
+        num[e] += c
+    den = [0] * (q + 4)
+    for e, c in ((q + 3, 1), (q, -1), (3, -1), (0, 1)):
+        den[e] += c
+    quot = [0] * (len(num) - len(den) + 1)
+    for k in reversed(range(len(quot))):  # den is monic
+        quot[k] = num[k + len(den) - 1]
+        for i, c in enumerate(den):
+            num[k + i] -= quot[k] * c
+    assert not any(num)
+    mid = (len(quot) - 1) // 2
+    return LaurentPoly.from_terms((k - mid, c) for k, c in enumerate(quot))
+
+
+def torus_signature(q):
+    """Gordon-Litherland-Murasugi: over 1 <= i <= 2, 1 <= j <= q - 1, the
+    points with 1/2 < i/3 + j/q < 3/2 count +1 and the others -1."""
+    return sum(1 if Fraction(1, 2) < Fraction(i, 3) + Fraction(j, q)
+               < Fraction(3, 2) else -1
+               for i in (1, 2) for j in range(1, q))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 41) if q % 3])
+def test_torus_knots_t3q(q):
+    # q = 40 gives a 78 x 78 matrix
+    d = trace_closure(braid_to_tangle(BraidWord(3, (1, 2) * q)))
+    s = seifert_matrix(d)
+    assert s.size == 2 * (q - 1)
+    delta = alexander_from_seifert(s)
+    assert delta == torus_alexander(q)
+    assert determinant(s) == abs(delta.eval_at(-1))
+    assert signature(s) == torus_signature(q)
 
 
 class TestSeifertAgainstConway:
