@@ -1,10 +1,9 @@
 """knotcalc: exact knot/link invariants from planar diagram combinatorics."""
 
-from .polyring import GaussInt, LaurentPoly, TwoVarPoly, two_var_substitute
+from .polyring import GaussInt, LaurentPoly, TwoVarPoly
 
 __all__ = [
     "GaussInt",
     "LaurentPoly",
     "TwoVarPoly",
-    "two_var_substitute",
 ]

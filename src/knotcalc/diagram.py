@@ -38,11 +38,10 @@ over arc and an under arc that bound a face (``_bounds_bigon``).
 with ``_glue``; ``_reduce`` erases the first kink, else the first bigon,
 with both strands run through, until neither is left.  Kauffman F in
 ``skein`` reduces its states by ``_reduce``, and so does
-``moves.simplify``; the R1 and R2 removers of ``moves`` and the L0 of
-``skein.skein_triple`` call ``_erase``.  A diagram is rebuilt from
-erased records with the kept records' ``over_in`` slots: a walk from
-slot 0 ends alone would start a component that passes only over afresh
-at its least record, and could turn it round.
+``moves.simplify``.  A diagram is rebuilt from erased records with the
+kept records' ``over_in`` slots: a walk from slot 0 ends alone would
+start a component that passes only over afresh at its least record, and
+could turn it round.
 """
 
 from __future__ import annotations

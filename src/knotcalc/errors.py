@@ -41,14 +41,6 @@ class UnknownComponent(KnotError):
     """Component identifier not present in the diagram."""
 
 
-class PatternNotFound(KnotError):
-    """The local pattern required by a Reidemeister move is absent."""
-
-
-class BadSite(KnotError):
-    """A skein operation was pointed at an invalid crossing site."""
-
-
 # -------------------------------------------------------------- presentations
 
 class StrandMismatch(KnotError):
@@ -66,10 +58,10 @@ class DisconnectedBoundary(KnotError):
 # ---------------------------------------------------------------------- skein
 
 class ResourceLimit(KnotError):
-    """Crossing count exceeds the cap of a polynomial engine or of the
-    state-sum oracle, or a braid's strand count or a diagram's free loops
-    (for Jones and Kauffman F) the bound of twice the cap plus 2.  A
-    cable is sized against the cap before it is built."""
+    """Crossing count exceeds the cap of a polynomial engine, or a
+    braid's strand count or a diagram's free loops (for Jones and
+    Kauffman F) the bound of twice the cap plus 2.  A cable is sized
+    against the cap before it is built."""
 
 
 # -------------------------------------------------------------------- seifert

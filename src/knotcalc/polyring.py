@@ -41,7 +41,6 @@ __all__ = [
     "LaurentPoly",
     "TwoVarPoly",
     "times",
-    "two_var_substitute",
 ]
 
 A_STEP = 1 << 20
@@ -521,28 +520,3 @@ class TwoVarPoly(_Poly):
             else:
                 parts.append(("+", f"({_join_terms(rendered)}){zs}"))
         return _join_terms(parts)
-
-
-def two_var_substitute(
-    poly: TwoVarPoly,
-    a_image: LaurentPoly,
-    z_image: LaurentPoly,
-) -> LaurentPoly:
-    """Apply the ring morphism ``a -> a_image, z -> z_image`` to ``poly``.
-
-    Negative ``a`` or ``z`` exponents require the corresponding image to be
-    a monomial unit of the Laurent ring.  The Jones-from-F substitution
-    ``a -> i t^-2, z -> i(t - t^-1)`` gives a knot a result with real
-    coefficients, which ``real_part_strict`` asserts.
-    """
-    def power(image, var, k):
-        try:
-            return image ** k
-        except NonInvertibleImage:
-            raise NonInvertibleImage(f"negative {var}-exponents need an "
-                                     f"invertible {var}-image") from None
-
-    total = LaurentPoly.zero()
-    for (ae, ze), c in sorted(poly.terms.items()):
-        total = total + power(a_image, "a", ae) * power(z_image, "z", ze) * c
-    return total

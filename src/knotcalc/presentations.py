@@ -3,9 +3,8 @@
 A tangle is a PD fragment: crossing records in the usual rotation
 convention (under-strand diagonal in slots 0 and 2, no orientation), plus
 ordered lists of the arcs hanging at the top and bottom boundary and a
-count of closed circles.  Tangles compose by stacking, mirror by
-reflection, double by the parallel-copy rule, and close up into oriented
-diagrams.  A tangle carries no orientation: the closure orients it with
+count of closed circles.  Tangles compose by stacking, double by the
+parallel-copy rule, and close up into oriented diagrams.  A tangle carries no orientation: the closure orients it with
 ``Diagram.from_pd``'s walk, from the ends where the top arcs enter (trace
 closure, every strand running down) or, for the banded boundary, from
 no end at all.  Composition, closure and the banded boundary all join
@@ -42,8 +41,6 @@ __all__ = [
     "Tangle",
     "braid_to_tangle",
     "tangle_compose",
-    "tangle_mirror",
-    "tangle_double_delta",
     "tangle_parallel_double",
     "trace_closure",
     "PlatPresentation",
@@ -104,14 +101,14 @@ def braid_parse(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def _check_strands(strands: int, max_crossings: int):
-    """Refuse more than ``2 * max_crossings + 2`` strands before anything
-    proportional to the strand count is built: each crossing touches two
-    strands, and every other strand closes to a free loop, which Jones
-    and F pay for one at a time."""
-    if strands > 2 * max_crossings + 2:
+def _check_strands(count: int, max_crossings: int, what: str = "strands"):
+    """Refuse more than ``2 * max_crossings + 2`` strands, or free loops
+    as ``what`` names them, before anything proportional to their count
+    is built: each crossing touches two strands, and every other strand
+    closes to a free loop, which Jones and F pay for one at a time."""
+    if count > 2 * max_crossings + 2:
         raise ResourceLimit(
-            f"{strands} strands exceeds {2 * max_crossings + 2}, twice the "
+            f"{count} {what} exceeds {2 * max_crossings + 2}, twice the "
             f"engine cap {max_crossings} plus 2")
 
 
@@ -175,31 +172,6 @@ class Tangle:
             ends.setdefault(a, []).append(("b", k))
         return ends
 
-    def strand_permutation(self) -> list[int]:
-        """Bottom position reached from each top position, for product
-        tangles; StrandMismatch when a strand returns to its own side."""
-        ends = self._ends()
-        other: dict[tuple, tuple] = {}
-        for pair in ends.values():
-            e1, e2 = pair
-            other[e1] = e2
-            other[e2] = e1
-        perm = []
-        for k in range(self.n_top):
-            end = ("t", k)
-            while True:
-                end = other[end]
-                if end[0] == "x":
-                    _, i, s = end
-                    end = ("x", i, (s + 2) % 4)
-                    continue
-                break
-            if end[0] != "b":
-                raise StrandMismatch(
-                    f"strand at top {k + 1} returns to the top boundary")
-            perm.append(end[1])
-        return perm
-
 
 def _relabeled(t: Tangle, offset: int) -> Tangle:
     return Tangle(
@@ -243,20 +215,6 @@ def tangle_compose(t1: Tangle, t2: Tangle) -> Tangle:
     return Tangle(records, [rename.get(a, a) for a in t1.top],
                   [rename.get(a, a) for a in t2r.bottom],
                   t1.free_loops + t2.free_loops + closed)
-
-
-def tangle_mirror(t: Tangle) -> Tangle:
-    """Reflection through the horizontal plane: top and bottom swap, the
-    rotation order of every record reverses, and each braid-like letter
-    turns into its inverse.  The under-strand diagonal stays in slots 0/2."""
-    return Tangle([(rec[0], rec[3], rec[2], rec[1]) for rec in t.records],
-                  t.bottom, t.top, t.free_loops)
-
-
-def tangle_double_delta(t: Tangle) -> Tangle:
-    """The doubling ``delta(T)``: T stacked on its mirror image."""
-    t.strand_permutation()  # validates the product structure
-    return tangle_compose(t, tangle_mirror(t))
 
 
 def double_block(u_in, o_out, u_out, o_in, mids) -> list[tuple]:

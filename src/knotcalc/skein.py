@@ -41,8 +41,9 @@ of ``del`` open, so its ``del`` is ``x^-n det(x^2 S - S^T)`` with
 ``del = 0``.  Either polynomial in x is read as a polynomial in
 ``z = x - x^-1`` by peeling off its top power.
 
-``bracket_state_sum`` sums all ``2^n`` smoothings; it is capped and
-exponential, and serves as the oracle for the sweep.
+The engines' oracles, among them the state sum over all ``2^n``
+smoothings that checks the bracket sweep and the Jones skein relation,
+run no command and live with the tests, in ``tests/oracles.py``.
 
 The states that F's reductions work on are bare tuples of PD records
 (under diagonal in slots 0 and 2); free circles never live inside
@@ -58,34 +59,27 @@ while reaching it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter
 
 from .chords import CIRCLE, ONE, chord_sweep, unpack
-from .diagram import (Diagram, _erase, _glue, _occurrences, _reduce,
-                      _split_pieces)
-from .errors import BadSite, ResourceLimit
+from .diagram import Diagram, _glue, _occurrences, _reduce, _split_pieces
+from .errors import ResourceLimit
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
 from .moves import simplify as _simplify_diagram
 from .polyring import A_STEP, LaurentPoly, TwoVarPoly, _difference_power, times
+from .presentations import _check_strands
 from .seifert import _det_poly, _seifert_det, _seifert_form
 
 __all__ = [
     "SkeinMemo",
-    "bracket_state_sum",
     "bracket_memoized",
-    "jones",
     "jones_memoized",
     "kauffman_F",
     "conway",
     "alexander_from_conway",
-    "skein_triple",
-    "verify_jones_skein",
-    "DEFAULT_ORACLE_CAP",
     "DEFAULT_ENGINE_CAP",
 ]
 
-DEFAULT_ORACLE_CAP = 26
 DEFAULT_ENGINE_CAP = 32
 
 _DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
@@ -139,60 +133,18 @@ class SkeinMemo:
 
 
 def _check_cap(n_crossings: int, max_crossings: int, free_loops: int = 0):
-    """Refuse more crossings than the cap, or more free loops than twice
-    the cap plus 2, the bound of ``presentations._check_strands``: the
-    bracket sweep and F pay for each free loop."""
+    """Refuse more crossings than the cap, or more free loops than
+    ``presentations._check_strands`` allows: the bracket sweep and F pay
+    for each free loop."""
     if n_crossings > max_crossings:
         raise ResourceLimit(
             f"{n_crossings} crossings exceeds the engine cap {max_crossings}")
-    if free_loops > 2 * max_crossings + 2:
-        raise ResourceLimit(
-            f"{free_loops} free loops exceeds {2 * max_crossings + 2}, twice "
-            f"the engine cap {max_crossings} plus 2")
+    _check_strands(free_loops, max_crossings, "free loops")
 
 
 # =====================================================================
 # bracket and Jones
 # =====================================================================
-
-def bracket_state_sum(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> LaurentPoly:
-    """Kauffman bracket by full state enumeration (the oracle path)."""
-    n = d.n_crossings
-    if n > max_crossings:
-        raise ResourceLimit(
-            f"{n} crossings exceeds the state-sum cap {max_crossings}")
-    if n == 0:
-        return _DELTA ** (d.n_components - 1)
-    arcs = sorted(d.arcs)
-    index = {a: k for k, a in enumerate(arcs)}
-    recs = [tuple(index[a] for a in rec) for rec in d.crossings]
-    m = len(arcs)
-    total = LaurentPoly.zero()
-    for mask in range(1 << n):
-        parent = list(range(m))
-        circles = 0
-        a_count = 0
-        for i, rec in enumerate(recs):
-            if (mask >> i) & 1:
-                a_count += 1
-                pairs = ((rec[0], rec[1]), (rec[2], rec[3]))
-            else:
-                pairs = ((rec[0], rec[3]), (rec[1], rec[2]))
-            for x, y in pairs:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                while parent[y] != y:
-                    parent[y] = parent[parent[y]]
-                    y = parent[y]
-                if x == y:
-                    circles += 1
-                else:
-                    parent[x] = y
-        weight = LaurentPoly.a_pow(2 * a_count - n)
-        total = total + weight * _DELTA ** (circles - 1 + d.free_loops)
-    return total
-
 
 def _sweep_order(records) -> list[int]:
     """Record indices in sweep order: next the record that closes the most
@@ -330,12 +282,6 @@ def _normalize_bracket(d: Diagram, bracket: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({q + 3 * w: sign * c for q, c in bracket.terms.items()})
 
 
-def jones(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> LaurentPoly:
-    """Jones polynomial from the state-sum bracket: ``(-A)^{-3w} <D>``
-    with ``t = A^-4``."""
-    return _normalize_bracket(d, bracket_state_sum(d, max_crossings))
-
-
 def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                    memo: SkeinMemo | None = None) -> LaurentPoly:
     """Jones polynomial from the frontier-sweep bracket, which leaves
@@ -468,31 +414,3 @@ def alexander_from_conway(nabla: LaurentPoly) -> LaurentPoly:
         for e, b in _difference_power(q // 4):
             total[2 * e] = total.get(2 * e, 0) + b * c
     return LaurentPoly(total)
-
-
-# =====================================================================
-# skein sites
-# =====================================================================
-
-def skein_triple(d: Diagram, site: int) -> tuple[Diagram, Diagram, Diagram]:
-    """The diagrams (L+, L-, L0) agreeing with D away from the site."""
-    if not (0 <= site < d.n_crossings):
-        raise BadSite(f"no crossing {site}")
-    plus = d if d.sign(site) == 1 else d.switch_crossing(site)
-    minus = d if d.sign(site) == -1 else d.switch_crossing(site)
-    o = d.over_in[site]
-    records, closed = _erase(d.crossings, (site,), ((0, (o + 2) % 4), (o, 2)))
-    zero = Diagram(records, d.over_in[:site] + d.over_in[site + 1:],
-                   d.free_loops + closed)
-    return plus, minus, zero
-
-
-def verify_jones_skein(d: Diagram, site: int) -> bool:
-    """Check ``t^-1 V(L+) - t V(L-) + (t^-1/2 - t^1/2) V(L0) = 0`` exactly."""
-    plus, minus, zero = skein_triple(d, site)
-    lhs = (LaurentPoly.t_pow(-1) * jones_memoized(plus)
-           - LaurentPoly.t_pow(1) * jones_memoized(minus)
-           + (LaurentPoly.t_pow(Fraction(-1, 2))
-              - LaurentPoly.t_pow(Fraction(1, 2)))
-           * jones_memoized(zero))
-    return lhs.is_zero()

@@ -19,8 +19,7 @@ from .seifert import (alexander_from_seifert, determinant, is_monic,
 from .skein import (DEFAULT_ENGINE_CAP, alexander_from_conway, conway,
                     jones_memoized)
 
-__all__ = ["KnotTableEntry", "load_table", "table_names", "entry", "diagram",
-           "verify_entry"]
+__all__ = ["KnotTableEntry", "load_table", "entry", "diagram", "verify_entry"]
 
 
 class KnotTableEntry(NamedTuple):
@@ -47,10 +46,6 @@ def load_table() -> list[KnotTableEntry]:
             "data/knot_table.json").read_text()
         _cache = [KnotTableEntry(**row) for row in json.loads(text)]
     return list(_cache)
-
-
-def table_names() -> list[str]:
-    return [e.name for e in load_table()]
 
 
 def entry(name: str) -> KnotTableEntry:

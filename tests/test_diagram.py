@@ -16,11 +16,12 @@ from knotcalc.errors import (
 )
 from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
 from knotcalc.table import diagram as table_diagram
-from knotcalc.table import table_names
+from knotcalc.table import load_table
 
 from canonical import _encode, canonical_form, canonical_key
 from strategies import braid_words, knot_braid_words
 
+TABLE_NAMES = [e.name for e in load_table()]
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
 HOPF = "X[4,1,3,2] X[2,3,1,4]"
@@ -216,7 +217,7 @@ def rebuilds_and_rejects_flips(d):
 
 class TestConstructor:
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(sorted(table_names())), st.integers(-2, 2))
+    @given(st.sampled_from(sorted(TABLE_NAMES)), st.integers(-2, 2))
     def test_table_cable_and_hat(self, table_diagrams, name, framing):
         d = table_diagrams[name]
         cable = cable2(d, framing)
@@ -476,7 +477,7 @@ def disguised(state, rng, half_turns=True):
 
 class TestCanonicalForm:
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from(table_names()), st.randoms(use_true_random=False))
+    @given(st.sampled_from(TABLE_NAMES), st.randoms(use_true_random=False))
     def test_unoriented_key_invariance(self, name, rng):
         state = smoothed_state(table_diagram(name), rng)
         assert canonical_form(disguised(state, rng)) == canonical_form(state)
@@ -486,7 +487,7 @@ class TestCanonicalForm:
         # also disguised: new keys and reference keys are in bijection
         rng = random.Random(3)
         states = []
-        for name in table_names():
+        for name in TABLE_NAMES:
             for _ in range(6):
                 state = smoothed_state(table_diagram(name), rng)
                 states += [state, disguised(state, rng)]
@@ -499,7 +500,7 @@ class TestCanonicalForm:
 
     def test_oriented_keys_tablewide(self):
         rng = random.Random(11)
-        for name in table_names():
+        for name in TABLE_NAMES:
             d = table_diagram(name)
             moved = Diagram.from_pd(disguised(d.crossings, rng, False))
             assert canonical_key(moved) == canonical_key(d), name

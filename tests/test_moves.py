@@ -3,8 +3,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotcalc.diagram import Diagram, _occurrences, pd_parse
-from knotcalc.errors import PatternNotFound
-from knotcalc.moves import (
+from knotcalc.moves import simplify
+from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
+from knotcalc.seifert import (alexander_from_seifert, determinant,
+                              seifert_circles, seifert_matrix, signature)
+from knotcalc.skein import SkeinMemo, conway, jones_memoized, kauffman_F
+from knotcalc.table import diagram as table_diagram
+from knotcalc.table import load_table
+
+from canonical import canonical_key
+from oracles import skein_triple
+from scramblers import (
+    PatternNotFound,
     find_r1_sites,
     find_r2_sites,
     find_r3_sites,
@@ -13,17 +23,7 @@ from knotcalc.moves import (
     reidemeister_r2_add,
     reidemeister_r2_remove,
     reidemeister_r3,
-    simplify,
 )
-from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
-from knotcalc.seifert import (alexander_from_seifert, determinant,
-                              seifert_circles, seifert_matrix, signature)
-from knotcalc.skein import (SkeinMemo, conway, jones_memoized, kauffman_F,
-                            skein_triple)
-from knotcalc.table import diagram as table_diagram
-from knotcalc.table import table_names
-
-from canonical import canonical_key
 from strategies import (braid_words, knot_braid_words, over_strand_words,
                         planted_pair_words, twisted_pair_words)
 
@@ -247,7 +247,7 @@ class TestOverStrandLinks:
         assert canonical_key(out) == canonical_key(e)
 
 
-SMALL_KNOTS = [n for n in table_names() if int(n.split("_")[0]) <= 7]
+SMALL_KNOTS = [e.name for e in load_table() if int(e.name.split("_")[0]) <= 7]
 
 
 def random_move(d, rng):

@@ -12,8 +12,9 @@ from knotcalc.polyring import (
     TwoVarPoly,
     _difference_power,
     _exp_str,
-    two_var_substitute,
 )
+
+from oracles import two_var_substitute
 
 t = LaurentPoly.t_pow
 half = Fraction(1, 2)

@@ -21,8 +21,6 @@ from knotcalc.presentations import (
     plat_wedge,
     spine_boundary_knot,
     tangle_compose,
-    tangle_double_delta,
-    tangle_mirror,
     tangle_parallel_double,
     trace_closure,
 )
@@ -33,6 +31,7 @@ from knotcalc.table import entry as table_entry
 from knotcalc.verification import KAUFFMAN_61_CORRECTED
 
 from canonical import canonical_form, canonical_key
+from scramblers import tangle_double_delta, tangle_mirror
 from strategies import braid_words
 
 
@@ -65,7 +64,7 @@ class TestBraidWords:
     def test_empty_word_is_trivial(self):
         t = braid_to_tangle(BraidWord(4, ()))
         assert t.n_crossings == 0
-        assert t.strand_permutation() == [0, 1, 2, 3]
+        assert t.top == t.bottom
 
     def test_positive_letters_make_positive_crossings(self):
         d = trace_closure(braid_to_tangle(braid_parse("s1 s1")))
@@ -182,7 +181,7 @@ class TestParallelDouble:
         eps = braid_to_tangle(BraidWord(3, ()))
         d = tangle_parallel_double(eps)
         assert d.n_top == 6 and d.n_crossings == 0
-        assert d.strand_permutation() == list(range(6))
+        assert d.top == d.bottom
 
     def test_crossing_count_quadruples(self):
         t = braid_to_tangle(braid_parse("s1 s2", 3))

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from knotcalc import seifert, skein
 from knotcalc.chords import unpack
 from knotcalc.diagram import Diagram, _erase, _rotate, pd_parse
-from knotcalc.errors import BadSite, ResourceLimit
-from knotcalc.moves import reidemeister_r1_add
-from knotcalc.polyring import GaussInt, LaurentPoly, TwoVarPoly, two_var_substitute
+from knotcalc.errors import ResourceLimit
+from knotcalc.polyring import GaussInt, LaurentPoly, TwoVarPoly
 from knotcalc.presentations import (BraidWord, braid_parse, braid_to_tangle,
                                     trace_closure)
 from knotcalc.seifert import normalize_alexander
@@ -20,15 +19,14 @@ from knotcalc.skein import (
     _unpack,
     alexander_from_conway,
     bracket_memoized,
-    bracket_state_sum,
     conway,
-    jones,
     jones_memoized,
     kauffman_F,
-    skein_triple,
-    verify_jones_skein,
 )
 
+from oracles import (BadSite, bracket_state_sum, jones, skein_triple,
+                     two_var_substitute, verify_jones_skein)
+from scramblers import reidemeister_r1_add
 from strategies import braid_words
 
 t = LaurentPoly.t_pow

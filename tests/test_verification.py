@@ -8,13 +8,16 @@ from knotcalc import verification
 from knotcalc.cable import cable2, king_substitution, king_verify, make_hat
 from knotcalc.errors import (MultiComponent, NonInvertibleImage,
                              ResidualImaginaryPart)
-from knotcalc.polyring import GaussInt, LaurentPoly, TwoVarPoly, two_var_substitute
+from knotcalc.polyring import GaussInt, LaurentPoly, TwoVarPoly
 from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
 from knotcalc.skein import jones_memoized, kauffman_F
-from knotcalc.table import diagram, table_names
+from knotcalc.table import diagram, load_table
 from knotcalc.verification import KAUFFMAN_61_PRINTED, stevedore_chain_report
 
+from oracles import two_var_substitute
 from strategies import knot_braid_words
+
+TABLE_NAMES = [e.name for e in load_table()]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +51,7 @@ def test_printed_kauffman_polynomial_fails_exactly_its_steps(monkeypatch):
     assert not bad["payload"]["all_pass"]
 
 
-@pytest.mark.parametrize("name", table_names())
+@pytest.mark.parametrize("name", TABLE_NAMES)
 def test_cabling_identity_at_framings(name):
     # the identity ties F(K) to V of the f-framed 2-cable, here at five
     # framings of every table knot; the cables of 8-crossing knots exceed
@@ -98,7 +101,7 @@ def king_by_laurent_powers(f_poly):
 
 
 def test_king_substitution_equals_laurent_route_on_the_table():
-    for name in table_names():
+    for name in TABLE_NAMES:
         knot = diagram(name)
         for d in (knot, knot.mirror()):
             f_poly = kauffman_F(d)
