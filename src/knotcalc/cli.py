@@ -332,7 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.max_crossings < 0:
+        parser.error("argument --max-crossings: a cap of "
+                     f"{args.max_crossings} is below 0")
     try:
         return args.func(args)
     except ResourceLimit as e:

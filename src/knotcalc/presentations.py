@@ -1,16 +1,18 @@
 """Braid words, tangles, plat presentations, and banded-spine boundaries.
 
-A tangle is a PD fragment: crossing records in the usual rotation
-convention (under-strand diagonal in slots 0 and 2, no orientation), plus
-ordered lists of the arcs hanging at the top and bottom boundary and a
-count of closed circles.  Tangles compose by stacking, double by the
-parallel-copy rule, and close up into oriented diagrams.  A tangle carries no orientation: the closure orients it with
-``Diagram.from_pd``'s walk, from the ends where the top arcs enter (trace
-closure, every strand running down) or, for the banded boundary, from
-no end at all.  Composition, closure and the banded boundary all join
-boundary arcs through ``diagram._glue``: under its first-wins rule a
-joined arc keeps the label of the first arc of the pair that joined it,
-and a pair whose arcs are already one closes a free circle.
+A tangle is a PD fragment, kept as given: crossing records in the usual
+rotation convention (under-strand diagonal in slots 0 and 2, no
+orientation), ordered lists of the arcs hanging at the top and bottom
+boundary, and a count of closed circles.  Tangles compose by stacking,
+double by the parallel-copy rule, and close up into oriented diagrams.
+Their arcs are checked where they are read: by the doubling's
+``diagram._check_occurrences``, and by the closure's ``Diagram.from_pd``,
+whose walk orients every strand from the ends where the top arcs enter
+(trace closure, every strand running down) or, for the banded boundary,
+from no end at all.  Composition, closure and the banded boundary all join
+boundary arcs through ``diagram._glue``: under its first-wins rule a joined
+arc keeps the label of the first arc of its pair, and a pair whose arcs are
+already one closes a free circle.
 
 Plat presentations follow the wedge-of-circles model: a braid on
 ``2*(2g+m)`` strands, capped above by ``2g+m`` arcs and closed below by a
@@ -24,9 +26,10 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from typing import Iterable, NamedTuple
 
-from .diagram import Diagram, _glue, _ints, _occurrences
+from .diagram import Diagram, _check_occurrences, _glue, _ints, _occurrences
 from .errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
@@ -117,26 +120,15 @@ def _check_strands(count: int, max_crossings: int, what: str = "strands"):
 # =====================================================================
 
 class Tangle:
-    """Unoriented PD fragment with ordered top and bottom boundary arcs."""
+    """PD fragment with ordered top and bottom boundary arcs, as given."""
 
     __slots__ = ("records", "top", "bottom", "free_loops")
 
     def __init__(self, records, top, bottom, free_loops=0):
-        self.records = tuple(tuple(int(x) for x in r) for r in records)
-        self.top = tuple(int(a) for a in top)
-        self.bottom = tuple(int(a) for a in bottom)
-        self.free_loops = int(free_loops)
-        counts: dict[int, int] = {}
-        for rec in self.records:
-            if len(rec) != 4:
-                raise DiagramSyntaxError("crossing records have four arcs")
-            for a in rec:
-                counts[a] = counts.get(a, 0) + 1
-        for a in self.top + self.bottom:
-            counts[a] = counts.get(a, 0) + 1
-        bad = {a: k for a, k in counts.items() if k != 2}
-        if bad:
-            raise DiagramSyntaxError(f"arcs with end count != 2: {bad}")
+        self.records = tuple(map(tuple, records))
+        self.top = tuple(top)
+        self.bottom = tuple(bottom)
+        self.free_loops = free_loops
 
     @property
     def n_top(self) -> int:
@@ -154,33 +146,6 @@ class Tangle:
         return (f"<Tangle {self.n_top}+{self.n_bottom} endpoints, "
                 f"{self.n_crossings} crossings>")
 
-    def arcs(self) -> set[int]:
-        out = set(self.top) | set(self.bottom)
-        for rec in self.records:
-            out.update(rec)
-        return out
-
-    def _ends(self) -> dict[int, list[tuple]]:
-        """Each arc's two ends; an end is ('x', i, s), ('t', k) or ('b', k)."""
-        ends: dict[int, list[tuple]] = {}
-        for i, rec in enumerate(self.records):
-            for s, a in enumerate(rec):
-                ends.setdefault(a, []).append(("x", i, s))
-        for k, a in enumerate(self.top):
-            ends.setdefault(a, []).append(("t", k))
-        for k, a in enumerate(self.bottom):
-            ends.setdefault(a, []).append(("b", k))
-        return ends
-
-
-def _relabeled(t: Tangle, offset: int) -> Tangle:
-    return Tangle(
-        [tuple(a + offset for a in rec) for rec in t.records],
-        [a + offset for a in t.top],
-        [a + offset for a in t.bottom],
-        t.free_loops,
-    )
-
 
 def braid_to_tangle(b: BraidWord) -> Tangle:
     """One crossing per letter; positive letters give positive crossings
@@ -189,7 +154,6 @@ def braid_to_tangle(b: BraidWord) -> Tangle:
     current = list(range(1, n + 1))
     fresh = n + 1
     records = []
-    top = tuple(current)
     for letter in b.letters:
         i = abs(letter) - 1
         left_in, right_in = current[i], current[i + 1]
@@ -201,19 +165,20 @@ def braid_to_tangle(b: BraidWord) -> Tangle:
         else:
             records.append((right_in, left_in, out_left, out_right))
         current[i], current[i + 1] = out_left, out_right
-    return Tangle(records, top, current)
+    return Tangle(records, range(1, n + 1), current)
 
 
 def tangle_compose(t1: Tangle, t2: Tangle) -> Tangle:
-    """Stack t1 on top of t2, fusing t1's bottom to t2's top."""
+    """Stack t1 on top of t2, fusing t1's bottom to t2's shifted top."""
     if t1.n_bottom != t2.n_top:
         raise StrandMismatch(
             f"cannot stack {t1.n_bottom} strand ends on {t2.n_top}")
-    t2r = _relabeled(t2, max(t1.arcs(), default=0))
-    records, rename, closed = _glue(t1.records + t2r.records,
-                                    zip(t1.bottom, t2r.top))
+    off = max(chain(t1.top, t1.bottom, *t1.records), default=0)
+    records, rename, closed = _glue(
+        t1.records + tuple(tuple(a + off for a in rec) for rec in t2.records),
+        zip(t1.bottom, (a + off for a in t2.top)))
     return Tangle(records, [rename.get(a, a) for a in t1.top],
-                  [rename.get(a, a) for a in t2r.bottom],
+                  [rename.get(a + off, a + off) for a in t2.bottom],
                   t1.free_loops + t2.free_loops + closed)
 
 
@@ -238,42 +203,26 @@ def tangle_parallel_double(t: Tangle) -> Tangle:
     """Replace every arc by two blackboard-parallel copies; each crossing
     becomes a 2x2 block of four crossings of the same sign.
 
-    Lane bookkeeping: at every arc end the two lanes are ordered
-    (side 0, side 1); along an arc side 0 at one end continues into
-    side 1 at the other.  Top boundary positions expand to (side 0,
-    side 1) left to right, bottom positions to (side 1, side 0).
+    Lanes: at every arc end the two lanes are ordered (side 0, side 1),
+    and side 0 at one end continues into side 1 at the other.  The k-th
+    arc in label order gets lanes (2k+1, 2k+2) at its first end in
+    ``diagram._check_occurrences`` order (the top is record n, the bottom
+    record n + 1) and (2k+2, 2k+1) at its second; record i's middle arcs
+    are the next four labels.  Top positions expand to (side 0, side 1),
+    bottom positions to (side 1, side 0).
     """
-    ends = t._ends()
-    lane_pair: dict[tuple[int, tuple], tuple[int, int]] = {}
-    counter = [1]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    for a in sorted(ends):
-        e1, e2 = ends[a]
-        l0, l1 = fresh(), fresh()
-        lane_pair[(a, e1)] = (l0, l1)
-        lane_pair[(a, e2)] = (l1, l0)
-
-    records = []
-    for i, rec in enumerate(t.records):
-        records.extend(double_block(
-            lane_pair[(rec[0], ("x", i, 0))],
-            lane_pair[(rec[1], ("x", i, 1))],
-            lane_pair[(rec[2], ("x", i, 2))],
-            lane_pair[(rec[3], ("x", i, 3))],
-            (fresh(), fresh(), fresh(), fresh()),
-        ))
-    top = []
-    for k, a in enumerate(t.top):
-        s0, s1 = lane_pair[(a, ("t", k))]
-        top.extend([s0, s1])
-    bottom = []
-    for k, a in enumerate(t.bottom):
-        s0, s1 = lane_pair[(a, ("b", k))]
-        bottom.extend([s1, s0])
+    if any(len(rec) != 4 for rec in t.records):
+        raise DiagramSyntaxError("crossing records have four arcs")
+    n = t.n_crossings
+    occ = _check_occurrences(t.records + (t.top, t.bottom))
+    lanes = {end: (2 * k + 1 + j, 2 * k + 2 - j) for k, a in
+             enumerate(sorted(occ)) for j, end in enumerate(occ[a])}
+    mid = 2 * len(occ) + 1
+    records = [r for i in range(n) for r in double_block(
+        lanes[i, 0], lanes[i, 1], lanes[i, 2], lanes[i, 3],
+        range(mid + 4 * i, mid + 4 * i + 4))]
+    top = [x for k in range(t.n_top) for x in lanes[n, k]]
+    bottom = [x for k in range(t.n_bottom) for x in lanes[n + 1, k][::-1]]
     return Tangle(records, top, bottom, 2 * t.free_loops)
 
 

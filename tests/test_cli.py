@@ -43,6 +43,18 @@ def test_crossing_cap_exits_3(capsys):
     assert "ResourceLimit" in capsys.readouterr().err
 
 
+def test_negative_cap_is_an_input_error(capsys):
+    argv = ["--max-crossings", "-3", "invariants", "O", "--which", "conway"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error:" in err and "--max-crossings" in err
+    # a cap of 0 admits a diagram without crossings
+    argv[1] = "0"
+    assert cli.main(argv) == cli.EXIT_OK
+
+
 def test_verify_paper_respects_the_cap(capsys):
     # the 0-framed 2-cable of 6_1 has 28 crossings
     argv = ["--max-crossings", "20", "verify-paper"]

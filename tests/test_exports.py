@@ -3,7 +3,7 @@ module imports is used, every private module-level function has a
 reader, and the package runs with only ``src/`` on the path."""
 
 import ast
-from collections import Counter
+import functools
 import importlib
 import os
 import pkgutil
@@ -60,39 +60,18 @@ def test_no_unused_imports():
     assert [u for p in paths for u in _unused_imports(p)] == []
 
 
-def _names_read(tree) -> list[str]:
-    """Names, attributes and imported names that ``tree`` refers to."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.append(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.append(node.attr)
-        elif isinstance(node, ast.alias):
-            out.append(node.name)
-    return out
+SRC = sorted((ROOT / "src").rglob("*.py"))
 
 
-def test_every_private_helper_has_a_reader():
-    # a module-level ``def _name`` in src/knotcalc must be referred to by
-    # name somewhere in src/ outside its own body
-    trees = {p: ast.parse(p.read_text())
-             for p in sorted((ROOT / "src").rglob("*.py"))}
-    read = Counter(n for tree in trees.values() for n in _names_read(tree))
-    dead = [f"{p.relative_to(ROOT).as_posix()}:{node.lineno} {node.name}"
-            for p, tree in trees.items() if "knotcalc" in p.parts
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef)
-            and node.name.startswith("_") and not node.name.endswith("__")
-            and read[node.name] == _names_read(node).count(node.name)]
-    assert dead == []
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text())
 
 
-# exported with no reader yet, each kept for an open ROADMAP item
-UNREAD_EXPORTS = {
-    ("presentations", "plat_wedge"),      # item 4: J' tied into a band
-    ("seifert", "elementary_enlarge"),    # item 5: the band surface's form
-}
+def _module(path: Path) -> str:
+    """Dotted name of a module under src/, e.g. ``knotcalc.skein``."""
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 def _binds(node, name) -> bool:
@@ -106,34 +85,77 @@ def _binds(node, name) -> bool:
     return False
 
 
+def _reads(path: Path) -> set[tuple[str, str]]:
+    """The (module, name) pairs that the file reads: a load of a name of
+    its own module outside the statement that binds it, a name imported
+    from a package module (``from .mod import name``), and ``m.name``
+    where an import binds ``m`` to a package module (``from knotcalc
+    import skein``, ``from . import table as table_mod``)."""
+    tree = _tree(path)
+    own = _module(path) if path.is_relative_to(ROOT / "src") else ""
+    package = own if path.stem == "__init__" else own.rpartition(".")[0]
+    bound = {}   # local name -> the package module an import binds to it
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:   # the package has no subpackages
+                source = f"{package}.{source}" if source else package
+            for a in node.names:
+                if f"{source}.{a.name}" in MODULES:
+                    bound[a.asname or a.name] = f"{source}.{a.name}"
+                else:
+                    out.add((source, a.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            out.add((bound[node.value.id], node.attr))
+    for stmt in tree.body if own else ():
+        out.update((own, n.id) for n in ast.walk(stmt)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                   and not _binds(stmt, n.id))
+    return out
+
+
+def test_every_private_helper_has_a_reader():
+    # a module-level ``def _name`` in src/knotcalc must be read in src/:
+    # loaded in its own module outside its own body, imported from it, or
+    # read as an attribute of the module
+    read = set().union(*map(_reads, SRC))
+    dead = [f"{p.relative_to(ROOT).as_posix()}:{node.lineno} {node.name}"
+            for p in SRC if "knotcalc" in p.parts for node in _tree(p).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and (_module(p), node.name) not in read]
+    assert dead == []
+
+
+# exported with no reader yet, each kept for an open ROADMAP item
+UNREAD_EXPORTS = {
+    ("knotcalc.presentations", "plat_wedge"),   # item 4: J' tied into a band
+    ("knotcalc.seifert", "elementary_enlarge"),  # item 5: the band surface
+}
+
+
 def test_every_export_has_a_reader():
-    # each name in a src/knotcalc module's __all__ must be referred to in
-    # src/ outside the statement that binds it, or in a non-test file of
-    # perfbench/.  Only the root of a chain of test-only functions shows:
-    # one read by another unread one passes (the state-sum ``jones``
-    # reads ``bracket_state_sum``), and so does a name that only shares
-    # its identifier with a field or attribute.  So this check keeps new
-    # unread exports out, but what moved to tests/ was chosen by a census
-    # of the functions that the commands and the benchmark enter.
-    trees = {p: ast.parse(p.read_text())
-             for p in sorted((ROOT / "src").rglob("*.py"))}
-    bench = [ast.parse(p.read_text())
-             for p in sorted((ROOT / "perfbench").glob("*.py"))
+    # each name in a src/knotcalc module's __all__ must be read, as
+    # ``_reads`` resolves reads, in src/ or in a non-test file of
+    # perfbench/.  A field or attribute that only shares the name's
+    # spelling is no read.  Only the root of a chain of test-only
+    # functions shows: one read by another unread one passes.  So this
+    # check keeps new unread exports out, but what moved to tests/ was
+    # chosen by a census of the functions that the commands and the
+    # benchmark enter.
+    bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
              if not p.name.startswith("test_")]
-    read = Counter(n for tree in [*trees.values(), *bench]
-                   for n in _names_read(tree))
-    unread = set()
-    for p, tree in trees.items():
-        module = p.stem
-        exported = [ast.literal_eval(node.value) for node in tree.body
-                    if isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "__all__"
-                            for t in node.targets)]
-        for name in (exported[0] if exported else []):
-            own = sum(_names_read(node).count(name) for node in tree.body
-                      if _binds(node, name))
-            if read[name] == own:
-                unread.add((module, name))
+    read = set().union(*map(_reads, SRC + bench))
+    unread = {(_module(p), name) for p in SRC for node in _tree(p).body
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)
+              for name in ast.literal_eval(node.value)
+              if (_module(p), name) not in read}
     assert unread == UNREAD_EXPORTS
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
+from knotcalc.cable import cable2, make_hat
 from knotcalc.errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
@@ -12,6 +13,7 @@ from knotcalc.errors import (
     StrandMismatch,
 )
 from knotcalc.moves import simplify
+from knotcalc.polyring import LaurentPoly
 from knotcalc.presentations import (
     BraidWord,
     PlatPresentation,
@@ -27,6 +29,7 @@ from knotcalc.presentations import (
 from knotcalc.seifert import (alexander_from_seifert, seifert_matrix,
                               seifert_surface_genus, signature)
 from knotcalc.skein import jones_memoized, kauffman_F
+from knotcalc.table import diagram as table_diagram
 from knotcalc.table import entry as table_entry
 from knotcalc.verification import KAUFFMAN_61_CORRECTED
 
@@ -202,6 +205,57 @@ class TestParallelDouble:
             a = trace_closure(tangle_parallel_double(tangle_mirror(t)))
             b = trace_closure(tangle_mirror(tangle_parallel_double(t)))
             assert canonical_form(a.crossings) == canonical_form(b.crossings)
+
+
+class TestMalformedTangle:
+    # a tangle is kept as given; its arcs are checked where it is doubled
+    # or closed, and a malformed one fails there with a typed error (an
+    # arc with a single end raises DanglingArc)
+    @pytest.mark.parametrize("records, top, bottom, use", [
+        ([(1, 2, 3, 4)], [1, 2], [3, 5], tangle_parallel_double),
+        ([(1, 2, 3, 4)], [1, 2], [3, 5], trace_closure),
+        # every arc has two ends, so only the four-arc check sees it
+        ([(1, 2, 3)], [1, 2], [3], tangle_parallel_double),
+        ([(1, 2, 3)], [1, 2], [3, 4], trace_closure),
+    ])
+    def test_fails_typed(self, records, top, bottom, use):
+        with pytest.raises(DiagramSyntaxError):
+            use(Tangle(records, top, bottom))
+
+
+class TestConstructionLabels:
+    # the exact PD records of the constructions, as the doubling's lane
+    # rule names them; any relabeling shows here
+    def test_trefoil_cable_and_hat(self):
+        cab = cable2(table_diagram("3_1"), 1)
+        assert cab.diagram.crossings == (
+            (1, 18, 15, 10), (15, 17, 4, 9), (2, 7, 16, 18), (16, 8, 3, 17),
+            (5, 22, 19, 1), (19, 21, 7, 2), (6, 13, 20, 22), (20, 14, 8, 21),
+            (10, 26, 23, 5), (23, 25, 12, 6), (9, 4, 24, 26),
+            (24, 3, 11, 25), (11, 29, 30, 12), (29, 31, 32, 30),
+            (31, 33, 34, 32), (33, 35, 36, 34), (35, 37, 38, 36),
+            (37, 39, 40, 38), (39, 41, 42, 40), (41, 14, 13, 42))
+        assert cab.diagram.over_in == (1,) * 12 + (3,) * 8
+        hat = make_hat(cab)
+        assert hat.diagram.crossings == (
+            (1, 18, 15, 10), (15, 17, 4, 9), (16, 18, 2, 7), (3, 17, 16, 8),
+            (5, 22, 19, 1), (19, 21, 7, 2), (20, 22, 6, 13), (8, 21, 20, 14),
+            (10, 26, 23, 5), (23, 25, 12, 6), (24, 26, 9, 4),
+            (11, 25, 24, 3), (30, 12, 11, 29), (29, 31, 32, 30),
+            (34, 32, 31, 33), (33, 35, 36, 34), (38, 36, 35, 37),
+            (37, 39, 40, 38), (42, 40, 39, 41), (41, 14, 13, 42))
+        assert hat.diagram.over_in == (1, 3, 3, 1) * 3 + (1,) * 8
+
+    def test_curled_genus_one_plat_boundary(self):
+        p = plat_wedge(1, 0, braid_parse("s2", 4), (1, 1))
+        d = spine_boundary_knot(p)
+        assert d.crossings == (
+            (2, 1, 9, 10), (5, 12, 10, 9), (28, 5, 13, 14), (15, 16, 14, 13),
+            (1, 32, 29, 15), (29, 31, 28, 16), (30, 32, 2, 12),
+            (26, 31, 30, 26))
+        assert d.over_in == (3, 3, 3, 3, 1, 3, 3, 1)
+        assert jones_memoized(d) == LaurentPoly.from_terms(
+            [(1, 1), (3, 1), (4, -1)])  # t + t^3 - t^4
 
 
 class TestPlat:
