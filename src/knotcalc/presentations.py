@@ -5,14 +5,15 @@ rotation convention (under-strand diagonal in slots 0 and 2, no
 orientation), ordered lists of the arcs hanging at the top and bottom
 boundary, and a count of closed circles.  Tangles compose by stacking,
 double by the parallel-copy rule, and close up into oriented diagrams.
-Their arcs are checked where they are read: by the doubling's
-``diagram._check_occurrences``, and by the closure's ``Diagram.from_pd``,
-whose walk orients every strand from the ends where the top arcs enter
-(trace closure, every strand running down) or, for the banded boundary,
-from no end at all.  Composition, closure and the banded boundary all join
-boundary arcs through ``diagram._glue``: under its first-wins rule a joined
-arc keeps the label of the first arc of its pair, and a pair whose arcs are
-already one closes a free circle.
+Their arcs are checked where they are read: by
+``diagram._check_occurrences`` over the records and both boundaries in
+the doubling and the trace closure, and by the closure's
+``Diagram.from_pd``, whose walk orients every strand from the ends where
+the top arcs enter (trace closure, every strand running down) or, for
+the banded boundary, from no end at all.  Composition, closure and the
+banded boundary all join boundary arcs through ``diagram._glue``: under
+its first-wins rule a joined arc keeps the label of the first arc of its
+pair, and a pair whose arcs are already one closes a free circle.
 
 Plat presentations follow the wedge-of-circles model: a braid on
 ``2*(2g+m)`` strands, capped above by ``2g+m`` arcs and closed below by a
@@ -29,7 +30,7 @@ import re
 from itertools import chain
 from typing import Iterable, NamedTuple
 
-from .diagram import Diagram, _check_occurrences, _glue, _ints, _occurrences
+from .diagram import Diagram, _check_occurrences, _glue, _ints
 from .errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
@@ -237,11 +238,14 @@ def trace_closure(t: Tangle) -> Diagram:
     top cannot run down and raises InconsistentOrientation."""
     if t.n_top != t.n_bottom:
         raise StrandMismatch("trace closure needs equal boundary counts")
+    n = t.n_crossings
+    # the top is record n and the bottom record n + 1, so an arc with a
+    # single end fails here even when that end is on the boundary
+    occ = _check_occurrences(t.records + (t.top, t.bottom))
     records, _, closed = _glue(t.records, zip(t.top, t.bottom))
-    occ = _occurrences(t.records)
     return Diagram.from_pd(records, t.free_loops + closed,
                            entering=[end for a in t.top
-                                     for end in occ.get(a, ())])
+                                     for end in occ[a] if end[0] < n])
 
 
 # =====================================================================

@@ -4,7 +4,11 @@ The bracket, and with it Jones, comes from a frontier sweep,
 ``_sweep_states``: the crossings are smoothed one at a time, in an order
 that keeps few arcs open, and a state is the matching that the smoothed
 strands make of the open arcs, carrying a polynomial in A with ``int``
-coefficients.  Each smoothing contributes ``A`` or ``A^-1`` and each
+coefficients.  The order is planned first, and in the same walk each arc
+gets a slot, reused once the arc is closed, so a state is a plain tuple
+over the slots that names each open arc's far end (Bar-Natan's
+boundary-keeping sweep, "Fast Khovanov homology computations", JKTR 16,
+2007).  Each smoothing contributes ``A`` or ``A^-1`` and each
 closed circle ``delta = -A^2 - A^-2``; the sum is divided by ``delta``
 once and multiplied by ``delta`` per free loop.  The cost grows with the
 number of matchings, which the number of open arcs bounds, not with the
@@ -58,8 +62,6 @@ while reaching it.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 from .chords import CIRCLE, ONE, chord_sweep, unpack
 from .diagram import Diagram, _glue, _occurrences, _reduce, _split_pieces
@@ -132,35 +134,52 @@ def _check_cap(n_crossings: int, max_crossings: int, free_loops: int = 0):
 # bracket and Jones
 # =====================================================================
 
-def _sweep_order(records) -> list[int]:
-    """Record indices in sweep order: next the record that closes the most
-    open arcs, ties to the lower index.  An arc is open while exactly one
-    of its two ends lies in a swept record."""
+def _sweep_plan(records) -> tuple[int, list[tuple[tuple, tuple]]]:
+    """The slot count and the steps of the bracket sweep.  Next comes the
+    record that closes the most open arcs, ties to the lower index; an arc
+    is open while exactly one of its two ends lies in a swept record.  An
+    arc met for the first time takes a freed slot, else a new one.  A step
+    is a record's four slots and the slots it closes, an arc with both
+    ends there among them; these are freed only after the record."""
     occ = _occurrences(records)
     closes = [0] * len(records)  # open arcs each record holds
     left = list(range(len(records)))
-    open_arcs: set[int] = set()
-    order = []
+    slot_of: dict[int, int] = {}  # open arc -> its slot
+    free: list[int] = []
+    n_slots = 0
+    plan = []
     while left:
         i = max(left, key=closes.__getitem__)
         left.remove(i)
-        order.append(i)
+        slots, closed = [], []
         for a in records[i]:
-            step = -1 if a in open_arcs else 1
-            open_arcs ^= {a}
+            if a in slot_of:
+                s = slot_of.pop(a)
+                closed.append(s)
+                step = -1
+            else:
+                s = slot_of[a] = free.pop() if free else n_slots
+                n_slots = max(n_slots, s + 1)
+                step = 1
+            slots.append(s)
             for j, _ in occ[a]:
                 closes[j] += step
-    return order
+        plan.append((tuple(slots), tuple(closed)))
+        free += closed
+    return n_slots, plan
 
 
 def _sweep_states(records) -> tuple[int, int, int]:
     """The state sum of A^(#A - #B) delta^circles over all smoothings, as
     ``(lo, p, width)``: ``A^lo q(A^2)`` with ``p = q(256^width)``.
 
-    The records are swept in ``_sweep_order``.  After each record the
-    smoothed strands of the swept records pair up the open arcs; a state
-    is that matching, the open arcs' partners in ascending arc order, and
-    it carries the sum of the weights of the smoothings that reach it.
+    The records are swept in the order of ``_sweep_plan``.  After each
+    record the smoothed strands of the swept records pair up the open
+    arcs; a state is that matching, a tuple over the slots whose entry
+    ``s`` is the slot of the far end of the arc in slot ``s``, and it
+    carries the sum of the weights of the smoothings that reach it.  A
+    free slot holds its own index, so an arc met for the first time is
+    its own far end.
 
     A state's sum is held the same way, as ``(lo, p)``.  Every exponent
     of a state has the parity of the number of records swept, so steps
@@ -174,50 +193,48 @@ def _sweep_states(records) -> tuple[int, int, int]:
     width = (3 * len(records) + 9) // 8
     x2 = 1 << 16 * width  # A^4, two slots up
     times_delta = (1, -1 - x2, 1 + 2 * x2 + x2 * x2)  # (-1 - A^4)^loops
-    states = {(): (0, 1)}
-    frontier: tuple = ()
-    open_arcs: set[int] = set()
-    for i in _sweep_order(records):
-        a, b, c, d = rec = records[i]
-        for arc in rec:
-            open_arcs ^= {arc}
-        swept = tuple(sorted(open_arcs))
-        # the open arcs' partners in ``swept`` order; no frontier is odd
-        pick = itemgetter(*swept) if swept else lambda partner: ()
+    n_slots, plan = _sweep_plan(records)
+    start = tuple(range(n_slots))
+    states = {start: (0, 1)}
+    for (a, b, c, d), closed in plan:
         # the A-smoothing joins a~b and c~d, the B-smoothing a~d and b~c
         smoothings = ((((a, b), (c, d)), 1), (((a, d), (b, c)), -1))
         nxt: dict[tuple, tuple[int, int]] = {}
         get = nxt.get
         for key, (lo, p) in states.items():
-            matched = dict(zip(frontier, key))
             for joins, shift in smoothings:
-                partner = matched.copy()
+                partner = list(key)
                 loops = 0
                 for x, y in joins:
                     if x == y:  # an arc with both ends here closes on itself
                         loops += 1
                         continue
-                    # the far end of the strand on each side; a first-met
-                    # arc is its own far end
-                    ex = partner.pop(x, x)
+                    # the far end of the strand on each side
+                    ex = partner[x]
                     if ex == y:  # x and y end one strand
-                        del partner[y]
                         loops += 1
                         continue
-                    ey = partner.pop(y, y)
-                    partner[ex], partner[ey] = ey, ex
-                new = pick(partner)
-                e, q = lo + shift - 2 * loops, p * times_delta[loops]
+                    ey = partner[y]
+                    partner[ex] = ey
+                    partner[ey] = ex
+                for s in closed:
+                    partner[s] = s
+                new = tuple(partner)
+                e = lo + shift - 2 * loops
+                q = p * times_delta[loops] if loops else p
                 old = get(new)
                 if old is None:
                     nxt[new] = (e, q)
                 else:  # shift the higher sum up to the lower one's slots
                     e0, q0 = old
+                    if e == e0:
+                        nxt[new] = (e, q0 + q)
+                        continue
                     if e < e0:
                         e, q, e0, q0 = e0, q0, e, q
                     nxt[new] = (e0, q0 + (q << 4 * width * (e - e0)))
-        states, frontier = nxt, swept
-    return (*states[()], width)
+        states = nxt
+    return (*states[start], width)
 
 
 def _unpack(lo: int, p: int, width: int) -> dict[int, int]:

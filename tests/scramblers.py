@@ -20,7 +20,8 @@ R2 and R3 are regular moves; R1 changes the writhe and every application
 reports whether it was regular.  The removers erase their crossings with
 ``diagram._erase``, both strands run through, as ``moves.simplify`` does,
 and rebuild the diagram from the kept records with their ``over_in``
-slots, so every component keeps its direction.
+slots, so every component keeps its direction.  ``random_move`` makes
+one R3, R1 or R2 addition at a random site.
 
 ``tangle_double_delta`` stacks a braid tangle on its mirror image; the
 closure of the result reduces by ``moves.simplify`` to crossing-free
@@ -226,6 +227,21 @@ def reidemeister_r3(d: Diagram, site: R3Site) -> MoveResult:
         recs[ci] = list(_rotate(tuple(recs[ci]), 2))
     return MoveResult(Diagram(recs, over, d.free_loops, _validated=False),
                       "R3", True)
+
+
+def random_move(d, rng):
+    """One move at a random site: R3 half the time the diagram has a site
+    for it, else R1+ or R2+."""
+    r3_sites = find_r3_sites(d)
+    if r3_sites and rng.random() < 0.5:
+        return reidemeister_r3(d, rng.choice(r3_sites)).diagram
+    if rng.random() < 0.5:
+        arc = rng.choice(sorted(d.arcs))
+        return reidemeister_r1_add(d, arc, rng.choice((1, -1))).diagram
+    face = rng.choice([f for f in d.faces() if len({a for a, _ in f}) > 1])
+    dart_x = rng.choice(face)
+    dart_y = rng.choice([y for y in face if y[0] != dart_x[0]])
+    return reidemeister_r2_add(d, dart_x, dart_y, rng.random() < 0.5).diagram
 
 
 # ------------------------------------------------------------------ tangles

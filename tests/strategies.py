@@ -1,6 +1,5 @@
 """Hypothesis strategies shared by the test modules."""
 
-from hypothesis import assume
 from hypothesis import strategies as st
 
 from knotcalc.presentations import BraidWord
@@ -78,27 +77,45 @@ def twisted_pair_words(draw, max_letters=8, strands=(3, 4, 5, 6)):
 @st.composite
 def over_strand_words(draw, max_letters=10, strands=(3, 4, 5)):
     """Words whose closure is a link with a component that is never the
-    under strand.  A cycle of the braid permutation is drawn, and every
-    letter that meets one of its strands gets the sign that puts that
-    strand over: a positive letter carries the strand moving left over,
-    a negative one the strand moving right.  Words with a letter that
-    meets two strands of the cycle, or none, are rejected."""
+    under strand.  A cycle of the braid permutation that no letter meets
+    twice is drawn, and every letter that meets one of its strands gets
+    the sign that puts that strand over: a positive letter carries the
+    strand moving left over, a negative one the strand moving right.
+    A drawn cycle that no letter meets is a strand standing still, which
+    two letters s_j s_j beside it carry out and back; a word with no such
+    cycle gets a new strand on the right, carried out and back the same
+    way."""
     word = draw(braid_words(max_letters, strands))
+    n, letters = word.strands, word.letters
     perm = word.permutation()
-    k = draw(st.integers(0, word.strands - 1))
-    cycle, j = {k}, perm[k]
-    while j != k:
-        cycle.add(j)
-        j = perm[j]
-    pos = list(range(word.strands))  # strand at each position
-    letters = []
-    met = False
-    for letter in word.letters:
+    meets = []  # the two strands, by their top position, each letter meets
+    pos = list(range(n))  # strand at each position
+    for letter in letters:
+        i = abs(letter) - 1
+        meets.append((pos[i], pos[i + 1]))
+        pos[i], pos[i + 1] = pos[i + 1], pos[i]
+    cycles, seen = [], set()
+    for k in range(n):
+        if k not in seen:
+            cycle, j = {k}, perm[k]
+            while j != k:
+                cycle.add(j)
+                j = perm[j]
+            seen |= cycle
+            if not any(x in cycle and y in cycle for x, y in meets):
+                cycles.append(cycle)
+    if cycles:
+        cycle = draw(st.sampled_from(cycles))
+    else:
+        cycle, n = {n}, n + 1
+    if not any(x in cycle or y in cycle for x, y in meets):
+        (k,) = cycle
+        letters += (min(k + 1, n - 1),) * 2
+    pos = list(range(n))
+    out = []
+    for letter in letters:
         i = abs(letter) - 1
         left, right = pos[i] in cycle, pos[i + 1] in cycle
-        assume(not (left and right))
-        met = met or left or right
-        letters.append(-(i + 1) if left else i + 1 if right else letter)
+        out.append(-(i + 1) if left else i + 1 if right else letter)
         pos[i], pos[i + 1] = pos[i + 1], pos[i]
-    assume(met)
-    return BraidWord(word.strands, tuple(letters))
+    return BraidWord(n, tuple(out))

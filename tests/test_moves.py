@@ -18,6 +18,7 @@ from scramblers import (
     find_r1_sites,
     find_r2_sites,
     find_r3_sites,
+    random_move,
     reidemeister_r1_add,
     reidemeister_r1_remove,
     reidemeister_r2_add,
@@ -248,21 +249,6 @@ class TestOverStrandLinks:
 
 
 SMALL_KNOTS = [e.name for e in load_table() if int(e.name.split("_")[0]) <= 7]
-
-
-def random_move(d, rng):
-    """One move at a random site: R3 half the time the diagram has a site
-    for it, else R1+ or R2+."""
-    r3_sites = find_r3_sites(d)
-    if r3_sites and rng.random() < 0.5:
-        return reidemeister_r3(d, rng.choice(r3_sites)).diagram
-    if rng.random() < 0.5:
-        arc = rng.choice(sorted(d.arcs))
-        return reidemeister_r1_add(d, arc, rng.choice((1, -1))).diagram
-    face = rng.choice([f for f in d.faces() if len({a for a, _ in f}) > 1])
-    dart_x = rng.choice(face)
-    dart_y = rng.choice([y for y in face if y[0] != dart_x[0]])
-    return reidemeister_r2_add(d, dart_x, dart_y, rng.random() < 0.5).diagram
 
 
 def link_invariants(d):

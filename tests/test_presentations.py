@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from knotcalc.cable import cable2, make_hat
 from knotcalc.errors import (
+    DanglingArc,
     DiagramSyntaxError,
     DisconnectedBoundary,
     ExtraComponents,
@@ -221,6 +222,13 @@ class TestMalformedTangle:
     def test_fails_typed(self, records, top, bottom, use):
         with pytest.raises(DiagramSyntaxError):
             use(Tangle(records, top, bottom))
+
+    def test_arc_ending_only_on_the_boundary_dangles(self):
+        # arc 5 has its one end at the top and arc 6 at the bottom; the
+        # closure joins them, so only an end count over the records and
+        # both boundaries sees them
+        with pytest.raises(DanglingArc, match="arc 5 occurs 1 times"):
+            trace_closure(Tangle([(1, 2, 3, 4)], [1, 2, 5], [3, 4, 6]))
 
 
 class TestConstructionLabels:

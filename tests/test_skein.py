@@ -26,7 +26,7 @@ from knotcalc.skein import (
 
 from oracles import (BadSite, bracket_state_sum, jones, skein_triple,
                      two_var_substitute, verify_jones_skein)
-from scramblers import reidemeister_r1_add
+from scramblers import random_move, reidemeister_r1_add
 from strategies import braid_words
 
 t = LaurentPoly.t_pow
@@ -267,6 +267,25 @@ class TestKernelProperties:
     @given(braid_words(10, strands=(3, 4, 5, 6)))
     def test_sweep_equals_state_sum_on_links(self, word):
         d = trace_closure(braid_to_tangle(word))
+        assert bracket_memoized(d) == bracket_state_sum(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(6, strands=(2, 3, 4)),
+           st.none() | braid_words(4, strands=(2, 3)), st.integers(0, 3),
+           st.randoms(use_true_random=False))
+    def test_sweep_equals_state_sum_on_scrambled_closures(self, word, other,
+                                                          moves, rng):
+        # R1 and R2 additions put kinks and arcs with both ends at one
+        # record in mid-sweep, and a disjoint union empties the frontier
+        # before its second piece, whose arcs then take freed slots; 12
+        # crossings keep the state sum fast, well under its cap
+        d = trace_closure(braid_to_tangle(word))
+        if other is not None:
+            d = d.disjoint_union(trace_closure(braid_to_tangle(other)))
+        for _ in range(moves):
+            if d.n_crossings + 2 > 12:
+                break
+            d = random_move(d, rng)
         assert bracket_memoized(d) == bracket_state_sum(d)
 
     @settings(max_examples=60, deadline=None)
