@@ -14,6 +14,9 @@ Kauffman polynomial of a knot to the Jones polynomial of its 2-cable:
     t^f (1 + t + t^-1) F(i t^-2, i(t - t^-1))
         = -(t^1/2 + t^-1/2) V(K~) - t^3f
 
+``king_sides`` writes its two sides from an F already substituted by
+``king_substitution``.
+
 ``jprime_chain`` evaluates the two-step skein derivation that produces
 the Jones polynomial of the genus-one double from ``V(K^)``:
 
@@ -40,6 +43,7 @@ __all__ = [
     "cable2",
     "make_hat",
     "king_substitution",
+    "king_sides",
     "king_verify",
     "jprime_chain",
 ]
@@ -131,13 +135,20 @@ def king_substitution(f_poly: TwoVarPoly) -> LaurentPoly:
     return LaurentPoly(real)
 
 
+def king_sides(substituted: LaurentPoly, v_tilde: LaurentPoly,
+               framing: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The two sides of the cabling identity for (``king_substitution``
+    of F of the companion, V of the 2-cable, framing)."""
+    lhs = (_T(framing) * (LaurentPoly.one() + _T(1) + _T(-1))) * substituted
+    rhs = (-(_T(Fraction(1, 2)) + _T(Fraction(-1, 2)))) * v_tilde \
+        - _T(3 * framing)
+    return lhs, rhs
+
+
 def king_verify(f_poly: TwoVarPoly, v_tilde: LaurentPoly, framing: int) -> bool:
     """Exact check of the cabling identity for (F of the companion,
     V of the 2-cable, framing)."""
-    lhs = (_T(framing) * (LaurentPoly.one() + _T(1) + _T(-1))
-           * king_substitution(f_poly))
-    rhs = (-(_T(Fraction(1, 2)) + _T(Fraction(-1, 2)))) * v_tilde \
-        - _T(3 * framing)
+    lhs, rhs = king_sides(king_substitution(f_poly), v_tilde, framing)
     return lhs == rhs
 
 

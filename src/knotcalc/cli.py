@@ -52,7 +52,7 @@ from fractions import Fraction
 
 from . import table as table_mod
 from .cable import cable2, king_verify, make_hat
-from .diagram import Diagram, pd_parse
+from .diagram import Diagram, _load_json, pd_parse
 from .errors import KnotError, ResourceLimit
 from .polyring import LaurentPoly
 from .presentations import (PlatPresentation, _check_strands, braid_parse,
@@ -93,8 +93,7 @@ def _load_input(text_or_path: str, max_crossings: int) -> Diagram:
     if not text:
         raise KnotError("empty input")
     if text.startswith("{"):
-        data = json.loads(text)
-        if "genus" in data:
+        if "genus" in _load_json(text, "input"):
             return spine_boundary_knot(
                 PlatPresentation.from_json(text, max_crossings))
         return Diagram.from_json(text)

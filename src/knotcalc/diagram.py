@@ -387,11 +387,11 @@ class Diagram:
 
     @classmethod
     def from_json(cls, text: str) -> "Diagram":
+        data = _load_json(text, "diagram")
         try:
-            data = json.loads(text)
             crossings = data["crossings"]
             free_loops = data.get("free_loops", 0)
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (KeyError, TypeError) as e:
             raise DiagramSyntaxError(f"bad diagram JSON: {e}") from e
         if not (isinstance(crossings, list) and _ints([free_loops])
                 and all(isinstance(r, list) and _ints(r) for r in crossings)):
@@ -399,6 +399,15 @@ class Diagram:
                 "bad diagram JSON: crossings must be a list of integer "
                 "records and free_loops an integer")
         return _planar(cls.from_pd(crossings, free_loops))
+
+
+def _load_json(text: str, what: str):
+    """The value of JSON text; text that does not parse, or that nests
+    deeper than the parser may recurse, is a ``DiagramSyntaxError``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise DiagramSyntaxError(f"bad {what} JSON: {e}") from e
 
 
 def _planar(d: Diagram) -> Diagram:

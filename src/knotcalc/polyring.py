@@ -493,6 +493,14 @@ class TwoVarPoly(_Poly):
             out[(a, z - A_STEP // 2)] = c
         return out
 
+    def unit_inverse(self) -> "TwoVarPoly":
+        """Inverse of a monomial with coefficient +-1."""
+        if len(self._terms) == 1:
+            ((a, z), c), = self.terms.items()
+            if c in (1, -1):
+                return TwoVarPoly({(-a, -z): c})
+        raise NonInvertibleImage(f"{self} is not invertible in the Laurent ring")
+
     def mirror_a(self) -> "TwoVarPoly":
         """Substitute ``a -> a^-1`` (the mirror-image rule for F)."""
         return TwoVarPoly({(-a, z): c for (a, z), c in self.terms.items()})

@@ -30,7 +30,7 @@ import re
 from itertools import chain
 from typing import Iterable, NamedTuple
 
-from .diagram import Diagram, _check_occurrences, _glue, _ints
+from .diagram import Diagram, _check_occurrences, _glue, _ints, _load_json
 from .errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
@@ -299,13 +299,12 @@ class PlatPresentation(NamedTuple):
         """Parse plat JSON; given ``max_crossings``, a braid on more
         strands than ``_check_strands`` allows is refused before anything
         of its size is built."""
+        data = _load_json(text, "plat")
         try:
-            data = json.loads(text)
             genus, extra = data["genus"], data.get("extra", 0)
             curls = data.get("curls")
             braid = braid_parse(data["braid"], data.get("strands"))
-        except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
-                ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise DiagramSyntaxError(f"bad plat JSON: {e}") from e
         if data.get("mode", "plat") != "plat":
             raise DiagramSyntaxError(

@@ -8,15 +8,16 @@ coefficients.  The order is planned first, and in the same walk each arc
 gets a slot, reused once the arc is closed, so a state is a plain tuple
 over the slots that names each open arc's far end (Bar-Natan's
 boundary-keeping sweep, "Fast Khovanov homology computations", JKTR 16,
-2007).  Each smoothing contributes ``A`` or ``A^-1`` and each
-closed circle ``delta = -A^2 - A^-2``; the sum is divided by ``delta``
-once and multiplied by ``delta`` per free loop.  The cost grows with the
-number of matchings, which the number of open arcs bounds, not with the
-number of crossings.  A state's polynomial is packed into one integer
-(Kronecker substitution), so a smoothing costs a few integer operations,
-not one per term.  The sweep keys nothing and leaves a memo it is given
-empty.  Conventions: ``<unknot> = 1``, the A-smoothing of ``(a,b,c,d)``
-joins ``a~b`` and ``c~d``, and ``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
+2007).  Each smoothing contributes ``A`` or ``A^-1`` and each closed
+circle but the last ``delta = -A^2 - A^-2``; the last weighs 1, as in the
+chord sweep, and Jones multiplies the sum by ``delta`` per free loop.  The
+cost grows with the number of matchings, which the number of open arcs
+bounds, not with the number of crossings.  A state's polynomial is packed
+into one integer (Kronecker substitution), so a smoothing costs a few
+integer operations, not one per term.  The sweep keys nothing and leaves
+a memo it is given empty.  Conventions: ``<unknot> = 1``, the
+A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and ``c~d``, and
+``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
 
 Kauffman F comes from a second frontier sweep, ``chords.chord_sweep``,
 whose states are layered chord diagrams in the Kauffman skein of a disk
@@ -74,7 +75,6 @@ from .seifert import _det_poly, _seifert_det, _seifert_form
 
 __all__ = [
     "SkeinMemo",
-    "bracket_memoized",
     "jones_memoized",
     "kauffman_F",
     "conway",
@@ -84,7 +84,7 @@ __all__ = [
 
 DEFAULT_ENGINE_CAP = 32
 
-_DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
+_DELTA = {2: -1, -2: -1}   # -A^2 - A^-2, by exponents of A
 
 
 class SkeinMemo:
@@ -92,9 +92,9 @@ class SkeinMemo:
     and counts of the kinks and bigons F removed (only what is left is
     keyed, so they never enter the table).  F keys the reduced diagram
     it is called on by its PD records as they are, so a reversed
-    component, a mirror or a relabeling of a diagram is a new key.  The
-    bracket sweep and the Conway determinants key nothing and leave a
-    memo they are given empty.
+    component, a mirror or a relabeling of a diagram is a new key.
+    Jones, by the bracket sweep, and the Conway determinants key nothing
+    and leave a memo they are given empty.
 
     F called without a memo uses a fresh one for that call, so values
     are reused across calls only through a memo the caller owns and
@@ -170,8 +170,11 @@ def _sweep_plan(records) -> tuple[int, list[tuple[tuple, tuple]]]:
 
 
 def _sweep_states(records) -> tuple[int, int, int]:
-    """The state sum of A^(#A - #B) delta^circles over all smoothings, as
-    ``(lo, p, width)``: ``A^lo q(A^2)`` with ``p = q(256^width)``.
+    """The bracket, the sum of A^(#A - #B) delta^(circles - 1) over all
+    smoothings, as ``(lo, p, width)``: ``A^lo q(A^2)`` with
+    ``p = q(256^width)``.  The frontier empties at the last record, so
+    each smoothing closes a circle there and counts one loop fewer; a
+    frontier that empties earlier, in a split diagram, still weighs delta.
 
     The records are swept in the order of ``_sweep_plan``.  After each
     record the smoothed strands of the swept records pair up the open
@@ -196,15 +199,16 @@ def _sweep_states(records) -> tuple[int, int, int]:
     n_slots, plan = _sweep_plan(records)
     start = tuple(range(n_slots))
     states = {start: (0, 1)}
-    for (a, b, c, d), closed in plan:
+    for k, ((a, b, c, d), closed) in enumerate(plan, 1):
         # the A-smoothing joins a~b and c~d, the B-smoothing a~d and b~c
         smoothings = ((((a, b), (c, d)), 1), (((a, d), (b, c)), -1))
+        first = -1 if k == len(plan) else 0  # the last circle weighs 1
         nxt: dict[tuple, tuple[int, int]] = {}
         get = nxt.get
         for key, (lo, p) in states.items():
             for joins, shift in smoothings:
                 partner = list(key)
-                loops = 0
+                loops = first
                 for x, y in joins:
                     if x == y:  # an arc with both ends here closes on itself
                         loops += 1
@@ -256,40 +260,19 @@ def _unpack(lo: int, p: int, width: int) -> dict[int, int]:
     return out
 
 
-def bracket_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
-                     memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Kauffman bracket by the frontier sweep of ``_sweep_states``.  The
-    sweep keys no states, so it leaves ``memo`` empty."""
-    _check_cap(d.n_crossings, max_crossings, d.free_loops)
-    if d.n_crossings == 0:
-        return _DELTA ** (d.n_components - 1)
-    lo, p, width = _sweep_states(d.crossings)
-    # delta = -A^-2 (1 + A^4), and A^4 is two slots up.  The coefficients
-    # of the quotient and the remainder by 1 + A^4 are partial sums of
-    # the state sum's, so they too stay below half a slot: the integer
-    # division leaves no remainder exactly when the polynomial one does,
-    # and its quotient is the packed polynomial quotient.
-    quotient, rest = divmod(p, 1 + (1 << 16 * width))
-    if rest:
-        raise ArithmeticError("the state sum is not a multiple of delta")
-    reduced = _unpack(lo + 2, -quotient, width)
-    bracket = LaurentPoly({-e: c for e, c in reduced.items()})
-    return _DELTA ** d.free_loops * bracket if d.free_loops else bracket
-
-
-def _normalize_bracket(d: Diagram, bracket: LaurentPoly) -> LaurentPoly:
-    """``(-A)^{-3w} <D>``: with ``A = t^-1/4`` every exponent moves up 3w
-    quarters, and an odd writhe flips the sign."""
-    w = d.writhe()
-    sign = -1 if w % 2 else 1
-    return LaurentPoly({q + 3 * w: sign * c for q, c in bracket.terms.items()})
-
-
 def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                    memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Jones polynomial from the frontier-sweep bracket, which leaves
-    ``memo`` empty."""
-    return _normalize_bracket(d, bracket_memoized(d, max_crossings, memo))
+    """Jones polynomial ``(-A)^{-3w} <D>``, ``t = A^-4``, from the sweep's
+    bracket times ``delta`` per free loop, one fewer without crossings,
+    where the sweep's sum 1 is the last circle.  ``memo`` is left empty."""
+    _check_cap(d.n_crossings, max_crossings, d.free_loops)
+    bracket = _unpack(*_sweep_states(d.crossings))
+    for _ in range(d.free_loops - (not d.crossings)):
+        bracket = times(bracket, _DELTA)
+    # A^e goes to t^((3w - e)/4), and an odd writhe flips the sign
+    w = d.writhe()
+    sign = -1 if w % 2 else 1
+    return LaurentPoly({3 * w - e: sign * c for e, c in bracket.items()})
 
 
 # =====================================================================

@@ -1,15 +1,19 @@
 """The oracles of the tests: slow, independent routes to what the engines
 compute.
 
-* ``bracket_state_sum`` sums all ``2^n`` smoothings of a diagram, the
-  oracle of the bracket sweep, and ``jones`` normalizes it;
+* ``bracket_state_sum`` sums all ``2^n`` smoothings of a diagram, each
+  circle but the last weighing its own ``DELTA``, and ``jones``
+  normalizes it by its own ``LaurentPoly`` arithmetic: the oracle of
+  the bracket sweep, which the tests reach through ``jones_memoized``;
 * ``skein_triple`` and ``verify_jones_skein`` check the Jones skein
   relation at a crossing against the engine's Jones polynomial;
 * ``two_var_substitute`` applies a ring morphism to a two-variable
   polynomial term by term, the oracle of the King substitution of
   ``cable``, which computes in integers.
 
-No command runs them, so they live with the tests that use them.
+No command runs them, so they live with the tests that use them.  They
+import from ``knotcalc.skein`` only what it exports, so that no engine
+internal enters the route that checks it.
 """
 
 from fractions import Fraction
@@ -17,9 +21,10 @@ from fractions import Fraction
 from knotcalc.diagram import Diagram, _erase
 from knotcalc.errors import KnotError, NonInvertibleImage, ResourceLimit
 from knotcalc.polyring import LaurentPoly, TwoVarPoly
-from knotcalc.skein import _DELTA, _normalize_bracket, jones_memoized
+from knotcalc.skein import jones_memoized
 
 DEFAULT_ORACLE_CAP = 26
+DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
 
 
 class BadSite(KnotError):
@@ -33,7 +38,7 @@ def bracket_state_sum(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> La
         raise ResourceLimit(
             f"{n} crossings exceeds the state-sum cap {max_crossings}")
     if n == 0:
-        return _DELTA ** (d.n_components - 1)
+        return DELTA ** (d.n_components - 1)
     arcs = sorted(d.arcs)
     index = {a: k for k, a in enumerate(arcs)}
     recs = [tuple(index[a] for a in rec) for rec in d.crossings]
@@ -61,14 +66,16 @@ def bracket_state_sum(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> La
                 else:
                     parent[x] = y
         weight = LaurentPoly.a_pow(2 * a_count - n)
-        total = total + weight * _DELTA ** (circles - 1 + d.free_loops)
+        total = total + weight * DELTA ** (circles - 1 + d.free_loops)
     return total
 
 
 def jones(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> LaurentPoly:
     """Jones polynomial from the state-sum bracket: ``(-A)^{-3w} <D>``
     with ``t = A^-4``."""
-    return _normalize_bracket(d, bracket_state_sum(d, max_crossings))
+    w = d.writhe()
+    return (LaurentPoly.a_pow(-3 * w, -1 if w % 2 else 1)
+            * bracket_state_sum(d, max_crossings))
 
 
 def skein_triple(d: Diagram, site: int) -> tuple[Diagram, Diagram, Diagram]:

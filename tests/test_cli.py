@@ -239,6 +239,15 @@ def test_malformed_json_exits_2(text, capsys):
     assert "DiagramSyntaxError" in capsys.readouterr().err
 
 
+def test_json_nested_past_the_parser_exits_2(tmp_path, capsys):
+    # a 2 KB file of lists nested 1,000 deep is an input error, not a
+    # RecursionError traceback
+    path = tmp_path / "deep.json"
+    path.write_text('{"crossings": ' + "[" * 1000 + "]" * 1000 + "}")
+    assert cli.main(["invariants", str(path)]) == cli.EXIT_INPUT
+    assert "DiagramSyntaxError" in capsys.readouterr().err
+
+
 def test_plat_json_gives_the_boundary_knot(capsys):
     # clasped bands with curls -1 and +1 bound the figure-eight knot
     text = '{"genus": 1, "braid": "s2", "strands": 4, "curls": [-1, 1]}'

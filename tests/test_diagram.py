@@ -14,7 +14,8 @@ from knotcalc.errors import (
     SameComponent,
     UnknownComponent,
 )
-from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
+from knotcalc.presentations import (BraidWord, PlatPresentation,
+                                    braid_to_tangle, trace_closure)
 from knotcalc.table import diagram as table_diagram
 from knotcalc.table import load_table
 
@@ -56,6 +57,15 @@ class TestParsing:
     def test_empty_diagram_rejected(self, build):
         with pytest.raises(DiagramSyntaxError, match="empty diagram"):
             build()
+
+    @pytest.mark.parametrize("from_json", [Diagram.from_json,
+                                           PlatPresentation.from_json],
+                             ids=["diagram", "plat"])
+    def test_json_nested_past_the_parser_rejected(self, from_json):
+        # lists nested 1,000 deep outrun the JSON parser's recursion
+        text = '{"crossings": ' + "[" * 1000 + "]" * 1000 + "}"
+        with pytest.raises(DiagramSyntaxError, match="bad .* JSON"):
+            from_json(text)
 
     @pytest.mark.parametrize("build, error, message", [
         (lambda: pd_parse("X[1,4,2,5] X[3,6,4,1] X[5,2,6,4]"), DanglingArc,

@@ -159,6 +159,15 @@ def test_every_export_has_a_reader():
     assert unread == UNREAD_EXPORTS
 
 
+def test_oracles_borrow_no_skein_internals():
+    # the oracles check the skein engines, so of ``knotcalc.skein`` they
+    # read only what it exports, imported or as an attribute
+    skein = importlib.import_module("knotcalc.skein")
+    borrowed = {name for module, name in _reads(ROOT / "tests" / "oracles.py")
+                if module == "knotcalc.skein"}
+    assert borrowed - set(skein.__all__) == set()
+
+
 def test_package_runs_with_only_src_on_the_path(tmp_path):
     # pytest puts tests/ on sys.path, so a src module that imported a test
     # helper would still pass in process; a fresh interpreter in an empty

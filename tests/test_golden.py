@@ -1,9 +1,10 @@
 """Golden payloads: the CLI's ``payload`` sections, compared byte for byte.
 
-Each file under ``tests/golden`` holds the payload of one command, as
-``json.dumps(payload, sort_keys=True, indent=1)`` plus a newline; the
-report's ``timing``, ``memo`` and ``seifert`` sections are left out, as
-they are not part of the comparison payload.  A change that only makes a
+Each file under ``tests/golden`` that ``COMMANDS`` names holds the
+payload of one command, as ``json.dumps(payload, sort_keys=True,
+indent=1)`` plus a newline; the report's ``timing``, ``memo`` and
+``seifert`` sections are left out, as they are not part of the
+comparison payload.  A change that only makes a
 computation faster must leave every file as it is.  To rewrite the files
 after a deliberate change of output, run
 

@@ -310,6 +310,14 @@ class TestUnits:
     def test_negative_pow(self):
         assert t(1) ** -3 == t(-3)
 
+    def test_two_variable_negative_pow(self):
+        a, z = TwoVarPoly.a_pow(1), TwoVarPoly.z_pow(1)
+        assert a ** -1 == TwoVarPoly.a_pow(-1)
+        assert (-a * z) ** -3 == -TwoVarPoly.term(-3, -3)
+        for p in (a + 1, a * 2):
+            with pytest.raises(NonInvertibleImage):
+                p ** -1
+
     def test_invert_t(self):
         p = t(2) + t(half, 3)
         assert p.invert_t() == t(-2) + t(-half, 3)

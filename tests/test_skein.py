@@ -18,7 +18,6 @@ from knotcalc.skein import (
     _kauffman_L,
     _unpack,
     alexander_from_conway,
-    bracket_memoized,
     conway,
     jones_memoized,
     kauffman_F,
@@ -63,14 +62,14 @@ class TestBracket:
 
     def test_memoized_cap(self):
         with pytest.raises(ResourceLimit):
-            bracket_memoized(pd_parse(TREFOIL), max_crossings=2)
+            jones_memoized(pd_parse(TREFOIL), max_crossings=2)
 
     def test_sweep_closes_two_loops_at_one_record(self):
         # a one-crossing curl joins each of its arcs to itself: one
         # smoothing closes two loops at the record, the other one
         d = reidemeister_r1_add(Diagram.unknot(), None, 1).diagram
         for sign in (1, -1, -1):
-            assert bracket_memoized(d) == bracket_state_sum(d)
+            assert jones_memoized(d) == jones(d)
             d = reidemeister_r1_add(d, min(d.arcs), sign).diagram
 
     @settings(max_examples=60)
@@ -85,16 +84,6 @@ class TestBracket:
         p = sum(c << (8 * width * j) for j, c in enumerate(coefficients))
         assert _unpack(lo, p, width) == {
             lo + 2 * j: c for j, c in enumerate(coefficients) if c}
-
-    @pytest.mark.parametrize("p", [1, 1 + (1 << 8), 1 - (1 << 8), 1 << 16,
-                                   3 + (2 << 16)],
-                             ids=["1", "1+A^2", "1-A^2", "A^4", "3+2A^4"])
-    def test_non_multiple_of_delta_raises(self, monkeypatch, p):
-        # a packed state sum at width 1, one byte per power of A^2, that
-        # 1 + A^4 does not divide
-        monkeypatch.setattr(skein, "_sweep_states", lambda records: (0, p, 1))
-        with pytest.raises(ArithmeticError, match="not a multiple of delta"):
-            bracket_memoized(pd_parse(TREFOIL))
 
 
 class TestJones:
@@ -261,13 +250,13 @@ class TestKernelProperties:
     def test_bracket_equals_state_sum(self, word):
         d = trace_closure(braid_to_tangle(word))
         assume(d.n_components == 1)
-        assert bracket_memoized(d, memo=SkeinMemo()) == bracket_state_sum(d)
+        assert jones_memoized(d, memo=SkeinMemo()) == jones(d)
 
     @settings(max_examples=60, deadline=None)
     @given(braid_words(10, strands=(3, 4, 5, 6)))
     def test_sweep_equals_state_sum_on_links(self, word):
         d = trace_closure(braid_to_tangle(word))
-        assert bracket_memoized(d) == bracket_state_sum(d)
+        assert jones_memoized(d) == jones(d)
 
     @settings(max_examples=60, deadline=None)
     @given(braid_words(6, strands=(2, 3, 4)),
@@ -286,7 +275,7 @@ class TestKernelProperties:
             if d.n_crossings + 2 > 12:
                 break
             d = random_move(d, rng)
-        assert bracket_memoized(d) == bracket_state_sum(d)
+        assert jones_memoized(d) == jones(d)
 
     @settings(max_examples=60, deadline=None)
     @given(braid_words(10, strands=(3, 4, 5, 6)))

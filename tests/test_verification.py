@@ -1,10 +1,12 @@
 """The paper's stevedore-cable chain, end to end."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotcalc import verification
+from knotcalc import cli, verification
 from knotcalc.cable import cable2, king_substitution, king_verify, make_hat
 from knotcalc.errors import (MultiComponent, NonInvertibleImage,
                              ResidualImaginaryPart)
@@ -12,7 +14,8 @@ from knotcalc.polyring import GaussInt, LaurentPoly, TwoVarPoly
 from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
 from knotcalc.skein import jones_memoized, kauffman_F
 from knotcalc.table import diagram, load_table
-from knotcalc.verification import KAUFFMAN_61_PRINTED, stevedore_chain_report
+from knotcalc.verification import (KAUFFMAN_61_CORRECTED, KAUFFMAN_61_PRINTED,
+                                   stevedore_chain_report)
 
 from oracles import two_var_substitute
 from strategies import knot_braid_words
@@ -49,6 +52,21 @@ def test_printed_kauffman_polynomial_fails_exactly_its_steps(monkeypatch):
     failed = [s["name"] for s in bad["payload"]["steps"] if not s["pass"]]
     assert failed == ["kauffman-F", "substitution", "king-identity"]
     assert not bad["payload"]["all_pass"]
+
+
+@pytest.mark.parametrize("f_poly", [
+    KAUFFMAN_61_CORRECTED + TwoVarPoly({(1, 0): 1}), TwoVarPoly.z_pow(-1)],
+    ids=["odd-parity", "z^-1"])
+def test_failing_substitution_fails_its_steps(monkeypatch, capsys, f_poly):
+    # the substitution raises, and the chain records it and runs on: the
+    # cabling identity is written from the value the chain holds, so
+    # verify-paper reports every step and exits 1, not 2
+    monkeypatch.setattr(verification, "kauffman_F", lambda *args: f_poly)
+    assert cli.main(["--format", "json", "verify-paper"]) == cli.EXIT_VERIFY
+    steps = json.loads(capsys.readouterr().out)["payload"]["steps"]
+    assert len(steps) == 9
+    failed = [s["name"] for s in steps if not s["pass"]]
+    assert failed == ["kauffman-F", "substitution", "king-identity"]
 
 
 @pytest.mark.parametrize("name", TABLE_NAMES)
