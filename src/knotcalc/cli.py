@@ -52,8 +52,8 @@ from fractions import Fraction
 
 from . import table as table_mod
 from .cable import cable2, king_verify, make_hat
-from .diagram import Diagram, _load_json, pd_parse
-from .errors import KnotError, ResourceLimit
+from .diagram import Diagram, pd_parse
+from .errors import DiagramSyntaxError, KnotError, ResourceLimit
 from .polyring import LaurentPoly
 from .presentations import (PlatPresentation, _check_strands, braid_parse,
                             braid_to_tangle, spine_boundary_knot,
@@ -93,10 +93,14 @@ def _load_input(text_or_path: str, max_crossings: int) -> Diagram:
     if not text:
         raise KnotError("empty input")
     if text.startswith("{"):
-        if "genus" in _load_json(text, "input"):
+        try:  # text that nests past the parser's recursion is bad input too
+            data = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise DiagramSyntaxError(f"bad input JSON: {e}") from e
+        if "genus" in data:
             return spine_boundary_knot(
-                PlatPresentation.from_json(text, max_crossings))
-        return Diagram.from_json(text)
+                PlatPresentation.from_json(data, max_crossings))
+        return Diagram.from_json(data)
     if text.split()[0].startswith(("X", "O")):
         return pd_parse(text)
     braid = braid_parse(text)
@@ -341,7 +345,7 @@ def main(argv=None) -> int:
     except ResourceLimit as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (KnotError, OSError, json.JSONDecodeError, KeyError) as e:
+    except (KnotError, OSError, KeyError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -46,7 +46,6 @@ could turn it round.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Iterable, Sequence
 
@@ -169,10 +168,6 @@ class Diagram:
         return cls(tuple(normalized), tuple(over_in), int(free_loops),
                    _validated=True)
 
-    @classmethod
-    def unknot(cls, circles: int = 1) -> "Diagram":
-        return cls((), (), circles)
-
     # -------------------------------------------------------------- inspection
 
     @property
@@ -215,12 +210,6 @@ class Diagram:
     def n_components(self) -> int:
         return len(self.components) + self.free_loops
 
-    def component_of(self, arc: int) -> int:
-        for ci, comp in enumerate(self.components):
-            if arc in comp:
-                return ci
-        raise UnknownComponent(f"no arc {arc} in diagram")
-
     def linking_number(self, c1: int, c2: int) -> int:
         if c1 == c2:
             raise SameComponent("linking number needs two distinct components")
@@ -240,23 +229,6 @@ class Diagram:
         return total // 2
 
     # ------------------------------------------------------------- operations
-
-    def mirror(self) -> "Diagram":
-        """Switch every crossing's over/under strand."""
-        # the old under-in lands at slot (0 - o) mod 4 and is the new over-in
-        return Diagram(tuple(map(_rotate, self.crossings, self.over_in)),
-                       tuple((0 - o) % 4 for o in self.over_in),
-                       self.free_loops, _validated=True)
-
-    def switch_crossing(self, i: int) -> "Diagram":
-        """Mirror a single crossing (used by skein engines)."""
-        recs = list(self.crossings)
-        over = list(self.over_in)
-        o = over[i]
-        recs[i] = _rotate(recs[i], o)
-        over[i] = (0 - o) % 4
-        return Diagram(tuple(recs), tuple(over), self.free_loops,
-                       _validated=True)
 
     def reverse_component(self, c: int) -> "Diagram":
         comps = self.components
@@ -278,37 +250,13 @@ class Diagram:
         return Diagram(tuple(recs), tuple(over), self.free_loops,
                        _validated=True)
 
-    def disjoint_union(self, other: "Diagram") -> "Diagram":
-        offset = max(self.arcs, default=0)
-        recs = tuple(tuple(a + offset for a in rec) for rec in other.crossings)
-        return Diagram(self.crossings + recs, self.over_in + other.over_in,
-                       self.free_loops + other.free_loops, _validated=True)
-
-    def relabeled(self) -> "Diagram":
-        """Same diagram with arcs renumbered densely from 1."""
-        mapping = {a: k + 1 for k, a in enumerate(sorted(self.arcs))}
-        recs = tuple(tuple(mapping[a] for a in rec) for rec in self.crossings)
-        return Diagram(recs, self.over_in, self.free_loops, _validated=True)
-
-    def add_free_loops(self, k: int) -> "Diagram":
-        return Diagram(self.crossings, self.over_in, self.free_loops + k,
-                       _validated=True)
-
     # ------------------------------------------------------------------ faces
 
     def head_of(self, arc: int) -> tuple[int, int]:
-        """(crossing, slot) where the arc terminates."""
-        return self._end(arc, 0)
-
-    def tail_of(self, arc: int) -> tuple[int, int]:
-        """(crossing, slot) where the arc starts."""
-        return self._end(arc, 2)
-
-    def _end(self, arc: int, turn: int) -> tuple[int, int]:
-        """(crossing, slot) of the arc at slot ``turn`` or ``over_in[i] +
-        turn`` of a record i: its head for turn 0, its tail for turn 2."""
+        """(crossing, slot) where the arc terminates: the record i that
+        holds it at slot 0 or ``over_in[i]``."""
         for i, (rec, o) in enumerate(zip(self.crossings, self.over_in)):
-            for s in (turn, (o + turn) % 4):
+            for s in (0, o):
                 if rec[s] == arc:
                     return i, s
         raise UnknownComponent(f"no arc {arc} in diagram")
@@ -374,20 +322,10 @@ class Diagram:
 
     # ------------------------------------------------------------ serialization
 
-    def pd_text(self) -> str:
-        parts = ["X[{},{},{},{}]".format(*rec) for rec in self.crossings]
-        parts.extend("O" for _ in range(self.free_loops))
-        return " ".join(parts)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "crossings": [list(rec) for rec in self.crossings],
-            "free_loops": self.free_loops,
-        })
-
     @classmethod
-    def from_json(cls, text: str) -> "Diagram":
-        data = _load_json(text, "diagram")
+    def from_json(cls, data) -> "Diagram":
+        """Build a diagram from decoded diagram JSON, the value that
+        ``json.loads`` returns for the text."""
         try:
             crossings = data["crossings"]
             free_loops = data.get("free_loops", 0)
@@ -399,15 +337,6 @@ class Diagram:
                 "bad diagram JSON: crossings must be a list of integer "
                 "records and free_loops an integer")
         return _planar(cls.from_pd(crossings, free_loops))
-
-
-def _load_json(text: str, what: str):
-    """The value of JSON text; text that does not parse, or that nests
-    deeper than the parser may recurse, is a ``DiagramSyntaxError``."""
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise DiagramSyntaxError(f"bad {what} JSON: {e}") from e
 
 
 def _planar(d: Diagram) -> Diagram:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import FractionalExponent, NonInvertibleImage, ResidualImaginaryPart
+from .errors import NonInvertibleImage
 
 __all__ = [
     "A_STEP",
@@ -350,18 +350,9 @@ class LaurentPoly(_Poly):
     # ------------------------------------------------------------ constructors
 
     @classmethod
-    def const(cls, c: Coefficient) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
     def t_pow(cls, exponent: ExponentLike, coeff: Coefficient = 1) -> "LaurentPoly":
         """``coeff * t**exponent`` with ``exponent`` any multiple of 1/4."""
         return cls({_quarters(exponent): coeff})
-
-    @classmethod
-    def a_pow(cls, exponent: int, coeff: Coefficient = 1) -> "LaurentPoly":
-        """``coeff * A**exponent`` in the bracket variable, ``A = t^(-1/4)``."""
-        return cls({-int(exponent): coeff})
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[ExponentLike, Coefficient]]) -> "LaurentPoly":
@@ -384,26 +375,12 @@ class LaurentPoly(_Poly):
     def is_zero(self) -> bool:
         return not self._terms
 
-    def min_exponent(self) -> Fraction:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return Fraction(min(self._terms), 4)
-
     def max_exponent(self) -> Fraction:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
         return Fraction(max(self._terms), 4)
 
     # ------------------------------------------------------------- arithmetic
-
-    def shift(self, exponent: ExponentLike) -> "LaurentPoly":
-        """Multiply by ``t**exponent``."""
-        d = _quarters(exponent)
-        return LaurentPoly({q + d: c for q, c in self._terms.items()})
-
-    def invert_t(self) -> "LaurentPoly":
-        """Substitute ``t -> t^-1`` (negate every exponent)."""
-        return LaurentPoly({-q: c for q, c in self._terms.items()})
 
     def unit_inverse(self) -> "LaurentPoly":
         """Inverse of a monomial whose coefficient is a unit of Z[i]."""
@@ -412,27 +389,6 @@ class LaurentPoly(_Poly):
                 f"{self} is not invertible in the Laurent ring")
         (q, c), = self._terms.items()
         return LaurentPoly({-q: c.unit_inverse()})
-
-    def real_part_strict(self) -> "LaurentPoly":
-        """Assert every coefficient is real and return the polynomial."""
-        if any(c.im for c in self._terms.values()):
-            raise ResidualImaginaryPart(
-                f"nonzero imaginary coefficients in {self}")
-        return self
-
-    def eval_at(self, t0) -> Fraction:
-        """Exact evaluation at a rational ``t0`` (integer exponents and
-        real coefficients required)."""
-        t0 = Fraction(t0)
-        if t0 == 0:
-            raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
-        total = Fraction(0)
-        for q, c in self.real_part_strict()._terms.items():
-            if q % 4:
-                raise FractionalExponent(
-                    f"exponent {Fraction(q, 4)} is not an integer")
-            total += c.re * t0 ** (q // 4)
-        return total
 
     # -------------------------------------------------------------- protocol
 
@@ -468,20 +424,6 @@ class TwoVarPoly(_Poly):
                     clean[int(a) * A_STEP + int(z)] = int(c)
         object.__setattr__(self, "_terms", clean)
 
-    # ------------------------------------------------------------ constructors
-
-    @classmethod
-    def term(cls, a_exp: int, z_exp: int, coeff: int = 1) -> "TwoVarPoly":
-        return cls({(a_exp, z_exp): coeff})
-
-    @classmethod
-    def a_pow(cls, k: int, coeff: int = 1) -> "TwoVarPoly":
-        return cls({(k, 0): coeff})
-
-    @classmethod
-    def z_pow(cls, k: int, coeff: int = 1) -> "TwoVarPoly":
-        return cls({(0, k): coeff})
-
     # ------------------------------------------------------------- inspection
 
     @property
@@ -500,10 +442,6 @@ class TwoVarPoly(_Poly):
             if c in (1, -1):
                 return TwoVarPoly({(-a, -z): c})
         raise NonInvertibleImage(f"{self} is not invertible in the Laurent ring")
-
-    def mirror_a(self) -> "TwoVarPoly":
-        """Substitute ``a -> a^-1`` (the mirror-image rule for F)."""
-        return TwoVarPoly({(-a, z): c for (a, z), c in self.terms.items()})
 
     # -------------------------------------------------------------- protocol
 

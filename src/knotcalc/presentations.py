@@ -25,12 +25,11 @@ realized as full twists inserted under the caps.
 
 from __future__ import annotations
 
-import json
 import re
 from itertools import chain
 from typing import Iterable, NamedTuple
 
-from .diagram import Diagram, _check_occurrences, _glue, _ints, _load_json
+from .diagram import Diagram, _check_occurrences, _glue, _ints
 from .errors import (
     DiagramSyntaxError,
     DisconnectedBoundary,
@@ -286,20 +285,13 @@ class PlatPresentation(NamedTuple):
         lo = 4 * self.genus
         return [(lo + 2 * k, lo + 2 * k + 1) for k in range(self.extra)]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "genus": self.genus, "extra": self.extra,
-            "braid": str(self.braid), "strands": self.strands,
-            "curls": list(self.curls),
-        })
-
     @classmethod
-    def from_json(cls, text: str, max_crossings: int | None = None
+    def from_json(cls, data, max_crossings: int | None = None
                   ) -> "PlatPresentation":
-        """Parse plat JSON; given ``max_crossings``, a braid on more
-        strands than ``_check_strands`` allows is refused before anything
-        of its size is built."""
-        data = _load_json(text, "plat")
+        """Build a plat from decoded plat JSON, the value that
+        ``json.loads`` returns for the text; given ``max_crossings``, a
+        braid on more strands than ``_check_strands`` allows is refused
+        before anything of its size is built."""
         try:
             genus, extra = data["genus"], data.get("extra", 0)
             curls = data.get("curls")

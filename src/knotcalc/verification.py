@@ -123,14 +123,13 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP) -> dict:
                "corrected -4a^2 is forced by the substitution display, "
                "the cabling identity and the Jones specialization"))
 
+    error = None  # what the substitution raised, shown by both its steps
     try:
         substituted = king_substitution(computed_f)
     except Exception as e:  # keep the chain running for fault injection
-        substituted = LaurentPoly.zero()
-        step("substitution", False, f"error: {e}", SUBSTITUTION_61)
-    else:
-        step("substitution", substituted == SUBSTITUTION_61,
-             substituted, SUBSTITUTION_61)
+        substituted, error = LaurentPoly.zero(), f"error: {e}"
+    step("substitution", error is None and substituted == SUBSTITUTION_61,
+         error or substituted, SUBSTITUTION_61)
 
     ktilde = clocked("cable", lambda: cable2(d61, 0))
     expected_crossings = 4 * d61.n_crossings + 2 * abs(d61.writhe())
@@ -160,7 +159,7 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP) -> dict:
          v_hat, computed_v_tilde)
 
     lhs, rhs = king_sides(substituted, computed_v_tilde, 0)
-    step("king-identity", lhs == rhs, lhs, rhs)
+    step("king-identity", error is None and lhs == rhs, error or lhs, rhs)
 
     v_jprime = jprime_chain(v_hat)
     step("jprime", v_jprime == JONES_JPRIME, v_jprime, JONES_JPRIME)

@@ -23,8 +23,11 @@ from knotcalc.errors import KnotError, NonInvertibleImage, ResourceLimit
 from knotcalc.polyring import LaurentPoly, TwoVarPoly
 from knotcalc.skein import jones_memoized
 
+from ops import switch_crossing
+
 DEFAULT_ORACLE_CAP = 26
-DELTA = LaurentPoly.a_pow(2, -1) + LaurentPoly.a_pow(-2, -1)   # -A^2 - A^-2
+# -A^2 - A^-2, its exponents in quarters of t = A^-4
+DELTA = LaurentPoly({-2: -1, 2: -1})
 
 
 class BadSite(KnotError):
@@ -65,7 +68,7 @@ def bracket_state_sum(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> La
                     circles += 1
                 else:
                     parent[x] = y
-        weight = LaurentPoly.a_pow(2 * a_count - n)
+        weight = LaurentPoly({n - 2 * a_count: 1})   # A^(2a - n)
         total = total + weight * DELTA ** (circles - 1 + d.free_loops)
     return total
 
@@ -74,7 +77,7 @@ def jones(d: Diagram, max_crossings: int = DEFAULT_ORACLE_CAP) -> LaurentPoly:
     """Jones polynomial from the state-sum bracket: ``(-A)^{-3w} <D>``
     with ``t = A^-4``."""
     w = d.writhe()
-    return (LaurentPoly.a_pow(-3 * w, -1 if w % 2 else 1)
+    return (LaurentPoly({3 * w: -1 if w % 2 else 1})
             * bracket_state_sum(d, max_crossings))
 
 
@@ -82,8 +85,8 @@ def skein_triple(d: Diagram, site: int) -> tuple[Diagram, Diagram, Diagram]:
     """The diagrams (L+, L-, L0) agreeing with D away from the site."""
     if not (0 <= site < d.n_crossings):
         raise BadSite(f"no crossing {site}")
-    plus = d if d.sign(site) == 1 else d.switch_crossing(site)
-    minus = d if d.sign(site) == -1 else d.switch_crossing(site)
+    plus = d if d.sign(site) == 1 else switch_crossing(d, site)
+    minus = d if d.sign(site) == -1 else switch_crossing(d, site)
     o = d.over_in[site]
     records, closed = _erase(d.crossings, (site,), ((0, (o + 2) % 4), (o, 2)))
     zero = Diagram(records, d.over_in[:site] + d.over_in[site + 1:],
@@ -112,7 +115,7 @@ def two_var_substitute(
     Negative ``a`` or ``z`` exponents require the corresponding image to be
     a monomial unit of the Laurent ring.  The Jones-from-F substitution
     ``a -> i t^-2, z -> i(t - t^-1)`` gives a knot a result with real
-    coefficients, which ``real_part_strict`` asserts.
+    coefficients.
     """
     def power(image, var, k):
         try:

@@ -37,6 +37,8 @@ from knotcalc.diagram import (Diagram, _THROUGH, _bigons, _erase, _kinks,
 from knotcalc.errors import KnotError
 from knotcalc.presentations import Tangle, tangle_compose
 
+from ops import tail_of
+
 
 class PatternNotFound(KnotError):
     """The local pattern required by a Reidemeister move is absent."""
@@ -131,9 +133,9 @@ def reidemeister_r2_add(d: Diagram, dart_x: tuple[int, bool],
     xm, x2, ym, y2 = fresh, fresh + 1, fresh + 2, fresh + 3
 
     recs = [list(r) for r in d.crossings]
-    hx = d.head_of(x) if dx else d.tail_of(x)
+    hx = d.head_of(x) if dx else tail_of(d, x)
     recs[hx[0]][hx[1]] = x2
-    hy = d.head_of(y) if dy else d.tail_of(y)
+    hy = d.head_of(y) if dy else tail_of(d, y)
     recs[hy[0]][hy[1]] = y2
 
     # local picture: dart_x points north with the face east of it, dart_y

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from knotcalc import cli
-from knotcalc.table import entry
+from knotcalc.table import entry, load_table
 
 
 def test_verify_paper_exits_0(capsys):
@@ -232,6 +232,7 @@ def test_empty_json_diagram_exits_2(capsys):
     '{"genus": 1, "braid": "", "strands": 4.0}',
     '{"genus": 1, "extra": true, "braid": "", "strands": 4}',
     '{"genus": 1, "braid": "s2", "strands": 4, "mode": "standard"}',
+    '{"crossings": [[1, 1, 2, 2]]',
 ])
 def test_malformed_json_exits_2(text, capsys):
     # a value of the wrong type is an input error, never truncated by int()
@@ -241,11 +242,30 @@ def test_malformed_json_exits_2(text, capsys):
 
 def test_json_nested_past_the_parser_exits_2(tmp_path, capsys):
     # a 2 KB file of lists nested 1,000 deep is an input error, not a
-    # RecursionError traceback
+    # RecursionError traceback, for diagram and plat JSON alike
     path = tmp_path / "deep.json"
-    path.write_text('{"crossings": ' + "[" * 1000 + "]" * 1000 + "}")
-    assert cli.main(["invariants", str(path)]) == cli.EXIT_INPUT
-    assert "DiagramSyntaxError" in capsys.readouterr().err
+    for key in ("crossings", "genus"):
+        path.write_text(f'{{"{key}": ' + "[" * 1000 + "]" * 1000 + "}")
+        assert cli.main(["invariants", str(path)]) == cli.EXIT_INPUT
+        assert "DiagramSyntaxError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"crossings": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]}',
+    '{"genus": 1, "braid": "s2", "strands": 4, "curls": [-1, 1]}',
+], ids=["diagram", "plat"])
+def test_json_input_is_parsed_once(text, monkeypatch, capsys):
+    load_table()   # the table's own JSON is read once per process
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    assert cli.main(["invariants", text]) == cli.EXIT_OK
+    assert len(calls) == 1
 
 
 def test_plat_json_gives_the_boundary_knot(capsys):

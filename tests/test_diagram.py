@@ -14,12 +14,12 @@ from knotcalc.errors import (
     SameComponent,
     UnknownComponent,
 )
-from knotcalc.presentations import (BraidWord, PlatPresentation,
-                                    braid_to_tangle, trace_closure)
+from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
 from knotcalc.table import diagram as table_diagram
 from knotcalc.table import load_table
 
 from canonical import _encode, canonical_form, canonical_key
+from ops import disjoint_union, mirror, relabeled, tail_of
 from strategies import braid_words, knot_braid_words
 
 TABLE_NAMES = [e.name for e in load_table()]
@@ -51,21 +51,12 @@ class TestParsing:
 
     @pytest.mark.parametrize("build", [
         lambda: pd_parse(""),
-        lambda: Diagram.from_json('{"crossings": [], "free_loops": 0}'),
-        lambda: Diagram.unknot(0),
+        lambda: Diagram.from_json({"crossings": [], "free_loops": 0}),
+        lambda: Diagram((), (), 0),
     ], ids=["pd_text", "json", "unknot"])
     def test_empty_diagram_rejected(self, build):
         with pytest.raises(DiagramSyntaxError, match="empty diagram"):
             build()
-
-    @pytest.mark.parametrize("from_json", [Diagram.from_json,
-                                           PlatPresentation.from_json],
-                             ids=["diagram", "plat"])
-    def test_json_nested_past_the_parser_rejected(self, from_json):
-        # lists nested 1,000 deep outrun the JSON parser's recursion
-        text = '{"crossings": ' + "[" * 1000 + "]" * 1000 + "}"
-        with pytest.raises(DiagramSyntaxError, match="bad .* JSON"):
-            from_json(text)
 
     @pytest.mark.parametrize("build, error, message", [
         (lambda: pd_parse("X[1,4,2,5] X[3,6,4,1] X[5,2,6,4]"), DanglingArc,
@@ -82,7 +73,7 @@ class TestParsing:
          DiagramSyntaxError, "negative free loop count"),
         (lambda: Diagram.from_pd([], -1), DiagramSyntaxError,
          "negative free loop count"),
-        (lambda: Diagram.from_json('{"crossings": [], "free_loops": -2}'),
+        (lambda: Diagram.from_json({"crossings": [], "free_loops": -2}),
          DiagramSyntaxError, "negative free loop count"),
         # a dangling arc is found before a negative loop count
         (lambda: Diagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 4)], -1),
@@ -129,8 +120,8 @@ class TestParsing:
 
     def test_roundtrip(self):
         d = pd_parse(SIX_ONE)
-        assert pd_parse(d.pd_text()) == d
-        assert Diagram.from_json(d.to_json()) == d
+        crossings = [list(rec) for rec in d.crossings]
+        assert Diagram.from_json({"crossings": crossings}) == d
 
     def test_sequential_orientation(self):
         # arcs numbered along the strand: successor follows the numbering
@@ -147,15 +138,15 @@ class TestParsing:
         d = pd_parse(pd)
         succ = d.successor()
         for a in d.arcs:
-            (hc, hs), (tc, ts) = d.head_of(a), d.tail_of(a)
+            (hc, hs), (tc, ts) = d.head_of(a), tail_of(d, a)
             assert d.crossings[hc][hs] == a and hs in (0, d.over_in[hc])
             assert d.crossings[tc][ts] == a
             assert ts in (2, (d.over_in[tc] + 2) % 4)
-            assert d.tail_of(succ[a])[0] == hc
+            assert tail_of(d, succ[a])[0] == hc
 
     def test_arc_ends_of_a_missing_arc(self):
         d = pd_parse(TREFOIL)
-        for end in (d.head_of, d.tail_of, d.component_of):
+        for end in (d.head_of, lambda arc: tail_of(d, arc)):
             with pytest.raises(UnknownComponent, match="no arc 7"):
                 end(7)
 
@@ -163,8 +154,8 @@ class TestParsing:
 def passes_under_everywhere(d):
     """Every strand circle of d passes under at some crossing, so slot 0
     of the records fixes its direction."""
-    return len({d.component_of(rec[0]) for rec in d.crossings}) == len(
-        d.components)
+    unders = {rec[0] for rec in d.crossings}
+    return all(unders.intersection(c) for c in d.components)
 
 
 class TestOrientation:
@@ -173,7 +164,7 @@ class TestOrientation:
     @pytest.mark.parametrize("build", [
         lambda: pd_parse("X[2,5,1,4] X[3,6,4,1] X[5,2,6,3]"),
         lambda: Diagram.from_json(
-            '{"crossings": [[2, 5, 1, 4], [3, 6, 4, 1], [5, 2, 6, 3]]}'),
+            {"crossings": [[2, 5, 1, 4], [3, 6, 4, 1], [5, 2, 6, 3]]}),
     ], ids=["pd_text", "json"])
     def test_half_turned_record_is_inconsistent(self, build):
         with pytest.raises(InconsistentOrientation):
@@ -195,7 +186,7 @@ class TestOrientation:
 
     def test_table_roundtrip(self, table_diagrams):
         for d in table_diagrams.values():
-            for e in (d, d.mirror()):
+            for e in (d, mirror(d)):
                 assert Diagram.from_pd(e.crossings, e.free_loops) == e
 
     def test_cable_and_hat_roundtrip(self, table_diagrams):
@@ -242,7 +233,7 @@ class TestConstructor:
 
 class TestWrithe:
     def test_unknot(self):
-        assert Diagram.unknot().writhe() == 0
+        assert pd_parse("O").writhe() == 0
 
     def test_trefoil(self):
         assert pd_parse(TREFOIL).writhe() == -3
@@ -256,7 +247,7 @@ class TestWrithe:
 
 class TestLinking:
     def test_unlink(self):
-        d = Diagram.unknot(2)
+        d = pd_parse("O O")
         assert d.n_components == 2
 
     def test_hopf(self):
@@ -278,12 +269,12 @@ class TestMirrorReverse:
     def test_mirror_involution(self):
         for text in (TREFOIL, FIG8, HOPF, SIX_ONE):
             d = pd_parse(text)
-            assert d.mirror().mirror() == d
+            assert mirror(mirror(d)) == d
 
     def test_mirror_negates_writhe(self):
         for text in (TREFOIL, FIG8, HOPF, SIX_ONE):
             d = pd_parse(text)
-            assert d.mirror().writhe() == -d.writhe()
+            assert mirror(d).writhe() == -d.writhe()
 
     def test_reverse_negates_linking(self):
         d = pd_parse(HOPF)
@@ -303,7 +294,7 @@ class TestMirrorReverse:
 class TestUnion:
     def test_disjoint_union_counts(self):
         d1, d2 = pd_parse(TREFOIL), pd_parse(FIG8)
-        u = d1.disjoint_union(d2)
+        u = disjoint_union(d1, d2)
         assert u.n_crossings == 7
         assert u.n_components == 2
         assert u.writhe() == d1.writhe() + d2.writhe()
@@ -320,7 +311,7 @@ class TestSplitPieces:
         closures = [trace_closure(braid_to_tangle(w)) for w in words]
         u = closures[0]
         for d in closures[1:]:
-            u = u.disjoint_union(d)
+            u = disjoint_union(u, d)
         order = list(range(u.n_crossings))
         rng.shuffle(order)
         records = [u.crossings[k] for k in order]
@@ -377,9 +368,9 @@ def faces_by_min_walk(d):
             walk.append(dart)
             remaining.discard(dart)
             arc, along = dart
-            ci, s = d.head_of(arc) if along else d.tail_of(arc)
+            ci, s = d.head_of(arc) if along else tail_of(d, arc)
             nxt_arc = d.crossings[ci][(s + 1) % 4]
-            dart = (nxt_arc, d.tail_of(nxt_arc) == (ci, (s + 1) % 4))
+            dart = (nxt_arc, tail_of(d, nxt_arc) == (ci, (s + 1) % 4))
             if dart == d0:
                 break
         faces.append(tuple(walk))
@@ -389,7 +380,7 @@ def faces_by_min_walk(d):
 class TestFaces:
     def test_table_cables_and_hats_as_the_min_walk(self, table_diagrams):
         for name, d in table_diagrams.items():
-            for e in (d, d.mirror(), d.add_free_loops(2)):
+            for e in (d, mirror(d), Diagram(d.crossings, d.over_in, 2)):
                 assert e.faces() == faces_by_min_walk(e), name
             for framing in (-2, 1):
                 cable = cable2(d, framing)
@@ -400,10 +391,12 @@ class TestFaces:
     @given(braid_words(12, strands=(2, 3, 4, 5)), st.integers(0, 2))
     def test_closures_as_the_min_walk(self, word, loops):
         # links, and kinks whose arcs have both ends at one record
-        d = trace_closure(braid_to_tangle(word)).add_free_loops(loops)
+        closure = trace_closure(braid_to_tangle(word))
+        d = Diagram(closure.crossings, closure.over_in,
+                    closure.free_loops + loops)
         assert d.faces() == faces_by_min_walk(d)
-        relabeled = Diagram.from_pd(d.relabeled().crossings, loops)
-        assert relabeled.faces() == faces_by_min_walk(relabeled)
+        e = Diagram.from_pd(relabeled(d).crossings, loops)
+        assert e.faces() == faces_by_min_walk(e)
 
     @pytest.mark.parametrize("text", [TREFOIL, FIG8, HOPF, SIX_ONE])
     def test_euler_formula(self, text):
@@ -434,20 +427,22 @@ class TestCanonicalKey:
 
     def test_mirror_distinct(self):
         d = pd_parse(TREFOIL)
-        assert canonical_key(d) != canonical_key(d.mirror())
+        assert canonical_key(d) != canonical_key(mirror(d))
 
     def test_extra_unknot_distinct(self):
         d = pd_parse(TREFOIL)
-        assert canonical_key(d) != canonical_key(d.add_free_loops(1))
+        assert canonical_key(d) != canonical_key(
+            Diagram(d.crossings, d.over_in, 1))
 
     def test_over_only_component_direction_distinct(self):
         # a circle laid over the trefoil never passes under, so its
         # direction shows only in the crossing signs, not in the records
         d = pd_parse("X[8,4,2,5] X[3,6,4,1] X[5,2,6,3] X[1,9,7,10] X[7,9,8,10]")
-        r = d.reverse_component(d.component_of(9))
+        r = d.reverse_component(
+            next(c for c, arcs in enumerate(d.components) if 9 in arcs))
         assert r.crossings == d.crossings and r.signs != d.signs
         assert canonical_key(d) != canonical_key(r)
-        assert canonical_key(r) == canonical_key(r.relabeled())
+        assert canonical_key(r) == canonical_key(relabeled(r))
 
 
 def all_starts_form(records, tags=None):
@@ -514,4 +509,4 @@ class TestCanonicalForm:
             d = table_diagram(name)
             moved = Diagram.from_pd(disguised(d.crossings, rng, False))
             assert canonical_key(moved) == canonical_key(d), name
-            assert canonical_key(d.mirror()) != canonical_key(d), name
+            assert canonical_key(mirror(d)) != canonical_key(d), name

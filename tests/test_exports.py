@@ -138,6 +138,10 @@ UNREAD_EXPORTS = {
 }
 
 
+BENCH = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+         if not p.name.startswith("test_")]
+
+
 def test_every_export_has_a_reader():
     # each name in a src/knotcalc module's __all__ must be read, as
     # ``_reads`` resolves reads, in src/ or in a non-test file of
@@ -147,9 +151,7 @@ def test_every_export_has_a_reader():
     # check keeps new unread exports out, but what moved to tests/ was
     # chosen by a census of the functions that the commands and the
     # benchmark enter.
-    bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
-             if not p.name.startswith("test_")]
-    read = set().union(*map(_reads, SRC + bench))
+    read = set().union(*map(_reads, SRC + BENCH))
     unread = {(_module(p), name) for p in SRC for node in _tree(p).body
               if isinstance(node, ast.Assign)
               and any(getattr(t, "id", None) == "__all__"
@@ -157,6 +159,34 @@ def test_every_export_has_a_reader():
               for name in ast.literal_eval(node.value)
               if (_module(p), name) not in read}
     assert unread == UNREAD_EXPORTS
+
+
+def test_every_public_method_has_a_reader():
+    """Each non-dunder method, property or classmethod of a class in
+    src/knotcalc must be read in src/ or in a non-test file of
+    perfbench/: loaded as an attribute of that name, or named by a
+    string constant given to ``getattr`` or ``hasattr``.  The check
+    matches by name, not by class, so ``Tangle.n_crossings`` passes
+    because ``Diagram.n_crossings`` is read; the export check has the
+    same limit on fields that share a name's spelling."""
+    read = set()
+    for p in SRC + BENCH:
+        for node in ast.walk(_tree(p)):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in ("getattr",
+                                                           "hasattr")
+                    and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    unread = [f"{cls.name}.{fn.name}" for p in SRC
+              for cls in ast.walk(_tree(p)) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and not (fn.name.startswith("__") and fn.name.endswith("__"))
+              and fn.name not in read]
+    assert unread == []
 
 
 def test_oracles_borrow_no_skein_internals():

@@ -23,6 +23,8 @@ from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
 from knotcalc.skein import DEFAULT_ENGINE_CAP, jones_memoized
 from knotcalc.table import load_table
 
+from ops import mirror
+
 DIGESTS = Path(__file__).resolve().parent / "golden" / "jones-digests.json"
 
 
@@ -31,7 +33,7 @@ def corpus():
     for e in load_table():
         d = e.diagram()
         yield e.name, d
-        yield f"{e.name} mirror", d.mirror()
+        yield f"{e.name} mirror", mirror(d)
         for framing in range(-2, 3):
             cab = cable2(d, framing)
             yield f"{e.name} cable {framing}", cab.diagram

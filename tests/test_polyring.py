@@ -14,6 +14,7 @@ from knotcalc.polyring import (
     _exp_str,
 )
 
+from ops import eval_at
 from oracles import two_var_substitute
 
 t = LaurentPoly.t_pow
@@ -56,7 +57,7 @@ class TestGaussInt:
 
 class TestLaurentAdd:
     def test_cancellation(self):
-        assert (t(1) + LaurentPoly.one()) + LaurentPoly.const(-1) == t(1)
+        assert (t(1) + LaurentPoly.one()) + LaurentPoly({0: -1}) == t(1)
 
     def test_identity(self):
         p = t(3, 2) - t(half)
@@ -70,7 +71,7 @@ class TestLaurentAdd:
 class TestLaurentMul:
     def test_binomial_square(self):
         sq = (t(half) + t(-half)) ** 2
-        assert sq == t(1) + LaurentPoly.const(2) + t(-1)
+        assert sq == t(1) + 2 + t(-1)
 
     def test_identity(self):
         p = t(2, -3) + t(-half, 5)
@@ -177,24 +178,24 @@ class TestAgainstReference:
 class TestEval:
     def test_alexander_values(self):
         p = t(1, 2) - 5 + t(-1, 2)
-        assert p.eval_at(-1) == -9
-        assert p.eval_at(1) == -1
-        assert p.eval_at(3) == Fraction(5, 3)
+        assert eval_at(p, -1) == -9
+        assert eval_at(p, 1) == -1
+        assert eval_at(p, 3) == Fraction(5, 3)
 
     def test_constant(self):
-        assert LaurentPoly.one().eval_at(Fraction(7, 3)) == 1
+        assert eval_at(LaurentPoly.one(), Fraction(7, 3)) == 1
 
     def test_fractional_exponent_rejected(self):
         with pytest.raises(FractionalExponent):
-            t(half).eval_at(2)
+            eval_at(t(half), 2)
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            t(1).eval_at(0)
+            eval_at(t(1), 0)
 
     def test_imaginary_coefficient_rejected(self):
         with pytest.raises(ResidualImaginaryPart):
-            (t(2) + t(0, GaussInt.I)).eval_at(2)
+            eval_at(t(2) + t(0, GaussInt.I), 2)
 
 
 class TestSubstitution:
@@ -205,20 +206,21 @@ class TestSubstitution:
         assert two_var_substitute(TwoVarPoly.one(), self.A_IMG, self.Z_IMG) == 1
 
     def test_a_squared(self):
-        got = two_var_substitute(TwoVarPoly.a_pow(2), self.A_IMG, self.Z_IMG)
+        got = two_var_substitute(TwoVarPoly({(2, 0): 1}), self.A_IMG,
+                                 self.Z_IMG)
         assert got == -t(-4)
 
     def test_negative_z_needs_unit(self):
-        f = TwoVarPoly.z_pow(-1)
+        f = TwoVarPoly({(0, -1): 1})
         with pytest.raises(NonInvertibleImage):
             two_var_substitute(f, self.A_IMG, self.Z_IMG)
         # a monomial unit image is fine
         assert two_var_substitute(f, self.A_IMG, t(2)) == t(-2)
 
     def test_residual_imaginary_flagged(self):
-        f = TwoVarPoly.a_pow(1)
+        f = TwoVarPoly({(1, 0): 1})
         with pytest.raises(ResidualImaginaryPart):
-            two_var_substitute(f, self.A_IMG, self.Z_IMG).real_part_strict()
+            eval_at(two_var_substitute(f, self.A_IMG, self.Z_IMG), 1)
 
     def test_morphism_randomized(self):
         rng = random.Random(3)
@@ -236,7 +238,7 @@ class TestDisplayGrammar:
         assert str(-t(Fraction(-25, 2))) == "-t^-25/2"
         assert str(t(Fraction(-3, 4))) == "t^-3/4"
         assert str(t(1) - 1 + t(-1)) == "t^-1 - 1 + t"
-        assert str(LaurentPoly.const(GaussInt.I) * t(half)) == "it^1/2"
+        assert str(t(half, GaussInt.I)) == "it^1/2"
 
     def test_ascending_order(self):
         p = t(2) + t(-2) - t(0, 3)
@@ -245,10 +247,10 @@ class TestDisplayGrammar:
     def test_twovar_grammar(self):
         f = (TwoVarPoly({(-2, 0): -1, (2, 0): 1, (4, 0): 1})
              + TwoVarPoly({(1, 1): 2, (3, 1): 2})
-             + TwoVarPoly.term(0, 5, 1))
+             + TwoVarPoly({(0, 5): 1}))
         assert str(f) == "-a^-2 + a^2 + a^4 + (2a + 2a^3)z + z^5"
         assert str(TwoVarPoly.zero()) == "0"
-        assert str(TwoVarPoly.term(0, -1, 1) - 1) == "z^-1 - 1"
+        assert str(TwoVarPoly({(0, -1): 1}) - 1) == "z^-1 - 1"
 
 
 def fraction_exp_str(var, quarters):
@@ -283,18 +285,17 @@ class TestExponentStrings:
         for q in self.QUARTERS[::4]:
             k = q // 4
             a, z = fraction_exp_str("a", q), fraction_exp_str("z", q)
-            assert str(TwoVarPoly.a_pow(k, -1)) == "-" + (a or "1")
-            assert str(TwoVarPoly.z_pow(k, 5)) == f"5{z}"
+            assert str(TwoVarPoly({(k, 0): -1})) == "-" + (a or "1")
+            assert str(TwoVarPoly({(0, k): 5})) == f"5{z}"
             if k:
-                assert str(TwoVarPoly.term(k, k) + TwoVarPoly.term(k + 1, k)) == (
+                assert str(TwoVarPoly({(k, k): 1, (k + 1, k): 1})) == (
                     f"({a} + {fraction_exp_str('a', q + 4) or '1'}){z}")
 
 
 class TestDifferencePower:
     def test_matches_laurent_powers(self):
-        x = LaurentPoly.t_pow(1)
         for k in range(12):
-            want = (x - x.invert_t()) ** k
+            want = (t(1) - t(-1)) ** k
             assert LaurentPoly({4 * e: c for e, c in _difference_power(k)}) == want
 
 
@@ -311,13 +312,9 @@ class TestUnits:
         assert t(1) ** -3 == t(-3)
 
     def test_two_variable_negative_pow(self):
-        a, z = TwoVarPoly.a_pow(1), TwoVarPoly.z_pow(1)
-        assert a ** -1 == TwoVarPoly.a_pow(-1)
-        assert (-a * z) ** -3 == -TwoVarPoly.term(-3, -3)
+        a, z = TwoVarPoly({(1, 0): 1}), TwoVarPoly({(0, 1): 1})
+        assert a ** -1 == TwoVarPoly({(-1, 0): 1})
+        assert (-a * z) ** -3 == TwoVarPoly({(-3, -3): -1})
         for p in (a + 1, a * 2):
             with pytest.raises(NonInvertibleImage):
                 p ** -1
-
-    def test_invert_t(self):
-        p = t(2) + t(half, 3)
-        assert p.invert_t() == t(-2) + t(-half, 3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from knotcalc.diagram import Diagram, pd_parse
+from knotcalc.diagram import pd_parse
 from knotcalc.errors import DimensionMismatch, MultiComponent
 from knotcalc.polyring import GaussInt, LaurentPoly
 from knotcalc.seifert import (
@@ -27,6 +27,7 @@ from knotcalc.seifert import (
 from knotcalc.skein import alexander_from_conway, conway
 from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
 
+from ops import eval_at
 from strategies import braid_words, knot_braid_words
 
 TREFOIL = pd_parse("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
@@ -38,13 +39,13 @@ HOPF = pd_parse("X[4,1,3,2] X[2,3,1,4]")
 def _unit_multiple(p, q):
     if p.is_zero() or q.is_zero():
         return p == q
-    shifted = q.shift(p.min_exponent() - q.min_exponent())
+    shifted = q * LaurentPoly({min(p.terms) - min(q.terms): 1})
     return p == shifted or p == -shifted
 
 
 class TestCirclesAndGenus:
     def test_unknot(self):
-        assert seifert_surface_genus(Diagram.unknot()) == 0
+        assert seifert_surface_genus(pd_parse("O")) == 0
 
     def test_trefoil(self):
         assert len(seifert_circles(TREFOIL)) == 2
@@ -62,7 +63,7 @@ class TestCirclesAndGenus:
 
 class TestSeifertMatrix:
     def test_unknot_empty(self):
-        s = seifert_matrix(Diagram.unknot())
+        s = seifert_matrix(pd_parse("O"))
         assert s.size == 0
         assert alexander_from_seifert(s) == 1
 
@@ -110,8 +111,8 @@ class TestAlexanderProperties:
     def test_symmetry_and_unit_value_tablewide(self, table_diagrams):
         for name, d in table_diagrams.items():
             delta = alexander_from_seifert(seifert_matrix(d))
-            assert delta.invert_t() == delta, name
-            assert delta.eval_at(1) in (1, -1), name
+            assert {-q: c for q, c in delta.terms.items()} == delta.terms, name
+            assert eval_at(delta, 1) in (1, -1), name
 
     def test_cross_path_agreement(self, table_diagrams):
         for name in ("3_1", "4_1", "5_1", "5_2", "6_2", "7_4", "8_13"):
@@ -125,8 +126,8 @@ def normalize_by_shift(p):
     """Center by a Fraction shift and sign by the leading coefficient."""
     if p.is_zero():
         return p
-    p = p.shift(-(p.min_exponent() + p.max_exponent()) / 2)
-    if p.invert_t() != p:
+    p = p * LaurentPoly.t_pow(-Fraction(min(p.terms) + max(p.terms), 8))
+    if {-q: c for q, c in p.terms.items()} != p.terms:
         raise AssertionError("Alexander polynomial is not symmetric")
     lead = p.coefficient(p.max_exponent())
     if lead.im != 0:
@@ -141,7 +142,7 @@ class TestNormalizeAlexander:
             delta = alexander_from_seifert(seifert_matrix(d))
             for k in (0, rng.randint(-9, 9), rng.randint(-40, 40)):
                 for unit in (1, -1, GaussInt(0, 1)):
-                    p = (delta * unit).shift(Fraction(k, 4))
+                    p = delta * LaurentPoly({k: unit})
                     try:
                         want = normalize_by_shift(p)
                     except AssertionError as e:  # the unit i
@@ -475,7 +476,7 @@ def test_torus_knots_t3q(q):
     assert s.size == 2 * (q - 1)
     delta = alexander_from_seifert(s)
     assert delta == torus_alexander(q)
-    assert determinant(s) == abs(delta.eval_at(-1))
+    assert determinant(s) == abs(eval_at(delta, -1))
     assert signature(s) == torus_signature(q)
 
 
@@ -489,4 +490,4 @@ class TestSeifertAgainstConway:
         s = seifert_matrix(d)
         delta = alexander_from_seifert(s)
         assert _unit_multiple(delta, alexander_from_conway(conway(d)))
-        assert determinant(s) == abs(delta.eval_at(-1))
+        assert determinant(s) == abs(eval_at(delta, -1))
