@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotcalc.cable import cable2, make_hat
+from knotcalc.cli import _load_input
 from knotcalc.diagram import (Diagram, _erase, _glue, _occurrences,
                               _split_pieces, pd_parse)
 from knotcalc.errors import (
@@ -57,6 +58,15 @@ class TestParsing:
     def test_empty_diagram_rejected(self, build):
         with pytest.raises(DiagramSyntaxError, match="empty diagram"):
             build()
+
+    @pytest.mark.parametrize("key", ["crossings", "genus"],
+                             ids=["diagram", "plat"])
+    def test_json_nested_past_the_parser_rejected(self, key):
+        # lists nested 1,000 deep outrun the JSON parser's recursion; the
+        # input loader parses diagram and plat JSON alike before from_json
+        text = f'{{"{key}": ' + "[" * 1000 + "]" * 1000 + "}"
+        with pytest.raises(DiagramSyntaxError, match="bad .* JSON"):
+            _load_input(text, 60)
 
     @pytest.mark.parametrize("build, error, message", [
         (lambda: pd_parse("X[1,4,2,5] X[3,6,4,1] X[5,2,6,4]"), DanglingArc,
