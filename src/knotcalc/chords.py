@@ -84,6 +84,11 @@ def _skein_swap(above: tuple, upper: tuple, lower: tuple, below: tuple,
     return _drop_zeros(acc, merged)
 
 
+def _crossing(l: int, r: int, el: int, er: int) -> bool:
+    """Whether the chords l-r and el-er cross: their ends interleave."""
+    return (el < l < er) != (el < r < er)
+
+
 def _normal(layers: tuple, table: dict) -> dict:
     """The expansion {normal diagram: polynomial} of a chord diagram.
     Insertion sort lifts each chord above those with a greater left end:
@@ -98,7 +103,7 @@ def _normal(layers: tuple, table: dict) -> dict:
         j = len(done)
         while j and done[j - 2] > l:
             el, er = done[j - 2], done[j - 1]
-            if (el < l < er) != (el < r < er):
+            if _crossing(l, r, el, er):
                 got = _skein_swap(tuple(done[:j - 2]), (el, er), (l, r),
                                   tuple(done[j:]) + layers[k + 2:],
                                   table, _normal)
@@ -115,52 +120,35 @@ def _cap(layers: tuple, q: int, q2: int, table: dict) -> dict:
     among the positions in ``layers``; the other positions keep their
     numbers.
 
-    The chords at q and q2 are brought to adjacent layers, and joined:
-    one chord closes a circle, and two crossing ones a curl, ``a`` when
-    the chord at q2 is on top, ``a^-1`` when the chord at q is.  The
-    chords in between go above both, up to a split, and below both after
-    it; the split passes the fewest crossing chords, each by a layer
-    swap.  The diagrams are left unsorted."""
+    One chord closes a circle.  Two are joined in the upper one's layer
+    once the lower one is lifted to just below it: past a chord it does
+    not cross for free, and at the nearest one it crosses by the layer
+    swap relation, each diagram the swap gives capped again.  Joining
+    crossing chords makes a curl, ``a`` when the chord at q2 is on top,
+    ``a^-1`` when the chord at q is.  The diagrams are left unsorted."""
     i1, i2 = layers.index(q), layers.index(q2)
     c1, c2 = i1 & ~1, i2 & ~1  # where their chords start
     if c1 == c2:
         kept = layers[:c1] + layers[c1 + 2:]
         return {kept: CIRCLE if kept else ONE}
     lo, hi = (c1, c2) if c1 < c2 else (c2, c1)
-    ul, ur, dl, dr = layers[lo], layers[lo + 1], layers[hi], layers[hi + 1]
-    mid = lo + 2
-    if hi > mid:
-        memo_key = (layers, q, q2)
-        got = table.get(memo_key)
-        if got is not None:
+    dl, dr = layers[hi], layers[hi + 1]
+    for j in range(hi - 2, lo, -2):
+        if _crossing(dl, dr, layers[j], layers[j + 1]):
+            memo_key = (layers, q, q2)
+            got = table.get(memo_key)
+            if got is None:
+                got = table[memo_key] = _skein_swap(
+                    layers[:j], layers[j:j + 2], layers[hi:hi + 2],
+                    layers[j + 2:hi] + layers[hi + 2:], table,
+                    lambda ls, t: _cap(ls, q, q2, t))
             return got
-        cross_up = [(ul < layers[k] < ur) != (ul < layers[k + 1] < ur)
-                    for k in range(mid, hi, 2)]
-        cross_down = [(dl < layers[k] < dr) != (dl < layers[k + 1] < dr)
-                      for k in range(mid, hi, 2)]
-        costs = [sum(cross_up[:s]) + sum(cross_down[s:])
-                 for s in range(len(cross_up) + 1)]
-        split = costs.index(min(costs))
-        if costs[split]:
-            if True in cross_up[:split]:  # lower the upper chord onto it
-                j = mid + 2 * cross_up.index(True)
-                parts = (layers[:lo] + layers[mid:j], layers[lo:mid],
-                         layers[j:j + 2], layers[j + 2:])
-            else:  # lift the lower chord onto the last one it crosses
-                j = hi - 2 - 2 * cross_down[::-1].index(True)
-                parts = (layers[:j], layers[j:j + 2], layers[hi:hi + 2],
-                         layers[j + 2:hi] + layers[hi + 2:])
-            got = table[memo_key] = _skein_swap(
-                *parts, table, lambda ls, t: _cap(ls, q, q2, t))
-            return got
-        mid += 2 * split
     x, y = layers[i1 ^ 1], layers[i2 ^ 1]
-    kept = (layers[:lo] + layers[lo + 2:mid] + ((x, y) if x < y else (y, x))
-            + layers[mid:hi] + layers[hi + 2:])
-    factor = ONE
-    if (ul < dl < ur) != (ul < dr < ur):
-        factor = _P_A if c2 == lo else _P_A_INV
-    return {kept: factor}
+    kept = (layers[:lo] + ((x, y) if x < y else (y, x)) + layers[lo + 2:hi]
+            + layers[hi + 2:])
+    if _crossing(dl, dr, layers[lo], layers[lo + 1]):
+        return {kept: _P_A if c2 == lo else _P_A_INV}
+    return {kept: ONE}
 
 
 def _cross(layers: tuple, p: int, a_over: bool, table: dict) -> dict:

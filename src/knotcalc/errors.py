@@ -7,10 +7,6 @@ class KnotError(Exception):
 
 # ---------------------------------------------------------------- polynomials
 
-class FractionalExponent(KnotError):
-    """Evaluation requested on a polynomial with non-integer exponents."""
-
-
 class NonInvertibleImage(KnotError):
     """A substitution needs the inverse of an image that is not a unit."""
 

@@ -16,7 +16,7 @@ Two rings live here:
 
 Both rings hold a map from int keys to nonzero coefficients and share one
 set of operations on it, ``_Poly``: ``+``, ``-``, ``*`` (by ``times``),
-``**``, ``==``, hashing, truth and immutability.  Everything is exact; no
+``==``, hashing, truth and immutability.  Everything is exact; no
 floating point is used anywhere.
 
 Canonical string grammar (used by golden files and the CLI):
@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
-
-from .errors import NonInvertibleImage
 
 __all__ = [
     "A_STEP",
@@ -88,12 +86,6 @@ class GaussInt:
 
     def __neg__(self):
         return GaussInt(-self.re, -self.im)
-
-    def unit_inverse(self) -> "GaussInt":
-        """Inverse of a unit (one of 1, -1, i, -i): its conjugate."""
-        if self.re * self.re + self.im * self.im != 1:
-            raise NonInvertibleImage(f"{self} is not a unit in Z[i]")
-        return GaussInt(self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -296,18 +288,6 @@ class _Poly:
             return NotImplemented
         return self._of(times(self._terms, other._terms))
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.unit_inverse() ** (-k)
-        out = self.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         other = self._lift(other)
         if other is None:
@@ -380,16 +360,6 @@ class LaurentPoly(_Poly):
             raise ValueError("zero polynomial has no exponents")
         return Fraction(max(self._terms), 4)
 
-    # ------------------------------------------------------------- arithmetic
-
-    def unit_inverse(self) -> "LaurentPoly":
-        """Inverse of a monomial whose coefficient is a unit of Z[i]."""
-        if len(self._terms) != 1:
-            raise NonInvertibleImage(
-                f"{self} is not invertible in the Laurent ring")
-        (q, c), = self._terms.items()
-        return LaurentPoly({-q: c.unit_inverse()})
-
     # -------------------------------------------------------------- protocol
 
     def to_str(self, var: str = "t") -> str:
@@ -434,14 +404,6 @@ class TwoVarPoly(_Poly):
             a, z = divmod(e + A_STEP // 2, A_STEP)
             out[(a, z - A_STEP // 2)] = c
         return out
-
-    def unit_inverse(self) -> "TwoVarPoly":
-        """Inverse of a monomial with coefficient +-1."""
-        if len(self._terms) == 1:
-            ((a, z), c), = self.terms.items()
-            if c in (1, -1):
-                return TwoVarPoly({(-a, -z): c})
-        raise NonInvertibleImage(f"{self} is not invertible in the Laurent ring")
 
     # -------------------------------------------------------------- protocol
 

@@ -1,8 +1,9 @@
 """Diagram and polynomial operations that only the tests need: mirrors
 for the digest corpus and the mirror checks, one switched crossing for
 the skein oracle, an arc's tail for the R2 scrambler, relabelings and
-disjoint unions for the invariance checks, and exact evaluation for the
-Delta(-1) = det cross-checks.
+disjoint unions for the invariance checks, exact evaluation for the
+Delta(-1) = det cross-checks, and powers of Laurent polynomials for the
+oracles, negative ones of Gaussian monomials for the King oracle.
 
 No command runs them, so they live with the tests that use them.
 """
@@ -10,9 +11,9 @@ No command runs them, so they live with the tests that use them.
 from fractions import Fraction
 
 from knotcalc.diagram import Diagram, _rotate
-from knotcalc.errors import (FractionalExponent, ResidualImaginaryPart,
+from knotcalc.errors import (NonInvertibleImage, ResidualImaginaryPart,
                              UnknownComponent)
-from knotcalc.polyring import LaurentPoly
+from knotcalc.polyring import GaussInt, LaurentPoly
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -69,7 +70,22 @@ def eval_at(p: LaurentPoly, t0) -> Fraction:
     total = Fraction(0)
     for q, c in p.terms.items():
         if q % 4:
-            raise FractionalExponent(
-                f"exponent {Fraction(q, 4)} is not an integer")
+            raise ValueError(f"exponent {Fraction(q, 4)} is not an integer")
         total += c.re * t0 ** (q // 4)
     return total
+
+
+def power(p: LaurentPoly, k: int) -> LaurentPoly:
+    """``p`` to the integer power ``k``; a negative ``k`` needs a monomial
+    whose coefficient is a unit of Z[i] (1, -1, i or -i)."""
+    if k < 0:
+        if len(p.terms) != 1:
+            raise NonInvertibleImage(f"{p} is not invertible in the Laurent ring")
+        ((q, c),) = p.terms.items()
+        if c.re * c.re + c.im * c.im != 1:
+            raise NonInvertibleImage(f"{c} is not a unit in Z[i]")
+        p, k = LaurentPoly({-q: GaussInt(c.re, -c.im)}), -k
+    out = LaurentPoly.one()
+    for _ in range(k):
+        out = out * p
+    return out

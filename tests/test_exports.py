@@ -189,6 +189,38 @@ def test_every_public_method_has_a_reader():
     assert unread == []
 
 
+# the operator each arithmetic method implements
+OPERATORS = {"__add__": ast.Add, "__radd__": ast.Add, "__sub__": ast.Sub,
+             "__rsub__": ast.Sub, "__mul__": ast.Mult, "__rmul__": ast.Mult,
+             "__neg__": ast.USub, "__pow__": ast.Pow}
+
+
+def test_every_operator_method_is_applied():
+    """Each arithmetic operator method that a class in src/knotcalc
+    defines, by ``def`` or by assignment in the class body, must have its
+    operator applied (an ``ast.BinOp`` or ``ast.UnaryOp``) in src/ or in
+    a non-test file of perfbench/, outside the bodies of the methods of
+    that operator.  The check matches the operator, not the operand
+    types, so an integer ``-`` keeps ``__neg__`` of every class."""
+    applied = set()
+    for p in SRC + BENCH:
+        own = {id(node) for fn in ast.walk(_tree(p))
+               if isinstance(fn, ast.FunctionDef) and fn.name in OPERATORS
+               for node in ast.walk(fn)
+               if isinstance(getattr(node, "op", None), OPERATORS[fn.name])}
+        applied |= {type(node.op) for node in ast.walk(_tree(p))
+                    if isinstance(node, (ast.BinOp, ast.UnaryOp))
+                    and id(node) not in own}
+    unapplied = [f"{cls.name}.{name}" for p in SRC
+                 for cls in ast.walk(_tree(p)) if isinstance(cls, ast.ClassDef)
+                 for stmt in cls.body
+                 for name in ([stmt.name] if isinstance(stmt, ast.FunctionDef)
+                              else [t.id for t in getattr(stmt, "targets", ())
+                                    if isinstance(t, ast.Name)])
+                 if name in OPERATORS and OPERATORS[name] not in applied]
+    assert unapplied == []
+
+
 def test_oracles_borrow_no_skein_internals():
     # the oracles check the skein engines, so of ``knotcalc.skein`` they
     # read only what it exports, imported or as an attribute
