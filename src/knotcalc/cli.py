@@ -28,8 +28,9 @@ in plat JSON, on more than twice the cap plus 2 strands is refused before
 its closure is built, and Jones and Kauffman F refuse a diagram with more
 than twice the cap plus 2 free loops.
 Everything runs in one process.  ``invariants`` and ``cable`` own the
-memo of the one memoizing engine, Kauffman F, which keys the diagrams it
-is called on; it is shared by the command's own engine calls and dropped
+memo of Kauffman F, which keys the diagrams it is called on, and
+``cable`` owns one for the bracket too, which its hat reads from its
+cable; a memo is shared by the command's own engine calls and dropped
 when it returns, and the report's ``memo`` section gives its counts.
 ``invariants`` reports ``surface_genus``, the genus of the Seifert
 surface of the diagram as drawn: an upper bound on the knot genus that
@@ -252,6 +253,7 @@ def cmd_cable(args) -> int:
     checks = {}
     timing = {"cable": round(time.perf_counter() - t0, 6)}
     memo = SkeinMemo()
+    bracket_memo = SkeinMemo()
     if "writhe-formula" in wanted:
         lhs = cab.diagram.writhe()
         rhs = 4 * base.writhe() + 2 * (args.framing - base.writhe())
@@ -260,12 +262,12 @@ def cmd_cable(args) -> int:
     v_tilde = None
     if engines:
         t0 = time.perf_counter()
-        v_tilde = jones_memoized(cab.diagram, args.max_crossings)
+        v_tilde = jones_memoized(cab.diagram, args.max_crossings, bracket_memo)
         timing["jones_cable"] = round(time.perf_counter() - t0, 6)
     if "hat" in wanted:
         hat = make_hat(cab)
         t0 = time.perf_counter()
-        v_hat = jones_memoized(hat.diagram, args.max_crossings)
+        v_hat = jones_memoized(hat.diagram, args.max_crossings, bracket_memo)
         timing["jones_hat"] = round(time.perf_counter() - t0, 6)
         expected = LaurentPoly.t_pow(Fraction(-3 * args.framing)) * v_tilde
         checks["hat"] = {"pass": v_hat == expected,
@@ -286,7 +288,8 @@ def cmd_cable(args) -> int:
         "all_pass": all(c["pass"] for c in checks.values()),
     }
     _emit({"payload": payload, "timing": timing,
-           "memo": {"kauffman": memo.stats()}}, args.format)
+           "memo": {"kauffman": memo.stats(),
+                    "bracket": bracket_memo.stats()}}, args.format)
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFY
 
 

@@ -14,10 +14,14 @@ chord sweep, and Jones multiplies the sum by ``delta`` per free loop.  The
 cost grows with the number of matchings, which the number of open arcs
 bounds, not with the number of crossings.  A state's polynomial is packed
 into one integer (Kronecker substitution), so a smoothing costs a few
-integer operations, not one per term.  The sweep keys nothing and leaves
-a memo it is given empty.  Conventions: ``<unknot> = 1``, the
-A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and ``c~d``, and
-``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
+integer operations, not one per term.  Given a memo, Jones keeps the
+packed bracket there, keyed by the free loops and the PD records each
+turned to the lesser of itself and its half-turn: a half-turn keeps the
+unoriented crossing, so a diagram with a component reversed, as the hat
+is of its cable, reads the bracket of the first and pays only for its
+own writhe.  A mirror or a relabeling is a new key.  Conventions:
+``<unknot> = 1``, the A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and
+``c~d``, and ``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
 
 Kauffman F comes from a second frontier sweep, ``chords.chord_sweep``,
 whose states are layered chord diagrams in the Kauffman skein of a disk
@@ -88,17 +92,20 @@ _DELTA = {2: -1, -2: -1}   # -A^2 - A^-2, by exponents of A
 
 
 class SkeinMemo:
-    """Write-once table from diagram keys to Kauffman F's packed values,
-    and counts of the kinks and bigons F removed (only what is left is
-    keyed, so they never enter the table).  F keys the reduced diagram
-    it is called on by its PD records as they are, so a reversed
-    component, a mirror or a relabeling of a diagram is a new key.
-    Jones, by the bracket sweep, and the Conway determinants key nothing
-    and leave a memo they are given empty.
+    """Write-once table from diagram keys to packed values of Kauffman F
+    or of the bracket, and counts of the kinks and bigons F removed (only
+    what is left is keyed, so they never enter the table).  F keys the
+    reduced diagram it is called on by its PD records as they are, so a
+    reversed component, a mirror or a relabeling of a diagram is a new
+    key.  Jones keeps the sweep's packed bracket under the free loops and
+    the records up to a half-turn, so a reversed component hits and a
+    mirror or a relabeling misses; callers keep one memo per engine, so
+    that each memo's counts belong to one engine.  The Conway
+    determinants key nothing and leave a memo they are given empty.
 
-    F called without a memo uses a fresh one for that call, so values
-    are reused across calls only through a memo the caller owns and
-    passes to each of them.
+    F called without a memo uses a fresh one for that call, and Jones
+    keys nothing, so values are reused across calls only through a memo
+    the caller owns and passes to each of them.
     """
 
     def __init__(self):
@@ -264,9 +271,21 @@ def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
                    memo: SkeinMemo | None = None) -> LaurentPoly:
     """Jones polynomial ``(-A)^{-3w} <D>``, ``t = A^-4``, from the sweep's
     bracket times ``delta`` per free loop, one fewer without crossings,
-    where the sweep's sum 1 is the last circle.  ``memo`` is left empty."""
+    where the sweep's sum 1 is the last circle.  Given a memo, the packed
+    bracket is kept there under the free loops and the records up to a
+    half-turn; a hit skips the sweep."""
     _check_cap(d.n_crossings, max_crossings, d.free_loops)
-    bracket = _unpack(*_sweep_states(d.crossings))
+    if memo is None:
+        packed = _sweep_states(d.crossings)
+    else:
+        key = (d.free_loops, tuple(min(r, r[2:] + r[:2]) for r in d.crossings))
+        packed = memo.table.get(key)
+        if packed is None:
+            memo.misses += 1
+            packed = memo.table[key] = _sweep_states(d.crossings)
+        else:
+            memo.hits += 1
+    bracket = _unpack(*packed)
     for _ in range(d.free_loops - (not d.crossings)):
         bracket = times(bracket, _DELTA)
     # A^e goes to t^((3w - e)/4), and an odd writhe flips the sign

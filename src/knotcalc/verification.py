@@ -72,15 +72,18 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP) -> dict:
     """Run the nine identities in order; each step records both sides.
 
     Everything is computed from the bundled 6_1 diagram.  The chain owns
-    the Kauffman F memo, whose counts are reported in the ``memo``
-    section.  The two Alexander routes are independent: the Seifert
-    matrix on one side, Conway from the Fox matrix of the Wirtinger
-    presentation on the other.  Jones comes from the bracket sweep, and
-    neither it nor Conway keys states.
+    one memo for Kauffman F and one for the bracket, whose counts are
+    reported in the ``memo`` section.  The two Alexander routes are
+    independent: the Seifert matrix on one side, Conway from the Fox
+    matrix of the Wirtinger presentation on the other.  Jones comes from
+    the bracket sweep; the hat reads the bracket its cable's sweep left
+    in the memo, as reversing a component leaves the bracket as it is,
+    and pays only for its own writhe.  Conway keys nothing.
     """
     steps = []
     timings = {}
     memo = SkeinMemo()
+    bracket_memo = SkeinMemo()
 
     def step(name, passed, lhs, rhs, note=None):
         row = {"name": name, "pass": bool(passed),
@@ -146,14 +149,15 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP) -> dict:
           f"writhe: {expected_writhe}"))
 
     computed_v_tilde = clocked(
-        "jones_cable", lambda: jones_memoized(ktilde.diagram, max_crossings))
+        "jones_cable",
+        lambda: jones_memoized(ktilde.diagram, max_crossings, bracket_memo))
     step("jones-cable", computed_v_tilde == JONES_CABLE_61,
          computed_v_tilde, JONES_CABLE_61)
 
     khat = make_hat(ktilde)
     v_hat = clocked(
         "jones_hat",
-        lambda: jones_memoized(khat.diagram, max_crossings))
+        lambda: jones_memoized(khat.diagram, max_crossings, bracket_memo))
     step("hat-equality",
          v_hat == _T(-3 * 0) * computed_v_tilde,
          v_hat, computed_v_tilde)
@@ -171,5 +175,5 @@ def stevedore_chain_report(max_crossings: int = DEFAULT_ENGINE_CAP) -> dict:
             "all_pass": all(s["pass"] for s in steps),
         },
         "timing": timings,
-        "memo": {"kauffman": memo.stats()},
+        "memo": {"kauffman": memo.stats(), "bracket": bracket_memo.stats()},
     }

@@ -1,5 +1,6 @@
 """Exit codes of the command-line front end."""
 
+import hashlib
 import json
 import time
 import tracemalloc
@@ -205,6 +206,18 @@ def test_memo_section_reports_one_command(capsys):
         assert cli.main(["--format", "json", "invariants", "6_1"]) == cli.EXIT_OK
         sections.append(json.loads(capsys.readouterr().out)["memo"])
     assert sections[0] == sections[1]
+
+
+def test_cable_hat_reads_the_cable_bracket(capsys):
+    # one bracket memo serves the cable and its hat; the payload is the
+    # one that two sweeps gave, byte for byte
+    argv = ["--format", "json", "cable", "6_1", "--framing", "0"]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    bracket = report["memo"]["bracket"]
+    assert (bracket["entries"], bracket["hits"], bracket["misses"]) == (1, 1, 1)
+    text = json.dumps(report["payload"], sort_keys=True, indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "5e3aa7238c34a95f"
 
 
 def test_cable_of_the_unknot(capsys):

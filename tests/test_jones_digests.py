@@ -6,7 +6,10 @@ their 2-cables and hats at framings -2..2, and 1,000 braid closures on
 Each diagram's digest is the first 16 hex digits of the SHA-256 of
 ``str(V)``, V from ``jones_memoized`` with a cap of at least the
 diagram's crossings.  A change that leaves Jones as it is must leave
-every digest as it is.  To rewrite the file after a deliberate change of
+every digest as it is.  The corpus is run twice, once without a memo and
+once through one memo for all of it, where each hat reads its cable's
+bracket: a key that named two different brackets would hand one diagram
+another's value.  To rewrite the file after a deliberate change of
 output, run
 
     PYTHONPATH=src python tests/test_jones_digests.py
@@ -20,7 +23,7 @@ from pathlib import Path
 
 from knotcalc.cable import cable2, make_hat
 from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
-from knotcalc.skein import DEFAULT_ENGINE_CAP, jones_memoized
+from knotcalc.skein import DEFAULT_ENGINE_CAP, SkeinMemo, jones_memoized
 from knotcalc.table import load_table
 
 from ops import mirror
@@ -48,10 +51,10 @@ def corpus():
                trace_closure(braid_to_tangle(word)))
 
 
-def digests() -> dict[str, str]:
+def digests(memo: SkeinMemo | None = None) -> dict[str, str]:
     out = {}
     for name, d in corpus():
-        v = jones_memoized(d, max(DEFAULT_ENGINE_CAP, d.n_crossings))
+        v = jones_memoized(d, max(DEFAULT_ENGINE_CAP, d.n_crossings), memo)
         out[name] = hashlib.sha256(str(v).encode()).hexdigest()[:16]
     return out
 
@@ -61,6 +64,17 @@ def test_jones_digests_match():
     got = digests()
     assert list(got) == list(expected)
     assert [name for name in got if got[name] != expected[name]] == []
+
+
+def test_jones_digests_match_through_one_memo():
+    expected = json.loads(DIGESTS.read_text())
+    memo = SkeinMemo()
+    got = digests(memo)
+    assert list(got) == list(expected)
+    assert [name for name in got if got[name] != expected[name]] == []
+    # each of the 175 hats hits its cable; the rest are closures that
+    # meet a closure swept before with the same records up to half-turns
+    assert (memo.hits, memo.misses, len(memo.table)) == (293, 1127, 1127)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from knotcalc import seifert, skein
+from knotcalc.cable import cable2, make_hat
 from knotcalc.chords import unpack
 from knotcalc.diagram import Diagram, _erase, _rotate, pd_parse
 from knotcalc.errors import ResourceLimit
@@ -122,15 +123,94 @@ class TestJones:
                 {-q: c for q, c in v.items()})
 
     def test_determinism_and_memo_hits(self):
-        # the sweep keys no states, so it leaves the memo empty
+        # the first call sweeps and keeps the bracket, the second reads it
         memo = SkeinMemo()
         d = pd_parse(SIX_ONE)
         first = jones_memoized(d, memo=memo)
         second = jones_memoized(d, memo=memo)
-        assert first == second
-        assert memo.stats() == {"entries": 0, "hits": 0, "misses": 0,
+        assert first == second == jones_memoized(d)
+        assert memo.stats() == {"entries": 1, "hits": 1, "misses": 1,
                                 "kinks": 0, "bigons": 0, "swept": 0,
                                 "widest": 0, "most_states": 0, "reused": 0}
+
+
+def shifted_labels(d: Diagram, offset: int) -> Diagram:
+    """``d`` with every arc label moved up by ``offset``."""
+    recs = tuple(tuple(a + offset for a in rec) for rec in d.crossings)
+    return Diagram(recs, d.over_in, d.free_loops, _validated=True)
+
+
+class TestBracketMemo:
+    """Jones keys the bracket by the free loops and the records up to a
+    half-turn, which keeps the unoriented crossing: a reversed component
+    hits, a mirror or new labels miss, and no hit changes a value."""
+
+    @pytest.mark.parametrize("name", ["3_1", "4_1", "6_1"])
+    @pytest.mark.parametrize("framing", [-1, 0, 2])
+    def test_hat_hit_equals_a_fresh_sweep(self, table_diagrams, name,
+                                          framing):
+        cab = cable2(table_diagrams[name], framing)
+        hat = make_hat(cab).diagram
+        memo = SkeinMemo()
+        v_cable = jones_memoized(cab.diagram, 64, memo)
+        v_hat = jones_memoized(hat, 64, memo)
+        assert (memo.hits, memo.misses, len(memo.table)) == (1, 1, 1)
+        assert v_hat == jones_memoized(hat, 64)
+        assert v_cable == jones_memoized(cab.diagram, 64)
+
+    def test_mirror_misses(self, table_diagrams):
+        d = table_diagrams["5_2"]
+        memo = SkeinMemo()
+        jones_memoized(d, memo=memo)
+        got = jones_memoized(mirror(d), memo=memo)
+        assert (memo.hits, memo.misses, len(memo.table)) == (0, 2, 2)
+        assert got == jones_memoized(mirror(d))
+
+    def test_new_labels_miss_and_keep_V(self, table_diagrams):
+        d = table_diagrams["6_2"]
+        memo = SkeinMemo()
+        v = jones_memoized(d, memo=memo)
+        assert jones_memoized(shifted_labels(d, 100), memo=memo) == v
+        assert (memo.hits, memo.misses, len(memo.table)) == (0, 2, 2)
+
+    def test_hit_over_the_cap_raises(self, table_diagrams):
+        cab = cable2(table_diagrams["3_1"], 0)
+        memo = SkeinMemo()
+        jones_memoized(cab.diagram, memo=memo)
+        hat = make_hat(cab).diagram
+        with pytest.raises(ResourceLimit):
+            jones_memoized(hat, hat.n_crossings - 1, memo)
+        assert (memo.hits, memo.misses) == (0, 1)
+
+    def test_memo_shared_with_kauffman(self, table_diagrams):
+        # F keys records as they are and Jones by (free loops, records),
+        # so the two engines' keys on one diagram stay apart
+        memo = SkeinMemo()
+        for name in ("3_1", "6_1", "7_2"):
+            d = table_diagrams[name]
+            for _ in range(2):
+                assert kauffman_F(d, memo=memo) == kauffman_F(d)
+                assert jones_memoized(d, memo=memo) == jones_memoized(d)
+        assert (memo.hits, memo.misses, len(memo.table)) == (6, 6, 6)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(braid_words(10, strands=(2, 3, 4, 5)), st.integers(0, 99))
+    def test_reversed_component_hits_and_scales(self, word, pick):
+        # reversing c flips the sign of its crossings with the rest, so
+        # w drops by 4 lk(c, rest), and (-A)^(-3w) gains t^(-3 lk)
+        d = trace_closure(braid_to_tangle(word))
+        n = len(d.components)
+        assume(n >= 2)
+        c = pick % n
+        lk = sum(d.linking_number(c, k) for k in range(n) if k != c)
+        back = d.reverse_component(c)
+        memo = SkeinMemo()
+        v = jones_memoized(d, memo=memo)
+        v_back = jones_memoized(back, memo=memo)
+        assert (memo.hits, memo.misses) == (1, 1)
+        assert v_back == t(-3 * lk) * v
+        assert v_back == jones_memoized(back)
 
 
 class TestKauffman:

@@ -40,6 +40,10 @@ def test_chain_owns_one_memo_per_engine(report):
         "kauffman": {"entries": 1, "hits": 0, "misses": 1,
                      "kinks": 0, "bigons": 0, "swept": 6, "widest": 6,
                      "most_states": 3, "reused": 3},
+        # the hat reads the bracket that the cable's sweep kept
+        "bracket": {"entries": 1, "hits": 1, "misses": 1,
+                    "kinks": 0, "bigons": 0, "swept": 0, "widest": 0,
+                    "most_states": 0, "reused": 0},
     }
     assert stevedore_chain_report()["memo"] == report["memo"]
 
