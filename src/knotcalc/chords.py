@@ -25,8 +25,9 @@ of them in a row (``_next_block``).  It enters in three steps:
   when the upper one runs over, and otherwise takes one layer swap;
 * the caps (``_caps``): two neighbouring positions that carry one arc
   are joined, closing a circle (``(a + a^-1) z^-1 - 1``, the last one 1)
-  or a curl (``a^+-1``).  The caps are listed in the positions before the
-  first one, and the positions left are renumbered once, at the end.
+  or a curl (``a^+-1``).  They match like brackets over the positions
+  before the first cap, in which they are listed, and the positions left
+  are renumbered once, at the end.
 
 So the sweep gives the regular-isotopy invariant L with ``L(unknot) =
 1``, ``L(curl+) = a L`` and ``L(s+) + L(s-) = z(L(s0) + L(soo))`` of one
@@ -42,7 +43,10 @@ their steps again.
 Polynomials are term maps {key: int coefficient} of ``TwoVarPoly``,
 whose packing ``polyring`` owns: a^i z^j is keyed ``i * A_STEP + j``, so
 a monomial factor adds its key to every key, and ``polyring.times``
-multiplies two maps.  ``unpack`` wraps one as a ``TwoVarPoly``.
+multiplies two maps.  Products are summed into a dict of diagrams by
+``_add_product``, which drops a coefficient that cancels, and a diagram
+whose polynomial cancels, where it adds.  ``unpack`` wraps one as a
+``TwoVarPoly``.
 """
 
 from __future__ import annotations
@@ -76,12 +80,10 @@ def _skein_swap(above: tuple, upper: tuple, lower: tuple, below: tuple,
     w, x, y, z = (ul, dl, ur, dr) if ul < dl else (dl, ul, dr, ur)
     acc = {key: {e: -c for e, c in poly.items()}
            for key, poly in then(above + lower + upper + below, table).items()}
-    merged = set()
     for pair in ((w, x, y, z), (w, z, x, y)):
         for key, poly in then(above + pair + below, table).items():
-            if _add_product(acc, key, poly, _P_Z):
-                merged.add(key)
-    return _drop_zeros(acc, merged)
+            _add_product(acc, key, poly, _P_Z)
+    return acc
 
 
 def _crossing(l: int, r: int, el: int, er: int) -> bool:
@@ -178,51 +180,47 @@ def _cross(layers: tuple, p: int, a_over: bool, table: dict) -> dict:
     return terms
 
 
-def _add_product(acc: dict, key, poly: dict, factor: dict) -> bool:
-    """acc[key] += poly * factor; True when a coefficient may cancel."""
+def _add_product(acc: dict, key, poly: dict, factor: dict) -> None:
+    """acc[key] += poly * factor; a coefficient that cancels is dropped,
+    and so is the key when its whole polynomial does."""
     target = acc.get(key)
     if target is None:
         acc[key] = times(factor, poly)
-        return False
+        return
     get = target.get
     for e2, c2 in factor.items():
         for e1, c1 in poly.items():
             e = e1 + e2
-            target[e] = get(e, 0) + c1 * c2
-    return True
-
-
-def _drop_zeros(acc: dict, keys: set) -> dict:
-    for key in keys:
-        poly = {e: c for e, c in acc[key].items() if c}
-        if poly:
-            acc[key] = poly
-        else:
-            del acc[key]
-    return acc
+            c = get(e, 0) + c1 * c2
+            if c:
+                target[e] = c
+            else:
+                del target[e]
+    if not target:
+        del acc[key]
 
 
 def _caps(frontier: list) -> tuple[tuple, list[int]]:
     """Cap every two neighbouring frontier positions (the last and the
     first are neighbours) that carry one arc, and remove them; return the
     caps as (q, q2) in the positions before the first cap, and the new
-    position of each position left."""
-    renum = [0] * len(frontier)
-    at = list(range(len(frontier)))  # each position's number before
+    position of each position left.  One pass caps each position
+    against the top of a stack of those left when the two carry one arc,
+    and pushes it otherwise; then the stack's last and first positions
+    are capped while they match."""
+    stack: list[int] = []
     caps = []
-    while len(frontier) > 1:
-        n = len(frontier)
-        for q in range(n):
-            if frontier[q] == frontier[(q + 1) % n]:
-                break
+    for q2, arc in enumerate(frontier):
+        if stack and frontier[stack[-1]] == arc:
+            caps.append((stack.pop(), q2))
         else:
-            break
-        q2 = (q + 1) % n
-        caps.append((at[q], at[q2]))
-        for k in (max(q, q2), min(q, q2)):
-            del frontier[k], at[k]
-    for new, old in enumerate(at):
+            stack.append(q2)
+    while len(stack) > 1 and frontier[stack[-1]] == frontier[stack[0]]:
+        caps.append((stack.pop(), stack.pop(0)))
+    renum = [0] * len(frontier)
+    for new, old in enumerate(stack):
         renum[old] = new
+    frontier[:] = [frontier[q] for q in stack]
     return tuple(caps), renum
 
 
@@ -248,25 +246,20 @@ def _step(layers: tuple, cup: bool, p: int, a_over: bool, caps: tuple,
                          for new, more in terms.items()}
             continue
         capped: dict = {}
-        merged = set()
         for layers, factor in terms.items():
             for new, more in _cap(layers, q, q2, table).items():
-                if _add_product(capped, new, more, factor):
-                    merged.add(new)
-        terms = _drop_zeros(capped, merged)
+                _add_product(capped, new, more, factor)
+        terms = capped
     out: dict = {}
-    dirty = set()
     for layers, factor in terms.items():
         layers = tuple(map(renum.__getitem__, layers))
         lefts = layers[::2]
         if list(lefts) == sorted(lefts):
-            if _add_product(out, layers, factor, ONE):
-                dirty.add(layers)
+            _add_product(out, layers, factor, ONE)
             continue
         for normal, more in _normal(layers, table).items():
-            if _add_product(out, normal, more, factor):
-                dirty.add(normal)
-    return _drop_zeros(out, dirty)
+            _add_product(out, normal, more, factor)
+    return out
 
 
 def _next_block(records, left: list[int], frontier: list) -> tuple:
@@ -325,7 +318,6 @@ def chord_sweep(records, counts) -> dict:
         step = (cup, p, t % 2 == 1, caps)
         known = steps.setdefault(step, {})
         out: dict = {}
-        dirty = set()
         for key, poly in states.items():
             got = known.get(key)
             if got is None:
@@ -333,9 +325,8 @@ def chord_sweep(records, counts) -> dict:
             else:
                 reused += 1
             for new, more in got.items():
-                if _add_product(out, new, poly, more):
-                    dirty.add(new)
-        states = _drop_zeros(out, dirty)
+                _add_product(out, new, poly, more)
+        states = out
         most = max(most, len(states))
     counts.swept += len(records)
     counts.widest = max(counts.widest, widest)

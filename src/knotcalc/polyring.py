@@ -60,23 +60,38 @@ class GaussInt:
     def coerce(value: "GaussInt | int") -> "GaussInt":
         if isinstance(value, GaussInt):
             return value
-        return GaussInt(value, 0)
+        if isinstance(value, int):
+            return GaussInt(value, 0)
+        raise TypeError(f"{value!r} is not a Gaussian integer")
 
     def __add__(self, other):
-        other = GaussInt.coerce(other)
+        try:
+            other = GaussInt.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussInt(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussInt.coerce(other)
+        try:
+            other = GaussInt.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussInt(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return GaussInt.coerce(other) - self
+        try:
+            other = GaussInt.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
-        other = GaussInt.coerce(other)
+        try:
+            other = GaussInt.coerce(other)
+        except TypeError:
+            return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         if b == 0 and d == 0:
             return GaussInt(a * c, 0)
@@ -322,17 +337,19 @@ class LaurentPoly(_Poly):
         clean: dict[int, GaussInt] = {}
         if terms:
             for q, c in terms.items():
+                if not isinstance(q, int):
+                    raise TypeError(f"exponent key {q!r} is not an int")
                 c = GaussInt.coerce(c)
                 if c:
-                    clean[int(q)] = c
+                    clean[q] = c
         object.__setattr__(self, "_terms", clean)
 
     # ------------------------------------------------------------ constructors
 
     @classmethod
-    def t_pow(cls, exponent: ExponentLike, coeff: Coefficient = 1) -> "LaurentPoly":
-        """``coeff * t**exponent`` with ``exponent`` any multiple of 1/4."""
-        return cls({_quarters(exponent): coeff})
+    def t_pow(cls, exponent: ExponentLike) -> "LaurentPoly":
+        """``t**exponent`` with ``exponent`` any multiple of 1/4."""
+        return cls({_quarters(exponent): 1})
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[ExponentLike, Coefficient]]) -> "LaurentPoly":
@@ -387,11 +404,15 @@ class TwoVarPoly(_Poly):
         clean: dict[int, int] = {}
         if terms:
             for (a, z), c in terms.items():
+                if not (isinstance(a, int) and isinstance(z, int)
+                        and isinstance(c, int)):
+                    raise TypeError(f"a^{a!r} z^{z!r} with coefficient {c!r}: "
+                                    "exponents and coefficient must be ints")
                 if not -A_STEP // 2 <= z < A_STEP // 2:
                     raise ValueError(f"z^{z} is outside the packed range "
                                      "-2^19 <= j < 2^19 of a TwoVarPoly")
                 if c:
-                    clean[int(a) * A_STEP + int(z)] = int(c)
+                    clean[a * A_STEP + z] = c
         object.__setattr__(self, "_terms", clean)
 
     # ------------------------------------------------------------- inspection

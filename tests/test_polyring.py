@@ -17,7 +17,11 @@ from knotcalc.polyring import (
 from ops import eval_at, power
 from oracles import two_var_substitute
 
-t = LaurentPoly.t_pow
+def t(exponent, coeff=1):
+    """``coeff * t**exponent``, the scalar on the right."""
+    return LaurentPoly.t_pow(exponent) * coeff
+
+
 half = Fraction(1, 2)
 
 
@@ -308,3 +312,35 @@ class TestUnits:
     def test_negative_pow(self):
         assert power(t(1), -3) == t(-3)
         assert power(t(half, GaussInt.I), -2) == -t(-1)
+
+
+class TestExactInputs:
+    """A key or coefficient that is not an int (or, in a LaurentPoly, a
+    GaussInt) raises TypeError where it enters."""
+
+    @pytest.mark.parametrize("terms", [{0.5: 1}, {0: 0.5}],
+                             ids=["key", "coefficient"])
+    def test_laurent_refuses_floats(self, terms):
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
+
+    @pytest.mark.parametrize("terms", [{(0, 0): 0.5}, {(0, 0): 2.7},
+                                       {(0.5, 0): 1}],
+                             ids=["half", "truncated", "key"])
+    def test_twovar_refuses_floats(self, terms):
+        with pytest.raises(TypeError):
+            TwoVarPoly(terms)
+
+    def test_coerce_refuses_floats(self):
+        with pytest.raises(TypeError):
+            GaussInt.coerce(0.5)
+
+    def test_gauss_int_plus_laurent_is_laurent(self):
+        p = t(1)
+        assert type(GaussInt(2) + p) is LaurentPoly
+        assert GaussInt(2) + p == p + GaussInt(2)
+
+    def test_unit_times_laurent_is_laurent(self):
+        p = t(1)
+        assert type(GaussInt.I * p) is LaurentPoly
+        assert GaussInt.I * p == p * GaussInt.I == LaurentPoly({4: GaussInt.I})

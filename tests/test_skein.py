@@ -52,7 +52,7 @@ class TestBracket:
     def test_positive_curl(self):
         d = reidemeister_r1_add(pd_parse("O"), None, 1).diagram
         # <curl+> = -A^3 with A = t^-1/4
-        assert bracket_state_sum(d) == t(Fraction(-3, 4), -1)
+        assert bracket_state_sum(d) == -t(Fraction(-3, 4))
 
     def test_two_component_unlink(self):
         got = bracket_state_sum(pd_parse("O O"))
@@ -631,5 +631,5 @@ class TestMoveInvariance:
             arc = rng.choice(sorted(d.arcs))
             kinked = reidemeister_r1_add(d, arc, sign).diagram
             # <kink+-> = -A^{+-3} <D>
-            factor = t(Fraction(-3 * sign, 4), -1)
+            factor = -t(Fraction(-3 * sign, 4))
             assert bracket_state_sum(kinked) == factor * base

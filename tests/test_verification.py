@@ -161,7 +161,7 @@ def test_cable_of_a_link_raises():
         cable2(hopf)
 
 
-KING_A = LaurentPoly.t_pow(-2, GaussInt.I)
+KING_A = LaurentPoly.t_pow(-2) * GaussInt.I
 KING_Z = (LaurentPoly.t_pow(1) - LaurentPoly.t_pow(-1)) * GaussInt.I
 
 
