@@ -15,7 +15,10 @@ Kauffman polynomial of a knot to the Jones polynomial of its 2-cable:
         = -(t^1/2 + t^-1/2) V(K~) - t^3f
 
 ``king_sides`` writes its two sides from an F already substituted by
-``king_substitution``.
+``king_substitution``.  Both sides are computed on term maps keyed by
+quarter exponents, with ``int`` coefficients when every input
+coefficient is real, and multiplied by ``polyring.times``; so
+``king_verify`` compares two maps and builds no ``LaurentPoly``.
 
 ``jprime_chain`` evaluates the two-step skein derivation that produces
 the Jones polynomial of the genus-one double from ``V(K^)``:
@@ -27,13 +30,12 @@ the Jones polynomial of the genus-one double from ``V(K^)``:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .diagram import Diagram
 from .errors import (MultiComponent, NonInvertibleImage, ResidualImaginaryPart,
                      UnknownComponent)
-from .polyring import LaurentPoly, TwoVarPoly, _difference_power
+from .polyring import LaurentPoly, TwoVarPoly, _difference_power, times
 from .presentations import (BraidWord, Tangle, braid_to_tangle,
                             tangle_compose, tangle_parallel_double,
                             trace_closure)
@@ -47,8 +49,6 @@ __all__ = [
     "king_verify",
     "jprime_chain",
 ]
-
-_T = LaurentPoly.t_pow
 
 
 class CableLink(NamedTuple):
@@ -135,26 +135,48 @@ def king_substitution(f_poly: TwoVarPoly) -> LaurentPoly:
     return LaurentPoly(real)
 
 
+def _int_terms(p: LaurentPoly) -> dict:
+    """The term map of ``p`` with ``int`` coefficients when every one is
+    real, else with its ``GaussInt`` coefficients."""
+    terms = p.terms
+    if any(c.im for c in terms.values()):
+        return terms
+    return {q: c.re for q, c in terms.items()}
+
+
+def _sides(substituted: LaurentPoly, v_tilde: LaurentPoly,
+           framing: int) -> tuple[dict, dict]:
+    """The two sides of the cabling identity as term maps keyed by
+    quarter exponents, with no zero coefficient."""
+    q = 4 * framing
+    lhs = times({q - 4: 1, q: 1, q + 4: 1}, _int_terms(substituted))
+    rhs = times({2: -1, -2: -1}, _int_terms(v_tilde))
+    c = rhs.get(3 * q, 0) - 1
+    if c:
+        rhs[3 * q] = c
+    else:
+        del rhs[3 * q]
+    return lhs, rhs
+
+
 def king_sides(substituted: LaurentPoly, v_tilde: LaurentPoly,
                framing: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The two sides of the cabling identity for (``king_substitution``
-    of F of the companion, V of the 2-cable, framing)."""
-    lhs = (_T(framing) * (LaurentPoly.one() + _T(1) + _T(-1))) * substituted
-    rhs = (-(_T(Fraction(1, 2)) + _T(Fraction(-1, 2)))) * v_tilde \
-        - _T(3 * framing)
-    return lhs, rhs
+    of F of the companion, V of the 2-cable, framing), computed on
+    quarter-keyed ``int`` term maps."""
+    lhs, rhs = _sides(substituted, v_tilde, framing)
+    return LaurentPoly(lhs), LaurentPoly(rhs)
 
 
 def king_verify(f_poly: TwoVarPoly, v_tilde: LaurentPoly, framing: int) -> bool:
     """Exact check of the cabling identity for (F of the companion,
     V of the 2-cable, framing)."""
-    lhs, rhs = king_sides(king_substitution(f_poly), v_tilde, framing)
+    lhs, rhs = _sides(king_substitution(f_poly), v_tilde, framing)
     return lhs == rhs
 
 
 def jprime_chain(v_hat: LaurentPoly) -> LaurentPoly:
     """``V(J') = t^3 - t^2 + t + (t^7/2 - t^5/2) V(K^)``, the end of the
     two displayed skein applications."""
-    return (_T(3) - _T(2) + _T(1)
-            + (_T(Fraction(7, 2)) - _T(Fraction(5, 2))) * v_hat)
-
+    return (LaurentPoly({12: 1, 8: -1, 4: 1})
+            + LaurentPoly({14: 1, 10: -1}) * v_hat)

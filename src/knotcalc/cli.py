@@ -275,7 +275,10 @@ def cmd_cable(args) -> int:
         t0 = time.perf_counter()
         f_poly = kauffman_F(base, args.max_crossings, memo)
         timing["kauffman_F"] = round(time.perf_counter() - t0, 6)
-        checks["king"] = {"pass": king_verify(f_poly, v_tilde, args.framing),
+        t0 = time.perf_counter()
+        passed = king_verify(f_poly, v_tilde, args.framing)
+        timing["king"] = round(time.perf_counter() - t0, 6)
+        checks["king"] = {"pass": passed,
                           "lhs": f"F: {f_poly}",
                           "rhs": f"V(cable): {v_tilde}"}
     payload = {

@@ -30,8 +30,7 @@ when it has more than one term, e.g. ``(-a^-2 + a^2 + a^4) + (2a + 2a^3)z``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Protocol, Union
 
 __all__ = [
     "A_STEP",
@@ -136,20 +135,33 @@ class GaussInt:
         return f"({re}{sign}{istr})"
 
 
-GaussInt.ZERO = GaussInt(0, 0)
 GaussInt.ONE = GaussInt(1, 0)
 GaussInt.I = GaussInt(0, 1)
 
 
+class _Rational(Protocol):
+    """An exact rational, such as a ``fractions.Fraction``."""
+
+    numerator: int
+    denominator: int
+
+
 Coefficient = Union[GaussInt, int]
-ExponentLike = Union[int, Fraction]
+ExponentLike = Union[int, _Rational]
 
 
 def _quarters(exponent: ExponentLike) -> int:
-    q = Fraction(exponent) * 4
-    if q.denominator != 1:
+    """``exponent``, an int or an exact rational, in quarter units."""
+    if isinstance(exponent, int):
+        return 4 * exponent
+    try:
+        q, r = divmod(4 * exponent.numerator, exponent.denominator)
+    except AttributeError:
+        raise TypeError(f"exponent {exponent!r} is not an int or an exact "
+                        "rational") from None
+    if r:
         raise ValueError(f"exponent {exponent} is not a multiple of 1/4")
-    return q.numerator
+    return q
 
 
 def _exp_str(var: str, quarters: int) -> str:
@@ -366,16 +378,8 @@ class LaurentPoly(_Poly):
         """Copy of the term map keyed by quarter-unit exponents."""
         return dict(self._terms)
 
-    def coefficient(self, exponent: ExponentLike) -> GaussInt:
-        return self._terms.get(_quarters(exponent), GaussInt.ZERO)
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def max_exponent(self) -> Fraction:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return Fraction(max(self._terms), 4)
 
     # -------------------------------------------------------------- protocol
 

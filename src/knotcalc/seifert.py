@@ -55,7 +55,6 @@ elementary enlargements.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .diagram import Diagram, _glue, _ints, _orbits
@@ -344,7 +343,7 @@ def _centered(terms: dict) -> LaurentPoly:
     lo, hi = min(terms), max(terms)
     if (lo + hi) % 2:
         raise ValueError(
-            f"exponent {Fraction(-(lo + hi), 8)} is not a multiple of 1/4")
+            f"exponent {-(lo + hi)}/8 is not a multiple of 1/4")
     if any(terms.get(lo + hi - q) != c for q, c in terms.items()):
         raise AssertionError("Alexander polynomial is not symmetric")
     lead = terms[hi]
@@ -383,7 +382,8 @@ def is_monic(delta: LaurentPoly) -> bool:
     polynomial is a unit: the fiberedness obstruction passes."""
     if delta.is_zero():
         return False
-    lead = delta.coefficient(delta.max_exponent())
+    terms = delta.terms
+    lead = terms[max(terms)]
     return lead.im == 0 and abs(lead.re) == 1
 
 

@@ -220,6 +220,15 @@ def test_cable_hat_reads_the_cable_bracket(capsys):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "5e3aa7238c34a95f"
 
 
+def test_cable_times_the_king_check(capsys):
+    # the timing sits beside the payload, so the payload stays the same
+    argv = ["--format", "json", "cable", "3_1", "--framing", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert "king" in report["timing"]
+    assert report["payload"]["checks"]["king"]["pass"]
+
+
 def test_cable_of_the_unknot(capsys):
     # F(O) = 1 and V(O u O) = -t^1/2 - t^-1/2, so the cabling identity
     # reads 1 + t + t^-1 = (t^1/2 + t^-1/2)^2 - 1

@@ -244,3 +244,17 @@ def test_package_runs_with_only_src_on_the_path(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_package_loads_no_fractions(tmp_path):
+    # fractions pulls in decimal, milliseconds of set-up on every command;
+    # the package takes an exact rational exponent without importing it
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              f"import {', '.join(MODULES)}\n"
+              "print('fractions' in set(sys.modules) - before)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -331,6 +331,23 @@ class TestExactInputs:
         with pytest.raises(TypeError):
             TwoVarPoly(terms)
 
+    @pytest.mark.parametrize("exponent, quarters", [
+        (3, 12), (-2, -8), (Fraction(-25, 2), -50), (Fraction(3, 4), 3),
+        (Fraction(8, 4), 8)])
+    def test_exponents_int_or_exact_rational(self, exponent, quarters):
+        assert LaurentPoly.t_pow(exponent).terms == {quarters: 1}
+        assert LaurentPoly.from_terms([(exponent, 2)]).terms == {quarters: 2}
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, "1/2", None])
+    def test_exponent_refuses_inexact(self, exponent):
+        with pytest.raises(TypeError):
+            LaurentPoly.t_pow(exponent)
+
+    @pytest.mark.parametrize("exponent", [Fraction(1, 8), Fraction(-5, 3)])
+    def test_exponent_off_the_quarter_grid(self, exponent):
+        with pytest.raises(ValueError, match="not a multiple of 1/4"):
+            LaurentPoly.t_pow(exponent)
+
     def test_coerce_refuses_floats(self):
         with pytest.raises(TypeError):
             GaussInt.coerce(0.5)

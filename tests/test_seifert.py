@@ -129,7 +129,7 @@ def normalize_by_shift(p):
     p = p * LaurentPoly.t_pow(-Fraction(min(p.terms) + max(p.terms), 8))
     if {-q: c for q, c in p.terms.items()} != p.terms:
         raise AssertionError("Alexander polynomial is not symmetric")
-    lead = p.coefficient(p.max_exponent())
+    lead = p.terms[max(p.terms)]
     if lead.im != 0:
         raise AssertionError("Alexander polynomial has imaginary parts")
     return -p if lead.re < 0 else p

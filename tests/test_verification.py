@@ -1,20 +1,24 @@
 """The paper's stevedore-cable chain, end to end."""
 
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotcalc import cli, verification
-from knotcalc.cable import cable2, king_substitution, king_verify, make_hat
+from knotcalc.cable import (cable2, king_sides, king_substitution,
+                            king_verify, make_hat)
+from knotcalc.diagram import pd_parse
 from knotcalc.errors import (MultiComponent, NonInvertibleImage,
                              ResidualImaginaryPart)
 from knotcalc.polyring import GaussInt, LaurentPoly, TwoVarPoly
 from knotcalc.presentations import braid_parse, braid_to_tangle, trace_closure
 from knotcalc.skein import jones_memoized, kauffman_F
 from knotcalc.table import diagram, load_table
-from knotcalc.verification import (KAUFFMAN_61_CORRECTED, KAUFFMAN_61_PRINTED,
+from knotcalc.verification import (JONES_CABLE_61, KAUFFMAN_61_CORRECTED,
+                                   KAUFFMAN_61_PRINTED, SUBSTITUTION_61,
                                    stevedore_chain_report)
 
 from ops import mirror
@@ -91,6 +95,97 @@ def test_cabling_identity_at_framings(name):
         v_cable = jones_memoized(cab, cab.n_crossings)
         assert king_verify(f_poly, v_cable, framing), framing
         assert not king_verify(f_poly, v_cable, framing + 1), framing
+
+
+def king_sides_in_the_ring(substituted, v_tilde, framing):
+    """The two sides of the cabling identity by ``LaurentPoly`` ring
+    arithmetic, the reference for ``king_sides``."""
+    t = LaurentPoly.t_pow
+    lhs = t(framing) * (1 + t(1) + t(-1)) * substituted
+    rhs = -(t(Fraction(1, 2)) + t(Fraction(-1, 2))) * v_tilde - t(3 * framing)
+    return lhs, rhs
+
+
+def quarter_polys(coefficients):
+    return st.dictionaries(st.integers(-60, 60), coefficients,
+                           max_size=8).map(LaurentPoly)
+
+
+REAL_OR_GAUSSIAN = st.one_of(
+    quarter_polys(st.integers(-3, 3)),
+    quarter_polys(st.builds(GaussInt, st.integers(-3, 3), st.integers(-3, 3))))
+
+
+def cancelling_v(framing, unit):
+    """V with -(t^1/2 + t^-1/2) V holding t^3f with coefficient 1, which
+    the identity's -t^3f cancels."""
+    return LaurentPoly({12 * framing - 2: -1, 12 * framing + 6: unit})
+
+
+@settings(max_examples=200, deadline=None)
+@given(REAL_OR_GAUSSIAN, REAL_OR_GAUSSIAN, st.integers(-4, 4))
+@example(LaurentPoly({3: 1}), cancelling_v(-4, 1), -4)
+@example(LaurentPoly({3: 1}), cancelling_v(0, 1), 0)
+@example(LaurentPoly({3: GaussInt(0, 1)}), cancelling_v(3, GaussInt(0, 1)), 3)
+def test_king_sides_equal_the_ring_formula(substituted, v_tilde, framing):
+    assert (king_sides(substituted, v_tilde, framing)
+            == king_sides_in_the_ring(substituted, v_tilde, framing))
+
+
+@pytest.mark.parametrize("framing", range(-2, 3))
+def test_cabling_identity_on_unknot_cables(framing):
+    # the cable of the unknot is T(2, 2f), and F(O) = 1, so the left side
+    # t^f (1 + t + t^-1) has no t^3f term at f != 0: the right side's
+    # t^3f cancels
+    cab = cable2(pd_parse("O"), framing).diagram
+    v_cable = jones_memoized(cab)
+    assert king_verify(TwoVarPoly({(0, 0): 1}), v_cable, framing)
+    assert not king_verify(TwoVarPoly({(0, 0): 1}), v_cable, framing + 1)
+
+
+SIX_CROSSING_KNOTS = [n for n in TABLE_NAMES if int(n.split("_")[0]) <= 6]
+
+
+@pytest.mark.parametrize("name", SIX_CROSSING_KNOTS)
+def test_king_verify_fails_off_the_identity(name):
+    # the identity holds at the cable's own framing and at no other; one
+    # changed coefficient of V, or an imaginary part added to V, breaks it
+    knot = diagram(name)
+    f_poly = kauffman_F(knot)
+    for framing in range(-2, 3):
+        cab = cable2(knot, framing).diagram
+        v_cable = jones_memoized(cab, cab.n_crossings)
+        assert king_verify(f_poly, v_cable, framing), framing
+        for other in (framing - 1, framing + 1):
+            assert not king_verify(f_poly, v_cable, other), (framing, other)
+        for q in v_cable.terms:
+            for bump in (1, GaussInt(0, 1)):
+                changed = v_cable + LaurentPoly({q: bump})
+                assert not king_verify(f_poly, changed, framing), (framing, q)
+        assert not king_verify(f_poly, v_cable * GaussInt(0, 1), framing)
+
+
+def test_king_check_uses_no_laurent_arithmetic(monkeypatch):
+    # the two sides are term maps: with LaurentPoly's arithmetic raising,
+    # the 6_1 case still gives its sides and passes
+    want = king_sides_in_the_ring(SUBSTITUTION_61, JONES_CABLE_61, 0)
+
+    def refuse(*args):
+        raise AssertionError("LaurentPoly arithmetic in the cabling identity")
+
+    for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__",
+                 "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    with pytest.raises(AssertionError):
+        JONES_CABLE_61 + JONES_CABLE_61
+    assert king_sides(SUBSTITUTION_61, JONES_CABLE_61, 0) == want
+    assert want[0] == want[1]
+    assert king_verify(KAUFFMAN_61_CORRECTED, JONES_CABLE_61, 0)
+    assert not king_verify(KAUFFMAN_61_CORRECTED, JONES_CABLE_61, 1)
+
+
+def test_chain_times_the_king_check(report):
+    assert "king" in report["timing"]
 
 
 @settings(max_examples=25, deadline=None)
