@@ -4,9 +4,14 @@
 cut the knot open into a 1-1 tangle, double it with the parallel-copy
 rule of ``presentations`` (every crossing becomes a 2x2 same-sign block,
 so ``lk = w(K)``), stack ``f - w(K)`` full twists of the two strands
-below it, and trace-close, so that ``lk(K, K*)`` equals the requested
-framing exactly.  The two curves are oriented homologously; ``make_hat``
-reverses the copy, giving ``K^ = K u (-K*)``.
+below it, and join its top to its bottom, so that ``lk(K, K*)`` equals
+the requested framing exactly.  The two curves are oriented
+homologously; ``make_hat`` reverses the copy, giving ``K^ = K u (-K*)``.
+The cable is oriented by construction, not by a walk: each doubled
+record takes the orientation of the knot's record it replaces, and each
+twist record that of its letter, strands running down.
+``Diagram._oriented`` checks in O(n) that every arc is entered once and
+left once.
 
 ``king_verify`` checks the cabling identity tying the two-variable
 Kauffman polynomial of a knot to the Jones polynomial of its 2-cable:
@@ -32,13 +37,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import Diagram
+from .diagram import Diagram, _glue
 from .errors import (MultiComponent, NonInvertibleImage, ResidualImaginaryPart,
                      UnknownComponent)
 from .polyring import LaurentPoly, TwoVarPoly, _difference_power, times
 from .presentations import (BraidWord, Tangle, braid_to_tangle,
-                            tangle_compose, tangle_parallel_double,
-                            trace_closure)
+                            tangle_compose, tangle_parallel_double)
 
 __all__ = [
     "CableLink",
@@ -61,17 +65,13 @@ class CableLink(NamedTuple):
         return self.diagram.linking_number(0, 1)
 
 
-def cable2(base: Diagram, framing: int = 0) -> CableLink:
-    """The 2-strand cable ``K~`` with ``lk(K, K*) = framing`` exactly.
-
-    The knot is cut open at the arc leaving its last crossing into a 1-1
-    tangle, doubled by ``tangle_parallel_double`` (``lk = w(base)``),
-    stacked on ``2|f - w|`` braid crossings of the sign of ``f - w``, and
-    trace-closed.  Which closed component is K and which K* does not
-    matter: swapping them is an isotopy of the cable.
-    """
-    if base.n_components != 1:
-        raise MultiComponent("cables are taken over knots")
+def _cable_tangle(base: Diagram, twists: int) -> Tangle:
+    """The 2-2 tangle whose trace closure is the cable of the knot
+    ``base``: the knot cut open at the arc leaving its last crossing into
+    a 1-1 tangle that runs down, doubled by ``tangle_parallel_double``,
+    and stacked on ``2|twists|`` braid crossings of the sign of
+    ``twists``.  Its records keep ``base``'s, four to each, in order,
+    then one per twist letter."""
     if base.n_crossings == 0:
         strand = Tangle([], [1], [1])
     else:
@@ -81,11 +81,37 @@ def cable2(base: Diagram, framing: int = 0) -> CableLink:
         records = [list(rec) for rec in base.crossings]
         records[hc][hs] = fresh
         strand = Tangle(records, [fresh], [cut])
-    twists = framing - base.writhe()
     letters = (1 if twists > 0 else -1,) * (2 * abs(twists))
-    out = CableLink(trace_closure(tangle_compose(
-        tangle_parallel_double(strand),
-        braid_to_tangle(BraidWord(2, letters)))))
+    return tangle_compose(tangle_parallel_double(strand),
+                          braid_to_tangle(BraidWord(2, letters)))
+
+
+def cable2(base: Diagram, framing: int = 0) -> CableLink:
+    """The 2-strand cable ``K~`` with ``lk(K, K*) = framing`` exactly.
+
+    The knot is cut open into a 1-1 tangle, doubled (``lk = w(base)``),
+    stacked on ``2|f - w|`` braid crossings of the sign of ``f - w``
+    (``_cable_tangle``), and closed by joining top k to bottom k with
+    ``diagram._glue``.  Which closed component is K and which K* does
+    not matter: swapping them is an isotopy of the cable.
+
+    The cable is oriented by construction, with no walk.  Both copies
+    run parallel to the knot, so each record of a doubled block keeps
+    slot 0 as its incoming under-strand and takes the ``over_in`` slot
+    of the knot's record; every twist strand runs down, so a twist
+    record has ``over_in`` 3 when its letter is positive and 1 when it
+    is negative.  ``Diagram._oriented`` checks that every arc is entered
+    and left once.
+    """
+    if base.n_components != 1:
+        raise MultiComponent("cables are taken over knots")
+    twists = framing - base.writhe()
+    t = _cable_tangle(base, twists)
+    records, _, closed = _glue(t.records, zip(t.top, t.bottom))
+    over_in = (tuple(o for o in base.over_in for _ in range(4))
+               + (3 if twists > 0 else 1,) * (2 * abs(twists)))
+    out = CableLink(Diagram._oriented(records, over_in,
+                                      t.free_loops + closed))
     if out.diagram.n_components != 2:
         raise AssertionError("cable must have exactly two components")
     if out.linking() != framing:

@@ -23,12 +23,14 @@ on it; by default these are every record's slot 0, the PD convention.  A
 circle with no listed end, such as one that passes only over, starts at its
 least record: at slot 3 when the circle holds that record's over pass, at
 slot 0 otherwise.  A listed end that the walk leaves by raises
-``InconsistentOrientation``.  The walk is also the one orientation check:
-a ``Diagram`` built directly from records and ``over_in`` slots is walked
-from every record's entering ends, slot 0 and the over-strand's slot,
-which agree exactly when the walk returns the same records and slots.
-``_validated=True`` marks tuples that a walk already produced, and the
-constructor stores them as given.
+``InconsistentOrientation``.  A ``Diagram`` built directly from records
+and ``over_in`` slots is walked from every record's entering ends, slot 0
+and the over-strand's slot, which agree exactly when the walk returns the
+same records and slots.  ``_validated=True`` marks tuples that a walk
+already produced, or that an operation made from them, and the
+constructor stores them as given.  Records oriented by their construction
+(``cable.cable2``'s) go through ``Diagram._oriented``, which walks
+nothing and checks in O(n) that every arc is entered once and left once.
 
 Reidemeister I and II sites are found and removed here, on one path
 for every caller.  ``_kinks`` yields the records that hold one arc in
@@ -76,8 +78,8 @@ class Diagram:
     the ends ``(i, 0)`` and ``(i, over_in[i])`` of every record, after
     each slot is checked to be 1 or 3.  With ``_validated=True`` the
     constructor stores the tuples it is given: records and slots that a
-    walk produced, or that an operation made from them and keeps
-    consistent.
+    walk produced, that an operation made from them and keeps
+    consistent, or that ``_oriented`` checked.
     """
 
     # ``_cache`` keeps the tables that one pass of each benchmark workload
@@ -167,6 +169,28 @@ class Diagram:
                 "empty diagram: no crossings and no free loops")
         return cls(tuple(normalized), tuple(over_in), int(free_loops),
                    _validated=True)
+
+    @classmethod
+    def _oriented(cls, crossings: tuple, over_in: tuple, free_loops: int
+                  ) -> "Diagram":
+        """A diagram from records oriented by their construction: slot 0
+        of each the incoming under-strand, ``over_in`` the over-strand's
+        incoming slot (1 or 3), labels positive.  No walk runs; the one
+        check, O(n), is that every arc enters exactly one record end
+        (slot 0 or ``over_in``) and leaves exactly one (slot 2 or
+        ``over_in ^ 2``), else InconsistentOrientation."""
+        heads = [rec[0] for rec in crossings] + [
+            rec[o] for rec, o in zip(crossings, over_in)]
+        tails = [rec[2] for rec in crossings] + [
+            rec[o ^ 2] for rec, o in zip(crossings, over_in)]
+        entered = set(heads)
+        if len(entered) != len(heads) or entered != set(tails):
+            arc = min(a for a in entered.union(tails)
+                      if heads.count(a) != 1 or tails.count(a) != 1)
+            raise InconsistentOrientation(
+                f"arc {arc} enters {heads.count(arc)} record ends and "
+                f"leaves {tails.count(arc)}, not one each")
+        return cls(crossings, over_in, free_loops, _validated=True)
 
     # -------------------------------------------------------------- inspection
 

@@ -7,10 +7,13 @@ boundary, and a count of closed circles.  Tangles compose by stacking,
 double by the parallel-copy rule, and close up into oriented diagrams.
 Their arcs are checked where they are read: by
 ``diagram._check_occurrences`` over the records and both boundaries in
-the doubling and the trace closure, and by the closure's
-``Diagram.from_pd``, whose walk orients every strand from the ends where
-the top arcs enter (trace closure, every strand running down) or, for
-the banded boundary, from no end at all.  Composition, closure and the
+the doubling and the trace closure.  A tangle of unknown orientation
+(a braid's, or one a caller builds) is closed by ``trace_closure``,
+whose ``Diagram.from_pd`` walk orients every strand from the ends where
+the top arcs enter, every strand running down; the banded boundary is
+walked from no end at all.  ``cable.cable2`` closes its doubled tangle
+itself, as its records are oriented by construction (``double_block``),
+and checks that orientation without a walk.  Composition, closure and the
 banded boundary all join boundary arcs through ``diagram._glue``: under
 its first-wins rule a joined arc keeps the label of the first arc of its
 pair, and a pair whose arcs are already one closes a free circle.
@@ -189,6 +192,12 @@ def double_block(u_in, o_out, u_out, o_in, mids) -> list[tuple]:
     the original record and four fresh middle-arc labels; lane U0 enters
     at slot 0 side 0 and exits at slot 2 side 1, lane O0 enters at slot 3
     side 0 and exits at slot 1 side 1.
+
+    The block keeps the record's orientation.  When slot 0 of the
+    original record is its incoming under-strand and the over-strand
+    enters at slot ``o``, both lanes run parallel to those strands, so
+    each of the four records has slot 0 as its incoming under-strand and
+    its over-strand entering at slot ``o`` too.
     """
     m_u0, m_u1, m_o0, m_o1 = mids
     return [

@@ -1,14 +1,21 @@
 """Exit codes of the command-line front end."""
 
 import hashlib
+import io
 import json
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotcalc import cli
+from knotcalc.presentations import braid_to_tangle, trace_closure
 from knotcalc.table import entry, load_table
+
+from strategies import braid_words
 
 
 def test_verify_paper_exits_0(capsys):
@@ -338,3 +345,92 @@ def test_seifert_section(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["seifert"] == {"circles": 7, "matrix_size": 2}
     assert "seifert" not in report["payload"]
+
+
+# The input contract over drawn inputs.  Each grammar draws valid input,
+# often spoiled in one place in one of the ways input goes wrong: bad
+# arity, label 0, negative and non-integer fields, wrong modes and huge
+# strand counts.
+_FIELD = st.one_of(st.integers(-2, 8), st.just(10 ** 7), st.booleans(),
+                   st.floats(-2, 8), st.text("ab1", max_size=2), st.none())
+_JUNK_TOKEN = st.sampled_from(["s0", "s100000", "s30000000", "s1^2", "t1",
+                               "X[1,2,3,4", "X[-1,2,3,4]", "X[]", "O"])
+
+
+@st.composite
+def _spoiled(draw, items, spoil):
+    """``items`` as a list, with one item at a drawn place changed by
+    ``spoil`` half of the time."""
+    items = list(items)
+    if items and draw(st.booleans()):
+        k = draw(st.integers(0, len(items) - 1))
+        items[k] = draw(spoil(items[k]))
+    return items
+
+
+def _spoil_record(record):
+    record = list(record)
+    return st.one_of(
+        _FIELD.map(lambda x: record[:1] + [x] + record[2:]),
+        st.just(record[:3]), st.just(record + [record[0]]),
+        st.just([0] + record[1:]))
+
+
+_RECORDS = braid_words(5, strands=(2, 3)).map(
+    lambda word: trace_closure(braid_to_tangle(word)).crossings).flatmap(
+    lambda records: _spoiled(records, _spoil_record))
+_PD_TEXT = st.tuples(_RECORDS, st.integers(0, 2)).map(
+    lambda x: " ".join(["X[" + ",".join(map(str, r)) + "]" for r in x[0]]
+                       + ["O"] * x[1]) or "O")
+_BRAID_TEXT = st.lists(
+    st.tuples(st.integers(1, 3), st.booleans()).map(
+        lambda g: f"s{g[0]}" + ("^-1" if g[1] else "")),
+    max_size=6).flatmap(lambda tokens: _spoiled(
+        tokens, lambda _: _JUNK_TOKEN)).map(" ".join)
+_DIAGRAM_JSON = st.fixed_dictionaries(
+    {"crossings": _RECORDS},
+    optional={"free_loops": st.one_of(_FIELD, st.just(10 ** 6))})
+
+
+@st.composite
+def _plat_json(draw):
+    genus, extra = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    strands = 2 * (2 * genus + extra)
+    letters = st.tuples(st.integers(1, strands - 1), st.booleans()).map(
+        lambda g: f"s{g[0]}" + ("^-1" if g[1] else ""))
+    data = {"genus": genus, "extra": extra,
+            "braid": " ".join(draw(st.lists(letters, max_size=3))),
+            "strands": strands,
+            "curls": draw(st.lists(st.integers(-1, 1), min_size=2 * genus,
+                                   max_size=2 * genus))}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(data) + ["mode"]))
+        data[key] = draw(st.one_of(
+            _FIELD, st.just(2 * 10 ** 7), st.sampled_from(["plat", "standard"]),
+            st.lists(_FIELD, max_size=3)))
+    return data
+
+
+_INPUT = st.one_of(_PD_TEXT, _BRAID_TEXT,
+                   st.one_of(_DIAGRAM_JSON, _plat_json()).map(json.dumps),
+                   st.sampled_from(["3_1", "4_1"]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_INPUT, st.integers(-2, 2))
+def test_drawn_input_exits_0_2_or_3(text, framing):
+    # a cap of 16 keeps every engine call small and admits the cables
+    # of knots of up to 4 crossings, which are built, checked and pass
+    cap = ["--max-crossings", "16"]
+    for argv in (cap + ["invariants", text],
+                 cap + ["invariants", text, "--which", "jones"],
+                 cap + ["cable", text, f"--framing={framing}"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:   # argparse's own input errors
+                code = e.code
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_RESOURCE), (
+            argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

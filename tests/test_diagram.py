@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knotcalc.cable import cable2, make_hat
+from knotcalc import presentations
+from knotcalc.cable import _cable_tangle, cable2, make_hat
 from knotcalc.cli import _load_input
 from knotcalc.diagram import (Diagram, _erase, _glue, _occurrences,
                               _split_pieces, pd_parse)
@@ -239,6 +240,62 @@ class TestConstructor:
     @given(st.one_of(knot_braid_words(9), braid_words()))
     def test_braid_closure(self, word):
         rebuilds_and_rejects_flips(trace_closure(braid_to_tangle(word)))
+
+
+def fields(d):
+    return d.crossings, d.over_in, d.free_loops
+
+
+def head_ends(d):
+    """Every record's entering ends, slot 0 and the over-strand's slot."""
+    return [end for i, o in enumerate(d.over_in) for end in ((i, 0), (i, o))]
+
+
+class TestOrientedByConstruction:
+    """``cable2`` orients its records as it builds them.  The oracle is
+    the walk that ``trace_closure`` runs on the same tangle from the ends
+    where its top arcs enter, and, for the cable and its hat, the walk
+    from every record's entering ends."""
+
+    @staticmethod
+    def matches_the_walk(base, framing):
+        cable = cable2(base, framing)
+        walked = trace_closure(_cable_tangle(base, framing - base.writhe()))
+        assert fields(cable.diagram) == fields(walked)
+        for d in (cable.diagram, make_hat(cable).diagram):
+            assert fields(Diagram.from_pd(d.crossings, d.free_loops,
+                                          entering=head_ends(d))) == fields(d)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(knot_braid_words(9), st.integers(-3, 3))
+    def test_braid_closure_cables(self, word, framing):
+        self.matches_the_walk(trace_closure(braid_to_tangle(word)), framing)
+
+    @pytest.mark.parametrize("framing", range(-2, 3))
+    def test_unknot_cables(self, framing):
+        self.matches_the_walk(pd_parse("O"), framing)
+
+    def test_inconsistent_doubled_record_raises(self, monkeypatch):
+        # the first record of each block with its over-strand's slots
+        # swapped: the arc then entered there is entered at its other
+        # end too
+        double_block = presentations.double_block
+
+        def flipped(*args):
+            (a, b, c, d), *rest = double_block(*args)
+            return [(a, d, c, b), *rest]
+
+        monkeypatch.setattr(presentations, "double_block", flipped)
+        with pytest.raises(InconsistentOrientation, match="enters 2"):
+            cable2(pd_parse(TREFOIL), 0)
+
+    def test_rejects_each_flipped_slot(self, table_diagrams):
+        d = cable2(table_diagrams["4_1"], 1).diagram
+        assert fields(Diagram._oriented(*fields(d))) == fields(d)
+        for i, o in enumerate(d.over_in):
+            flipped = d.over_in[:i] + (4 - o,) + d.over_in[i + 1:]
+            with pytest.raises(InconsistentOrientation):
+                Diagram._oriented(d.crossings, flipped, d.free_loops)
 
 
 class TestWrithe:
