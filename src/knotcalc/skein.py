@@ -19,9 +19,15 @@ packed bracket there, keyed by the free loops and the PD records each
 turned to the lesser of itself and its half-turn: a half-turn keeps the
 unoriented crossing, so a diagram with a component reversed, as the hat
 is of its cable, reads the bracket of the first and pays only for its
-own writhe.  A mirror or a relabeling is a new key.  Conventions:
-``<unknot> = 1``, the A-smoothing of ``(a,b,c,d)`` joins ``a~b`` and
-``c~d``, and ``V = (-A)^{-3w} <D>`` with ``t = A^-4``.
+own writhe.  A mirror or a relabeling is a new key.  The memo also keeps
+the last sweep's plan and its states after each step: the states after
+k steps depend only on the slot count and the first k steps, so a sweep
+with the same slot count resumes after the longest plan prefix it shares
+with the last one, short of either plan's last step.  The cables of one
+knot at neighbouring framings share their doubled tangle, which their
+plans sweep first.  Conventions: ``<unknot> = 1``, the A-smoothing of
+``(a,b,c,d)`` joins ``a~b`` and ``c~d``, and ``V = (-A)^{-3w} <D>`` with
+``t = A^-4``.
 
 Kauffman F comes from a second frontier sweep, ``chords.chord_sweep``,
 whose states are layered chord diagrams in the Kauffman skein of a disk
@@ -68,8 +74,10 @@ while reaching it.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .chords import CIRCLE, ONE, chord_sweep, unpack
-from .diagram import Diagram, _glue, _occurrences, _reduce, _split_pieces
+from .diagram import Diagram, _glue, _reduce, _split_pieces
 from .errors import ResourceLimit
 # unused; test_install_wraps_every_binding_and_reports_absent_names checks it
 from .moves import simplify as _simplify_diagram
@@ -103,6 +111,13 @@ class SkeinMemo:
     that each memo's counts belong to one engine.  The Conway
     determinants key nothing and leave a memo they are given empty.
 
+    ``sweep`` holds the last bracket sweep, ``(slot count, plan, trail)``
+    with ``trail[k]`` the width and the states after its first k steps,
+    for the next sweep to resume from; each sweep replaces it.  Both
+    sweeps count the records swept, their widest frontier (the bracket's
+    slot count), the most states held and what they reused: F its step
+    expansions, the bracket its plan steps resumed.
+
     F called without a memo uses a fresh one for that call, and Jones
     keys nothing, so values are reused across calls only through a memo
     the caller owns and passes to each of them.
@@ -118,6 +133,7 @@ class SkeinMemo:
         self.widest = 0
         self.most_states = 0
         self.reused = 0
+        self.sweep = None
 
     def stats(self) -> dict:
         return {"entries": len(self.table), "hits": self.hits,
@@ -147,36 +163,53 @@ def _sweep_plan(records) -> tuple[int, list[tuple[tuple, tuple]]]:
     is open while exactly one of its two ends lies in a swept record.  An
     arc met for the first time takes a freed slot, else a new one.  A step
     is a record's four slots and the slots it closes, an arc with both
-    ends there among them; these are freed only after the record."""
-    occ = _occurrences(records)
-    closes = [0] * len(records)  # open arcs each record holds
-    left = list(range(len(records)))
+    ends there among them; these are freed only after the record.
+
+    An arc closes only at the record being swept, so an unswept record's
+    count of open arcs only grows.  A heap keyed ``(4 - count) n + index``
+    gets an entry each time a count grows, and the least entry of an
+    unswept record is its current one; entries of swept records are
+    skipped."""
+    n = len(records)
+    ends: dict[int, list[int]] = {}  # arc -> the records at its ends
+    for i, rec in enumerate(records):
+        for a in rec:
+            ends.setdefault(a, []).append(i)
+    closes = [0] * n  # open arcs each unswept record holds
+    swept = [False] * n
+    heap = [4 * n + i for i in range(n)]  # sorted, so a heap
     slot_of: dict[int, int] = {}  # open arc -> its slot
     free: list[int] = []
     n_slots = 0
     plan = []
-    while left:
-        i = max(left, key=closes.__getitem__)
-        left.remove(i)
+    for _ in range(n):
+        i = heappop(heap) % n
+        while swept[i]:
+            i = heappop(heap) % n
+        swept[i] = True
         slots, closed = [], []
         for a in records[i]:
-            if a in slot_of:
-                s = slot_of.pop(a)
+            s = slot_of.pop(a, None)
+            if s is not None:
                 closed.append(s)
-                step = -1
             else:
-                s = slot_of[a] = free.pop() if free else n_slots
-                n_slots = max(n_slots, s + 1)
-                step = 1
+                if free:
+                    s = free.pop()
+                else:
+                    s, n_slots = n_slots, n_slots + 1
+                slot_of[a] = s
+                for j in ends[a]:
+                    if not swept[j]:
+                        closes[j] += 1
+                        heappush(heap, (4 - closes[j]) * n + j)
             slots.append(s)
-            for j, _ in occ[a]:
-                closes[j] += step
         plan.append((tuple(slots), tuple(closed)))
         free += closed
     return n_slots, plan
 
 
-def _sweep_states(records) -> tuple[int, int, int]:
+def _sweep_states(records, memo: SkeinMemo | None = None
+                  ) -> tuple[int, int, int]:
     """The bracket, the sum of A^(#A - #B) delta^(circles - 1) over all
     smoothings, as ``(lo, p, width)``: ``A^lo q(A^2)`` with
     ``p = q(256^width)``.  The frontier empties at the last record, so
@@ -189,7 +222,7 @@ def _sweep_states(records) -> tuple[int, int, int]:
     ``s`` is the slot of the far end of the arc in slot ``s``, and it
     carries the sum of the weights of the smoothings that reach it.  A
     free slot holds its own index, so an arc met for the first time is
-    its own far end.
+    its own far end.  A state whose sum cancels is dropped.
 
     A state's sum is held the same way, as ``(lo, p)``.  Every exponent
     of a state has the parity of the number of records swept, so steps
@@ -199,17 +232,41 @@ def _sweep_states(records) -> tuple[int, int, int]:
     to at most ``8^n``: each record doubles the smoothings, and a
     factor's coefficient sizes add up to at most 4.  So
     ``8 * width >= 3n + 2`` bits keep every coefficient apart.
+
+    The states after k steps depend only on the slot count and the first
+    k steps of the plan, as long as none of them is the last.  So, given
+    a memo, the sweep keeps its plan and the states before each of its
+    steps there, in place of the sweep kept before, and a sweep with the
+    same slot count starts from the kept states after the longest common
+    prefix of the two plans that holds neither plan's last step.  States
+    packed at another width are unpacked and packed again at this one.
+    The memo counts the steps swept and resumed, the slot count and the
+    most states held.
     """
     width = (3 * len(records) + 9) // 8
     x2 = 1 << 16 * width  # A^4, two slots up
     times_delta = (1, -1 - x2, 1 + 2 * x2 + x2 * x2)  # (-1 - A^4)^loops
     n_slots, plan = _sweep_plan(records)
     start = tuple(range(n_slots))
-    states = {start: (0, 1)}
-    for k, ((a, b, c, d), closed) in enumerate(plan, 1):
+    trail = [(width, {start: (0, 1)})]  # the width and states after k steps
+    m = 0  # the steps resumed
+    kept = memo.sweep if memo is not None else None
+    if kept is not None and kept[0] == n_slots:
+        end = min(len(plan), len(kept[1])) - 1
+        while m < end and plan[m] == kept[1][m]:
+            m += 1
+        trail = kept[2][:m + 1]
+    was, states = trail[m]
+    if was != width:
+        states = {key: (lo, sum(c << 4 * width * (e - lo)
+                                for e, c in _unpack(lo, p, was).items()))
+                  for key, (lo, p) in states.items()}
+    most = 0
+    for k in range(m, len(plan)):
+        (a, b, c, d), closed = plan[k]
         # the A-smoothing joins a~b and c~d, the B-smoothing a~d and b~c
         smoothings = ((((a, b), (c, d)), 1), (((a, d), (b, c)), -1))
-        first = -1 if k == len(plan) else 0  # the last circle weighs 1
+        first = -1 if k == len(plan) - 1 else 0  # the last circle weighs 1
         nxt: dict[tuple, tuple[int, int]] = {}
         get = nxt.get
         for key, (lo, p) in states.items():
@@ -236,15 +293,27 @@ def _sweep_states(records) -> tuple[int, int, int]:
                 old = get(new)
                 if old is None:
                     nxt[new] = (e, q)
-                else:  # shift the higher sum up to the lower one's slots
-                    e0, q0 = old
-                    if e == e0:
-                        nxt[new] = (e, q0 + q)
-                        continue
+                    continue
+                e0, q0 = old
+                if e != e0:  # shift the higher sum up to the lower one's slots
                     if e < e0:
                         e, q, e0, q0 = e0, q0, e, q
-                    nxt[new] = (e0, q0 + (q << 4 * width * (e - e0)))
+                    q <<= 4 * width * (e - e0)
+                q += q0
+                if q:
+                    nxt[new] = (e0, q)
+                else:
+                    del nxt[new]
         states = nxt
+        most = max(most, len(states))
+        if memo is not None and k + 1 < len(plan):
+            trail.append((width, states))
+    if memo is not None:
+        memo.sweep = (n_slots, plan, trail)
+        memo.swept += len(plan) - m
+        memo.reused += m
+        memo.widest = max(memo.widest, n_slots)
+        memo.most_states = max(memo.most_states, most)
     return (*states[start], width)
 
 
@@ -273,7 +342,8 @@ def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
     bracket times ``delta`` per free loop, one fewer without crossings,
     where the sweep's sum 1 is the last circle.  Given a memo, the packed
     bracket is kept there under the free loops and the records up to a
-    half-turn; a hit skips the sweep."""
+    half-turn; a hit skips the sweep, and a miss resumes the memo's last
+    sweep from the plan prefix the two share (``_sweep_states``)."""
     _check_cap(d.n_crossings, max_crossings, d.free_loops)
     if memo is None:
         packed = _sweep_states(d.crossings)
@@ -282,7 +352,7 @@ def jones_memoized(d: Diagram, max_crossings: int = DEFAULT_ENGINE_CAP,
         packed = memo.table.get(key)
         if packed is None:
             memo.misses += 1
-            packed = memo.table[key] = _sweep_states(d.crossings)
+            packed = memo.table[key] = _sweep_states(d.crossings, memo)
         else:
             memo.hits += 1
     bracket = _unpack(*packed)

@@ -9,8 +9,10 @@ diagram's crossings.  A change that leaves Jones as it is must leave
 every digest as it is.  The corpus is run twice, once without a memo and
 once through one memo for all of it, where each hat reads its cable's
 bracket: a key that named two different brackets would hand one diagram
-another's value.  To rewrite the file after a deliberate change of
-output, run
+another's value, and each sweep resumes from the one before it where
+their plans agree.  The corpus also pins the bracket sweep's plans to
+those of a plain rescan of the records left.  To rewrite the file after
+a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_jones_digests.py
 """
@@ -23,7 +25,9 @@ from pathlib import Path
 
 from knotcalc.cable import cable2, make_hat
 from knotcalc.presentations import BraidWord, braid_to_tangle, trace_closure
-from knotcalc.skein import DEFAULT_ENGINE_CAP, SkeinMemo, jones_memoized
+from knotcalc.diagram import _occurrences
+from knotcalc.skein import (DEFAULT_ENGINE_CAP, SkeinMemo, _sweep_plan,
+                            jones_memoized)
 from knotcalc.table import load_table
 
 from ops import mirror
@@ -75,6 +79,44 @@ def test_jones_digests_match_through_one_memo():
     # each of the 175 hats hits its cable; the rest are closures that
     # meet a closure swept before with the same records up to half-turns
     assert (memo.hits, memo.misses, len(memo.table)) == (293, 1127, 1127)
+
+
+def rescan_plan(records):
+    """The bracket sweep's plan as ``_sweep_plan`` made it before its
+    heap: every step rescans the records left for the one that closes
+    the most open arcs, ties to the lower index."""
+    occ = _occurrences(records)
+    closes = [0] * len(records)
+    left = list(range(len(records)))
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    n_slots = 0
+    plan = []
+    while left:
+        i = max(left, key=closes.__getitem__)
+        left.remove(i)
+        slots, closed = [], []
+        for a in records[i]:
+            if a in slot_of:
+                s = slot_of.pop(a)
+                closed.append(s)
+                step = -1
+            else:
+                s = slot_of[a] = free.pop() if free else n_slots
+                n_slots = max(n_slots, s + 1)
+                step = 1
+            slots.append(s)
+            for j, _ in occ[a]:
+                closes[j] += step
+        plan.append((tuple(slots), tuple(closed)))
+        free += closed
+    return n_slots, plan
+
+
+def test_sweep_plans_match_the_rescan():
+    differ = [name for name, d in corpus()
+              if _sweep_plan(d.crossings) != rescan_plan(d.crossings)]
+    assert differ == []
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from knotcalc.presentations import (BraidWord, braid_parse, braid_to_tangle,
                                     trace_closure)
 from knotcalc.seifert import normalize_alexander
 from knotcalc.skein import (
+    DEFAULT_ENGINE_CAP,
     SkeinMemo,
     _kauffman_L,
     _unpack,
@@ -28,7 +29,7 @@ from ops import disjoint_union, mirror, power, relabeled, switch_crossing
 from oracles import (BadSite, bracket_state_sum, jones, skein_triple,
                      two_var_substitute, verify_jones_skein)
 from scramblers import random_move, reidemeister_r1_add
-from strategies import braid_words
+from strategies import braid_words, knot_braid_words
 
 t = LaurentPoly.t_pow
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -123,15 +124,16 @@ class TestJones:
                 {-q: c for q, c in v.items()})
 
     def test_determinism_and_memo_hits(self):
-        # the first call sweeps and keeps the bracket, the second reads it
+        # the first call sweeps and keeps the bracket, the second reads it;
+        # the sweep's six records use six slots and hold at most two states
         memo = SkeinMemo()
         d = pd_parse(SIX_ONE)
         first = jones_memoized(d, memo=memo)
         second = jones_memoized(d, memo=memo)
         assert first == second == jones_memoized(d)
         assert memo.stats() == {"entries": 1, "hits": 1, "misses": 1,
-                                "kinks": 0, "bigons": 0, "swept": 0,
-                                "widest": 0, "most_states": 0, "reused": 0}
+                                "kinks": 0, "bigons": 0, "swept": 6,
+                                "widest": 6, "most_states": 2, "reused": 0}
 
 
 def shifted_labels(d: Diagram, offset: int) -> Diagram:
@@ -211,6 +213,64 @@ class TestBracketMemo:
         assert (memo.hits, memo.misses) == (1, 1)
         assert v_back == t(-3 * lk) * v
         assert v_back == jones_memoized(back)
+
+
+class TestResumedSweep:
+    """Given a memo, the bracket sweep keeps its plan and states, and the
+    next sweep with the same slot count starts after the longest common
+    plan prefix that holds neither plan's last step."""
+
+    @pytest.mark.parametrize("name, first, then, widths", [
+        ("3_1", -2, -1, (6, 7)), ("4_1", 2, 1, (8, 7))])
+    def test_next_framing_resumes_across_a_width_change(
+            self, table_diagrams, name, first, then, widths):
+        # the cables share the doubled tangle, which the plans sweep first;
+        # their record counts pack the states at different widths
+        knot = table_diagrams[name]
+        one, two = (cable2(knot, f).diagram for f in (first, then))
+        assert tuple((3 * d.n_crossings + 9) // 8 for d in (one, two)) == widths
+        memo = SkeinMemo()
+        assert jones_memoized(one, 64, memo) == jones_memoized(one, 64)
+        assert memo.reused == 0
+        assert jones_memoized(two, 64, memo) == jones_memoized(two, 64)
+        assert 0 < memo.reused < min(one.n_crossings, two.n_crossings)
+        assert memo.swept + memo.reused == one.n_crossings + two.n_crossings
+
+    def test_sweep_again_resumes_before_the_last_step(self, table_diagrams):
+        # the same records again (new labels miss the table) resume all
+        # but the last step, where the last circle weighs 1
+        d = table_diagrams["7_2"]
+        memo = SkeinMemo()
+        v = jones_memoized(d, memo=memo)
+        assert jones_memoized(shifted_labels(d, 100), memo=memo) == v
+        assert (memo.swept, memo.reused) == (7 + 1, 6)
+
+    def test_cancelled_states_are_dropped(self):
+        # two sums that meet at one state of the second step cancel there
+        # (the pair s1 s1^-1); the state goes, and so from the kept trail
+        d = trace_closure(braid_to_tangle(braid_parse("s1 s1^-1 s1 s1^-1", 2)))
+        memo = SkeinMemo()
+        assert jones_memoized(d, memo=memo) == jones(d)
+        _, _, trail = memo.sweep
+        assert all(p for _, states in trail for _, p in states.values())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(knot_braid_words(5), braid_words(6), st.lists(
+        st.tuples(st.integers(-2, 2),
+                  st.sampled_from(("cable", "hat", "mirror", "other"))),
+        min_size=2, max_size=8))
+    def test_resumed_sweeps_equal_fresh_sweeps(self, word, other, calls):
+        # cables at framings in any order, with their hats, mirrors and an
+        # unrelated closure in between, all through one memo
+        knot = trace_closure(braid_to_tangle(word))
+        unrelated = trace_closure(braid_to_tangle(other))
+        memo = SkeinMemo()
+        for shift, kind in calls:
+            cab = cable2(knot, knot.writhe() + shift)
+            d = {"cable": cab.diagram, "hat": make_hat(cab).diagram,
+                 "mirror": mirror(cab.diagram), "other": unrelated}[kind]
+            cap = max(DEFAULT_ENGINE_CAP, d.n_crossings)
+            assert jones_memoized(d, cap, memo) == jones_memoized(d, cap)
 
 
 class TestKauffman:
